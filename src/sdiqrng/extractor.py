@@ -12,11 +12,22 @@ distance ``epsilon`` of uniform given the certified min-entropy.
 ``plan_extraction`` searches for the smallest N whose budget meets the
 requested output bits per sample.
 
-Two hashing routes are kept deliberately independent and must agree bit
-for bit: a naive GF(2) row-times-vector product (AND then XOR-reduce, no
-floating point), and an accelerated path that evaluates all output parities
-at once as an integer convolution via FFT (counts are below 2**14 so the
-float64 FFT is exact after rounding).
+Hashing has one FFT route and a naive oracle, kept deliberately independent
+and required to agree bit for bit.  The oracle is a GF(2) row-times-vector
+product (AND then XOR-reduce, no floating point).  The FFT route reads
+every output parity off an integer count: ``(T x)[i]`` is coefficient
+``n - 1 + i`` of the linear convolution of the seed with ``x``.  The seed's
+spectrum ``rfft(seed, L)`` is computed once per seed, at
+``L = next_fast_len(n + m - 1)``, and every block is hashed against it.  A
+circular convolution of length ``L >= n + m - 1`` is enough: its
+wrap-around only adds linear coefficients at index ``L`` and above (at most
+``2n + m - 3``) onto indices below ``n - 1``, which are discarded.
+``extract_stream`` hashes blocks in batches of eight with one batched
+``rfft``/``irfft``; eight m-bit outputs always end on a byte boundary, so
+each batch packs straight into its own slice of the output buffer.  The
+counts are integers, so float64 rounding must leave each within 0.25 of
+one; every call checks that residual and raises SecurityModelViolation
+past it.
 
 Sample serialization: each ADC code contributes ``bits_per_sample`` bits of
 its two's complement representation, most significant bit first; output
@@ -28,12 +39,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as _signal
+from scipy.fft import irfft, next_fast_len, rfft
 
-from .exceptions import InfeasiblePlanError, StaleCalibrationError
+from .exceptions import (InfeasiblePlanError, SecurityModelViolation,
+                         StaleCalibrationError)
+
+# blocks hashed per batch: eight m-bit outputs always fill whole bytes
+_BATCH_BLOCKS = 8
+# float64 counts further than this from an integer are not trusted
+_MAX_ROUNDING_RESIDUAL = 0.25
+# memory for one chunk of explicit Toeplitz rows in the naive route
+_NAIVE_CHUNK_BYTES = 64 << 20
 
 __all__ = [
     "ExtractionPlan",
@@ -130,6 +150,12 @@ class ToeplitzSeed:
     def __len__(self):
         return self.bits.size
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``rfft`` of the seed bits, computed on first use and then shared
+        read-only by every block hashed with this seed."""
+        return _seed_spectrum(np.asarray(self.bits))
+
 
 def test_prng_seed(seed_bits: int, rng_seed: int) -> ToeplitzSeed:
     """Deterministic PRNG-derived seed for tests and demos, tagged insecure."""
@@ -170,25 +196,34 @@ def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:
     return ToeplitzSeed(bits=unpack_bits(data, seed_bits), provenance=f"file:{path}")
 
 
-def _check_hash_args(x: np.ndarray, seed: np.ndarray, m: int) -> None:
+def _check_hash_args(x: np.ndarray, seed: np.ndarray, m: int) -> int:
+    """Validate the arguments; return the block length n = len(seed) - m + 1."""
     if x.ndim != 1 or x.size == 0:
         raise ValueError("input bits must be a non-empty 1-d array")
     if m < 1:
         raise ValueError("output length m must be >= 1")
-    if seed.size != x.size + m - 1:
+    n = seed.size - m + 1
+    if n < 1 or x.size % n:
         raise ValueError(
-            f"seed length {seed.size} != n + m - 1 = {x.size + m - 1}")
+            f"input of {x.size} bits is not a whole number of blocks of "
+            f"n = len(seed) - m + 1 = {n} bits")
     for name, arr in (("input", x), ("seed", seed)):
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError(f"{name} bits must be 0/1")
+    return n
 
 
-def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int,
-                    chunk: int = 2048) -> np.ndarray:
+def _naive_chunk_rows(n: int) -> int:
+    """Toeplitz rows per chunk so that one chunk of n-bit rows fits the budget."""
+    return max(1, _NAIVE_CHUNK_BYTES // n)
+
+
+def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
     """Reference route: explicit rows, AND, XOR-reduce.  Pure GF(2)."""
     n = x.size
     windows = sliding_window_view(seed, n)  # windows[i] = seed[i : i + n]
     out = np.empty(m, dtype=np.uint8)
+    chunk = _naive_chunk_rows(n)
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
         rows = windows[start:stop, ::-1]     # row i of T = reversed window i
@@ -196,29 +231,71 @@ def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int,
     return out
 
 
+def _seed_spectrum(seed: np.ndarray) -> np.ndarray:
+    spectrum = rfft(seed.astype(np.float64), next_fast_len(seed.size, real=True))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray,
+                  m: int) -> tuple[np.ndarray, float]:
+    """Hash each row of ``blocks`` (k, n) against one seed spectrum.
+
+    Returns the k m-bit outputs concatenated and the rounding residual
+    ``max|c - rint(c)|`` of the float64 counts.  Raises
+    SecurityModelViolation when that residual exceeds 0.25.
+    """
+    n = blocks.shape[1]
+    size = next_fast_len(n + m - 1, real=True)
+    # zero-padded by hand: rfft's own padding path takes about twice as long
+    padded = np.zeros((blocks.shape[0], size))
+    padded[:, :n] = blocks
+    counts = irfft(rfft(padded, axis=1) * spectrum, size, axis=1)[:, n - 1:n - 1 + m]
+    rounded = np.rint(counts)
+    residual = float(np.max(np.abs(counts - rounded)))
+    if not residual <= _MAX_ROUNDING_RESIDUAL:  # written so that NaN fails too
+        raise SecurityModelViolation(
+            f"FFT rounding residual {residual:.3g} exceeds "
+            f"{_MAX_ROUNDING_RESIDUAL}; Toeplitz parities are not exact")
+    return (rounded.astype(np.int64) & 1).astype(np.uint8).ravel(), residual
+
+
 def _toeplitz_fft(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
-    """Accelerated route: every output parity is a coefficient of conv(seed, x)."""
-    n = x.size
-    counts = _signal.fftconvolve(seed.astype(float), x.astype(float))
-    counts = np.rint(counts[n - 1:n - 1 + m]).astype(np.int64)
-    return (counts & 1).astype(np.uint8)
+    """FFT route for one block: every output parity is a coefficient of conv(seed, x)."""
+    return _fft_parities(x[None, :], _seed_spectrum(seed), m)[0]
 
 
 def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
-                  method: str = "fft") -> np.ndarray:
-    """GF(2) Toeplitz hash of ``input_bits`` down to ``m`` bits.
+                  method: str = "fft",
+                  residual: np.ndarray | None = None) -> np.ndarray:
+    """GF(2) Toeplitz hash of ``input_bits`` down to ``m`` bits per block.
+
+    The input holds one or more back-to-back blocks of
+    ``n = len(seed) - m + 1`` bits; each is hashed with the same seed and
+    the m-bit outputs are returned concatenated.  Input of any other length
+    is an error.
 
     ``method`` picks the route: "fft" (default) or "naive" (the reference
-    oracle).  The two are bit-identical; tests enforce it across sizes.
+    oracle).  The two are bit-identical; tests enforce it across sizes.  A
+    ``ToeplitzSeed`` carries its FFT spectrum across calls; a bare array
+    seed is transformed on every call.  When ``residual`` is given, a
+    one-element float array, the FFT route stores its rounding residual
+    ``max|c - rint(c)|`` there (the naive route stores 0).
     """
     x = np.asarray(input_bits, dtype=np.uint8)
     s = np.asarray(seed.bits if isinstance(seed, ToeplitzSeed) else seed, dtype=np.uint8)
-    _check_hash_args(x, s, m)
+    n = _check_hash_args(x, s, m)
+    blocks = x.reshape(-1, n)
     if method == "naive":
-        return _toeplitz_naive(x, s, m)
-    if method == "fft":
-        return _toeplitz_fft(x, s, m)
-    raise ValueError(f"unknown method {method!r}")
+        out, worst = np.concatenate([_toeplitz_naive(b, s, m) for b in blocks]), 0.0
+    elif method == "fft":
+        spectrum = seed.spectrum if isinstance(seed, ToeplitzSeed) else _seed_spectrum(s)
+        out, worst = _fft_parities(blocks, spectrum, m)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if residual is not None:
+        residual[0] = worst
+    return out
 
 
 def serialize_samples(codes: np.ndarray, bits_per_sample: int) -> np.ndarray:
@@ -252,6 +329,7 @@ class AccountingReport:
     seed_provenance: str
     pulse_rate: float
     clipped_samples: int
+    fft_rounding_residual_max: float   # worst max|c - rint(c)| over batches
 
     @property
     def equivalent_rate_bits_per_s(self) -> float:
@@ -276,6 +354,7 @@ class AccountingReport:
             f"pulse_rate_hz: {self.pulse_rate!r}",
             f"equivalent_rate_bits_per_s: {self.equivalent_rate_bits_per_s!r}",
             f"clipped_samples: {self.clipped_samples}",
+            f"fft_rounding_residual_max: {self.fft_rounding_residual_max!r}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -293,7 +372,9 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
 
     Extraction refuses to run when the recalibration scheduler demanded
     attention: ``scheduler_decision`` of "recalibrate" or "alarm" raises
-    StaleCalibrationError.
+    StaleCalibrationError.  Blocks are hashed eight per ``toeplitz_hash``
+    call, spread over ``threads`` workers; a batch whose FFT rounding
+    residual exceeds 0.25 raises SecurityModelViolation naming the batch.
     """
     if scheduler_decision not in ("keep", "recalibrate", "alarm"):
         raise ValueError(f"unknown scheduler decision {scheduler_decision!r}")
@@ -325,22 +406,38 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
     used = n_blocks * plan.samples_per_block
     chunks = codes[:used].reshape(n_blocks, plan.samples_per_block)
 
-    def hash_one(chunk: np.ndarray) -> np.ndarray:
-        bits = serialize_samples(chunk, plan.bits_per_sample)
-        return toeplitz_hash(bits, seed, plan.output_bits, method=method)
+    m = plan.output_bits
+    n_batches = -(-n_blocks // _BATCH_BLOCKS)
+    seed.spectrum  # computed here, once, so pool threads only read it
+    out = np.empty((n_blocks * m + 7) // 8, dtype=np.uint8)
+    residuals = np.zeros(n_batches)
+
+    def hash_batch(batch: int) -> None:
+        first = batch * _BATCH_BLOCKS
+        stop = min(first + _BATCH_BLOCKS, n_blocks)
+        bits = serialize_samples(chunks[first:stop].ravel(), plan.bits_per_sample)
+        try:
+            hashed = toeplitz_hash(bits, seed, m, method=method,
+                                   residual=residuals[batch:batch + 1])
+        except SecurityModelViolation as exc:
+            raise SecurityModelViolation(
+                f"batch {batch} (blocks {first}..{stop - 1}): {exc}") from None
+        # a batch starts at bit first * m, a multiple of 8 * m: byte batch * m
+        out[batch * m:batch * m + (hashed.size + 7) // 8] = np.packbits(hashed)
 
     if threads == 1:
-        outputs = [hash_one(c) for c in chunks]
+        for batch in range(n_batches):
+            hash_batch(batch)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(hash_one, chunks))
+            list(pool.map(hash_batch, range(n_batches)))
 
-    out_bits = np.concatenate(outputs) if outputs else np.zeros(0, np.uint8)
     report = AccountingReport(
         samples_in=n_samples, samples_used=used, blocks=n_blocks,
-        raw_bits=used * plan.bits_per_sample, output_bits=int(out_bits.size),
+        raw_bits=used * plan.bits_per_sample, output_bits=n_blocks * m,
         bits_per_sample_effective=plan.bits_per_sample_effective,
         h_min_per_sample=plan.h_min_per_sample, epsilon=plan.epsilon,
         seed_provenance=seed.provenance, pulse_rate=pulse_rate,
-        clipped_samples=clipped)
-    return pack_bits(out_bits), report
+        clipped_samples=clipped,
+        fft_rounding_residual_max=float(residuals.max()))
+    return out, report

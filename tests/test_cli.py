@@ -135,6 +135,8 @@ def test_extract_artifacts(pipeline):
     assert effective >= 5.4
     rate = float(acc.split("equivalent_rate_bits_per_s: ")[1].splitlines()[0])
     assert rate >= 270e6
+    residual = float(acc.split("fft_rounding_residual_max: ")[1].splitlines()[0])
+    assert 0.0 <= residual < 1e-6
 
 
 def test_battery_artifacts(pipeline):

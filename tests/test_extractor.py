@@ -7,12 +7,15 @@ search over block sizes.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from sdiqrng.detector import MeasurementConfig, RawSampleBlock
-from sdiqrng.exceptions import InfeasiblePlanError, StaleCalibrationError
+from sdiqrng import extractor
+from sdiqrng.exceptions import (InfeasiblePlanError, SecurityModelViolation,
+                                StaleCalibrationError)
 from sdiqrng.extractor import (
     AccountingReport,
     ExtractionPlan,
@@ -52,10 +55,11 @@ def oracle_plan_block_size(h_min, security, target):
         n += 1
 
 
-def _code_blocks(rng, sizes, clipped=None):
-    cfg = MeasurementConfig()
+def _code_blocks(rng, sizes, clipped=None, adc_bits=8):
+    cfg = MeasurementConfig(adc_bits=adc_bits)
+    half = 1 << (adc_bits - 1)
     clipped = clipped or [0] * len(sizes)
-    return [RawSampleBlock(codes=rng.integers(-128, 128, s, dtype=np.int16),
+    return [RawSampleBlock(codes=rng.integers(-half, half, s, dtype=np.int16),
                            config=cfg, clipped=c)
             for s, c in zip(sizes, clipped)]
 
@@ -191,6 +195,67 @@ def test_hash_argument_validation():
     with pytest.raises(ValueError):
         toeplitz_hash(x, ToeplitzSeed(np.ones(11, np.uint8), "t"), 4,
                       method="banana")
+    # n = 11 - 4 + 1 = 8: only whole multiples of 8 input bits are accepted
+    for size in (7, 9, 12, 15, 17):
+        for method in ("naive", "fft"):
+            with pytest.raises(ValueError, match="whole number of blocks"):
+                toeplitz_hash(np.ones(size, np.uint8), seed, 4, method=method)
+    with pytest.raises(ValueError):
+        toeplitz_hash(x, seed, 12)  # m longer than the seed leaves no n
+
+
+def test_hash_of_concatenated_blocks_is_concatenated_hashes():
+    rng = np.random.default_rng(53)
+    n, m = 301, 123
+    seed_bits = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    for seed in (seed_bits, ToeplitzSeed(seed_bits, "t")):
+        for k in (1, 2, 5, 8, 9):
+            x = rng.integers(0, 2, k * n, dtype=np.uint8)
+            want = np.concatenate([oracle_toeplitz(b, seed_bits, m)
+                                   for b in x.reshape(k, n)])
+            for method in ("naive", "fft"):
+                got = toeplitz_hash(x, seed, m, method=method)
+                np.testing.assert_array_equal(got, want)
+
+
+def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
+    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    rng = np.random.default_rng(59)
+    blocks = _code_blocks(rng, [20 * plan.samples_per_block])
+    seed = prng_seed(plan.seed_bits, 61)
+    _, report = extract_stream(blocks, plan, seed)
+    assert 0.0 <= report.fft_rounding_residual_max < 1e-9
+    assert (f"fft_rounding_residual_max: {report.fft_rounding_residual_max!r}"
+            in report.to_text())
+    _, naive = extract_stream(blocks, plan, seed, method="naive")
+    assert naive.fft_rounding_residual_max == 0.0
+
+    slot = np.zeros(1)
+    x = rng.integers(0, 2, plan.input_bits, dtype=np.uint8)
+    toeplitz_hash(x, seed, plan.output_bits, residual=slot)
+    assert 0.0 <= slot[0] < 1e-9
+
+    exact_irfft = extractor.irfft
+    monkeypatch.setattr(extractor, "irfft",
+                        lambda *a, **kw: exact_irfft(*a, **kw) + 0.3)
+    with pytest.raises(SecurityModelViolation, match=r"residual 0\.3"):
+        extractor._toeplitz_fft(x, seed.bits, plan.output_bits)
+    with pytest.raises(SecurityModelViolation,
+                       match=r"batch 0 \(blocks 0\.\.7\).*residual 0\.3"):
+        extract_stream(blocks, plan, seed, threads=2)
+
+
+def test_naive_chunk_is_capped_by_bytes():
+    budget = extractor._NAIVE_CHUNK_BYTES
+    assert 32 << 20 <= budget <= 128 << 20
+    # a 16M-bit block gets 4 rows (64 MiB), not the 32 GB of 2048 rows
+    n = 16 * 2 ** 20
+    rows = extractor._naive_chunk_rows(n)
+    assert rows * n <= budget
+    assert (rows + 1) * n > budget
+    assert extractor._naive_chunk_rows(budget + 1) == 1
+    assert extractor._naive_chunk_rows(10 ** 12) == 1
+    assert extractor._naive_chunk_rows(1) == budget
 
 
 def test_serialize_samples_twos_complement_msb_first():
@@ -280,17 +345,49 @@ def test_extract_stream_against_full_oracle():
 def test_extract_stream_determinism_threads_and_methods():
     plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
     rng = np.random.default_rng(29)
-    blocks = _code_blocks(rng, [500])
+    blocks = _code_blocks(rng, [500, 90 * 76])  # 96 blocks, 12 batches
     seed = prng_seed(plan.seed_bits, 31)
     ref, _ = extract_stream(blocks, plan, seed)
     again, _ = extract_stream(blocks, plan, seed)
     np.testing.assert_array_equal(ref, again)
-    threaded, _ = extract_stream(blocks, plan, seed, threads=4)
+    # more workers than cores, switching threads as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, _ = extract_stream(blocks, plan, seed, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     np.testing.assert_array_equal(ref, threaded)
     naive, _ = extract_stream(blocks, plan, seed, method="naive")
     np.testing.assert_array_equal(ref, naive)
     other, _ = extract_stream(blocks, plan, prng_seed(plan.seed_bits, 32))
     assert not np.array_equal(ref, other)
+
+
+@pytest.mark.parametrize("bits_per_sample", [8, 12])
+def test_extract_stream_batch_edges_match_oracle(bits_per_sample):
+    plan = plan_extraction(bits_per_sample, 5.53, 2.0 ** -10, 5.0)
+    m = plan.output_bits
+    assert m % 8
+    rng = np.random.default_rng(67 + bits_per_sample)
+    codes = _code_blocks(rng, [17 * plan.samples_per_block],
+                         adc_bits=bits_per_sample)[0].codes
+    seed = prng_seed(plan.seed_bits, 71)
+    oracle = [oracle_toeplitz(serialize_samples(c, bits_per_sample), seed.bits, m)
+              for c in codes.reshape(17, plan.samples_per_block)]
+    for n_blocks in (1, 7, 8, 9, 17):
+        # a partial trailing sample block on top, discarded as usual
+        used = n_blocks * plan.samples_per_block
+        block = RawSampleBlock(codes=codes[:used + plan.samples_per_block // 2],
+                               config=MeasurementConfig(adc_bits=bits_per_sample))
+        want = np.packbits(np.concatenate(oracle[:n_blocks]))
+        for threads in (1, 2, 3):
+            packed, report = extract_stream([block], plan, seed,
+                                            threads=threads)
+            assert report.blocks == n_blocks
+            assert report.output_bits == n_blocks * m
+            assert packed.dtype == np.uint8
+            assert packed.tobytes() == want.tobytes()
 
 
 def test_extract_stream_operating_point_accounting():
