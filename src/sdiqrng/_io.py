@@ -1,9 +1,16 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes (temp file in the target directory, then rename), the
+append-only log line and the artifacts' UTC timestamp format."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from datetime import datetime, timezone
+
+
+def iso_utc(ts: float) -> str:
+    """Unix time as an ISO-8601 UTC timestamp with whole seconds."""
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def write_bytes_atomic(path, data: bytes) -> None:

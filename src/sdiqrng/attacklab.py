@@ -35,7 +35,7 @@ import numpy as np
 from scipy import stats as _stats
 from scipy.special import erf as _erf
 
-from .states import _gl_nodes
+from .states import _fock_psi, _gl_nodes, bin_index
 
 __all__ = [
     "BipartiteState",
@@ -177,13 +177,9 @@ def bin_projector(dim: int, theta: float, delta: float, k: int, *,
             f"+-{halfwidth:.1f} for dim={dim}")
     x, w = _gl_nodes(nodes)
     pts = center - delta / 2.0 + (x + 1.0) * (delta / 2.0)
-    # psi_n(q) for all n on the nodes: recurrence on the normalized functions
     psi = np.empty((dim, nodes))
-    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * pts * pts)
-    if dim > 1:
-        psi[1] = math.sqrt(2.0) * pts * psi[0]
-    for j in range(2, dim):
-        psi[j] = math.sqrt(2.0 / j) * pts * psi[j - 1] - math.sqrt((j - 1) / j) * psi[j - 2]
+    for j, row in enumerate(_fock_psi(dim - 1, pts)):
+        psi[j] = row
     overlap = (psi * w) @ psi.T * (delta / 2.0)
     n = np.arange(dim)
     phase = np.exp(1j * theta * (n[:, None] - n[None, :]))
@@ -281,10 +277,6 @@ class AttackReport:
         return "\n".join(lines) + "\n"
 
 
-def _bin_of(q: np.ndarray, delta: float) -> np.ndarray:
-    return np.ceil(q / delta - 0.5).astype(np.int64)
-
-
 def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackReport:
     """Simulate the scenario and report variance, guess rate and mimicry.
 
@@ -310,8 +302,8 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
                + np.exp(2.0 * r) * np.sin(theta) ** 2) / 2.0
     q = mean + rng.normal(0.0, 1.0, n) * np.sqrt(var)
 
-    guesses = _bin_of(d, scenario.delta)
-    outcomes = _bin_of(q, scenario.delta)
+    guesses = bin_index(d, scenario.delta)
+    outcomes = bin_index(q, scenario.delta)
     guess_rate = float(np.mean(guesses == outcomes))
     ks = _stats.kstest(q, lambda v: 0.5 * (1.0 + _erf(v)))
     return AttackReport(

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
+from ._io import append_line, iso_utc
 from .detector import vacuum_unit_resolution
 from .entropy import vacuum_min_entropy
 from .exceptions import CalibrationError
@@ -78,8 +78,12 @@ class CalibrationResult:
     delta: float
     delta_conservative: float
     h_min_bits: float
-    intercept_suspicious: bool
     timestamp: float
+
+    @property
+    def intercept_suspicious(self) -> bool:
+        """A negative electronic-noise intercept beyond two standard errors."""
+        return self.intercept < -2.0 * self.intercept_stderr
 
 
 def fit_calibration(points, adc_step: float, *, operating_power: float | None = None,
@@ -148,14 +152,13 @@ def fit_calibration(points, adc_step: float, *, operating_power: float | None = 
     power_op = float(operating_power if operating_power is not None else powers.max())
     delta = vacuum_unit_resolution(adc_step, gradient, power_op)
     delta_conservative = vacuum_unit_resolution(adc_step, conservative_gradient, power_op)
-    suspicious = intercept < -2.0 * intercept_stderr
     h_min = vacuum_min_entropy(delta_conservative).h_min_bits
     return CalibrationResult(
         gradient=gradient, intercept=intercept,
         gradient_stderr=gradient_stderr, intercept_stderr=intercept_stderr,
         r_squared=r_squared, operating_power=power_op, adc_step=adc_step,
         delta=delta, delta_conservative=delta_conservative, h_min_bits=h_min,
-        intercept_suspicious=suspicious, timestamp=float(timestamp))
+        timestamp=float(timestamp))
 
 
 @dataclass(frozen=True)
@@ -199,14 +202,9 @@ _LOG_FIELDS = ("gradient", "intercept", "gradient_stderr", "intercept_stderr",
                "delta", "delta_conservative", "h_min_bits")
 
 
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def append_log(path, result: CalibrationResult) -> None:
     """Append one calibration as a CSV line: ISO timestamp then the fit fields."""
-    from ._io import append_line
-    fields = [_iso(result.timestamp)] + [repr(getattr(result, f)) for f in _LOG_FIELDS]
+    fields = [iso_utc(result.timestamp)] + [repr(getattr(result, f)) for f in _LOG_FIELDS]
     fields.append(repr(result.operating_power))
     fields.append(repr(result.adc_step))
     fields.append(repr(result.timestamp))
@@ -232,6 +230,5 @@ def read_log(path) -> list[CalibrationResult]:
                 r_squared=float("nan"), operating_power=float(parts[-3]),
                 adc_step=float(parts[-2]), delta=vals["delta"],
                 delta_conservative=vals["delta_conservative"],
-                h_min_bits=vals["h_min_bits"],
-                intercept_suspicious=False, timestamp=float(parts[-1])))
+                h_min_bits=vals["h_min_bits"], timestamp=float(parts[-1])))
     return out

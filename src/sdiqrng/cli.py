@@ -24,7 +24,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from scipy.special import erf
 
 from . import __version__, attacklab, calibration, detector, dsp, entropy, extractor, states
 from . import stats as battery
-from ._io import write_bytes_atomic, write_text_atomic
+from ._io import iso_utc, write_bytes_atomic, write_text_atomic
 from .config import RunConfig, load_config, substream
 from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
                          SecurityModelViolation)
@@ -40,62 +39,10 @@ from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
 __all__ = ["main", "build_parser"]
 
 
-def _iso_utc(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _chain_pulses(cfg: RunConfig, state, power: float, n_pulses: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate ``n_pulses`` through the analog filtering chain.
-
-    Each pulse is a flat top occupying the central ``pulse_duty`` fraction
-    of its period at ``oversample`` input samples per period; electronic
-    and excess noise enter white at the input rate.  Returns two per-pulse
-    analog streams with all filter transients trimmed: the chain output
-    before drift removal, and the final filtered stream.
-    """
-    det = cfg.detector
-    d = cfg.dsp
-    ratio = d.oversample
-    in_rate = ratio * det.pulse_rate
-    pad_lp = -((-(d.lowpass_taps // 2)) // ratio)
-    pad_notch = d.notch_taps // 2 if d.notch_enabled else 0
-    n_sim = n_pulses + 2 * (pad_lp + pad_notch)
-
-    theta = detector.draw_phases(det.lo_phase_policy, n_sim, rng)
-    q = states.sample_quadrature(state, theta, rng, size=n_sim)
-    amp = q * math.sqrt(2.0 * det.conversion_gain * power)
-    width = max(1, int(round(ratio * d.pulse_duty)))
-    start = (ratio - width) // 2
-    wave = np.zeros((n_sim, ratio))
-    wave[:, start:start + width] = amp[:, None]
-    wave = wave.ravel()
-    if det.electronic_noise_var > 0:
-        wave += rng.normal(0.0, math.sqrt(det.electronic_noise_var), wave.size)
-    excess = det.excess_noise_var * (power if det.excess_noise_tracks_power else 1.0)
-    if excess > 0:
-        wave += rng.normal(0.0, math.sqrt(excess), wave.size)
-
-    filtered = dsp.lowpass(wave, in_rate, d.lowpass_cutoff, d.lowpass_taps,
-                           engine="fft")
-    per_pulse = dsp.subsample_per_pulse(filtered, in_rate, det.pulse_rate,
-                                        d.sample_phase)
-    per_pulse = per_pulse[pad_lp:pad_lp + n_pulses + 2 * pad_notch]
-    raw = per_pulse[pad_notch:pad_notch + n_pulses] if pad_notch else per_pulse
-    if d.notch_enabled:
-        notched = dsp.remove_low_frequency(
-            per_pulse, det.pulse_rate, d.modulation_freq, d.notch_cutoff,
-            d.notch_taps, engine="fft")
-        out = notched[pad_notch:pad_notch + n_pulses]
-    else:
-        out = raw
-    return raw, out
 
 
 def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> None:
@@ -136,8 +83,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     blocks_dir = out / "blocks"
     blocks_dir.mkdir(exist_ok=True)
     det = cfg.detector
-    ts = _iso_utc(cfg.run.timestamp)
+    ts = iso_utc(cfg.run.timestamp)
     run_id = f"{cfg.run.rng_seed:016x}"
+
+    def write(name: str, b: int, analog: np.ndarray) -> tuple[np.ndarray, int]:
+        codes, clipped = detector.quantize(analog, det)
+        detector.write_block(blocks_dir / f"{name}_{b:04d}.bin",
+                             detector.RawSampleBlock(
+                                 codes=codes, config=det, run_id=run_id,
+                                 timestamp=ts, clipped=clipped))
+        return codes, clipped
 
     autocorr_codes: list[np.ndarray] = []
     autocorr_needed = cfg.dsp.autocorr_samples
@@ -145,31 +100,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     total_clipped = 0
     for b in range(cfg.simulate.blocks):
         rng = substream(cfg.run.rng_seed, f"simulate-{b}")
+        raw, filtered = detector.measure_pulses(cfg.source, det, cfg.simulate.pulses,
+                                                rng, cfg.dsp)
+        raw_codes, clipped = write("raw", b, raw)
+        codes = raw_codes
         if cfg.dsp.enabled:
-            raw_analog, filt_analog = _chain_pulses(
-                cfg, cfg.source, det.lo_power, cfg.simulate.pulses, rng)
-            raw_codes, raw_clip = detector.quantize(raw_analog, det)
-            filt_codes, filt_clip = detector.quantize(filt_analog, det)
-            detector.write_block(blocks_dir / f"raw_{b:04d}.bin",
-                                 detector.RawSampleBlock(
-                                     codes=raw_codes, config=det, run_id=run_id,
-                                     timestamp=ts, clipped=raw_clip))
-            detector.write_block(blocks_dir / f"filtered_{b:04d}.bin",
-                                 detector.RawSampleBlock(
-                                     codes=filt_codes, config=det, run_id=run_id,
-                                     timestamp=ts, clipped=filt_clip))
-            total_clipped += filt_clip
-            diagnostics_codes = filt_codes
-        else:
-            block = detector.measure_block(cfg.source, det, cfg.simulate.pulses,
-                                           rng, run_id=run_id, timestamp=ts)
-            detector.write_block(blocks_dir / f"raw_{b:04d}.bin", block)
-            total_clipped += block.clipped
-            raw_codes = block.codes
-            diagnostics_codes = block.codes
+            codes, clipped = write("filtered", b, filtered)
+        total_clipped += clipped
         raw_hist_codes.append(raw_codes)
         if sum(c.size for c in autocorr_codes) < autocorr_needed:
-            autocorr_codes.append(diagnostics_codes)
+            autocorr_codes.append(codes)
 
     total = cfg.simulate.blocks * cfg.simulate.pulses
     ac = np.concatenate(autocorr_codes)[:autocorr_needed]
@@ -195,13 +135,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     for i, power in enumerate(cs.powers):
         rng = substream(cfg.run.rng_seed, f"calibrate-{i}")
         det_p = replace(det, lo_power=power)
-        if cfg.dsp.enabled:
-            _, filt = _chain_pulses(cfg, states.Vacuum(), power,
-                                    cs.samples_per_point, rng)
-            codes, _ = detector.quantize(filt, det_p)
-        else:
-            codes = detector.measure_block(states.Vacuum(), det_p,
-                                           cs.samples_per_point, rng).codes
+        _, analog = detector.measure_pulses(states.Vacuum(), det_p,
+                                            cs.samples_per_point, rng, cfg.dsp)
+        codes, _ = detector.quantize(analog, det_p)
         variance = float(np.var(codes.astype(float) * det.adc_step))
         points.append(calibration.CalibrationPoint(
             power=power, variance=variance, n_samples=cs.samples_per_point))
@@ -214,7 +150,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
     bound = entropy.vacuum_min_entropy(result.delta_conservative)
     report = [
-        f"timestamp: {_iso_utc(result.timestamp)}",
+        f"timestamp: {iso_utc(result.timestamp)}",
         f"gradient: {result.gradient!r} +- {result.gradient_stderr!r}",
         f"intercept: {result.intercept!r} +- {result.intercept_stderr!r}",
         f"r_squared: {result.r_squared!r}",
@@ -347,7 +283,7 @@ def cmd_attack(cfg: RunConfig) -> int:
     report = attacklab.run_attack(scenario, rng)
     write_text_atomic(out / "attack_report.txt", report.to_text())
 
-    bins = np.ceil(report.samples / a.delta - 0.5).astype(np.int64)
+    bins = states.bin_index(report.samples, a.delta)
     lo, hi = int(bins.min()), int(bins.max())
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     k = np.arange(lo, hi + 1)

@@ -20,21 +20,31 @@ units, which is where the bin-width conversion
 
 comes from (``m`` is the calibrated variance-vs-power gradient).
 
+With the analog filtering chain switched on (``measure_pulses`` given an
+enabled chain), each pulse instead occupies ``oversample`` input samples,
+the noise enters white at that input rate, and the anti-alias low-pass,
+per-pulse subsampling and optional drift notch of ``dsp`` run before
+digitization.
+
 Raw blocks serialize to a little-endian binary format with a fixed 8-line
 ASCII header (magic, version, bits, count, config hash, run id, timestamp,
-terminator) or to a one-code-per-line CSV for debugging.
+terminator).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import states
+from . import dsp, states
 from .states import QuantumStateModel
+
+if TYPE_CHECKING:
+    from .config import ChainSettings
 
 __all__ = [
     "FixedPhase",
@@ -43,14 +53,12 @@ __all__ = [
     "MeasurementConfig",
     "RawSampleBlock",
     "draw_phases",
+    "measure_pulses",
     "measure_block",
     "quantize",
-    "requantize",
-    "adc_resolution_vacuum_units",
     "vacuum_unit_resolution",
     "write_block",
     "read_block",
-    "write_block_csv",
 ]
 
 _MAGIC = "SDIQRNG-BLOCK"
@@ -176,28 +184,69 @@ def draw_phases(policy: PhasePolicy, count: int,
             raise ValueError(f"unknown phase policy {policy!r}")
 
 
-def measure_block(state: QuantumStateModel, config: MeasurementConfig, count: int,
-                  rng: np.random.Generator, *, run_id: str = "run",
-                  timestamp: str = "1970-01-01T00:00:00Z") -> RawSampleBlock:
+def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: int,
+                   rng: np.random.Generator,
+                   chain: ChainSettings | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Simulate ``count`` pulses of homodyne detection of ``state``.
 
-    Per pulse: draw the LO phase from the policy, draw the quadrature,
-    scale to analog units, add electronic and excess noise, digitize.
+    Per pulse: draw the LO phase from the policy, draw the quadrature and
+    scale it to analog units at ``config.lo_power``.  Without an enabled
+    ``chain`` that is one sample per pulse; electronic and excess noise are
+    added and the same array is returned twice.
+
+    With the chain on, each pulse is a flat top occupying the central
+    ``pulse_duty`` fraction of its period at ``oversample`` input samples
+    per period, and the noise enters white at the input rate.  Returns two
+    per-pulse analog streams with all filter transients trimmed: the
+    low-passed, subsampled stream before drift removal, and the final
+    filtered stream.
     """
     states.validate_state(state)
     if count <= 0:
         raise ValueError("count must be positive")
-    theta = draw_phases(config.lo_phase_policy, count, rng)
-    q = states.sample_quadrature(state, theta, rng, size=count)
-    analog = q * math.sqrt(2.0 * config.conversion_gain * config.lo_power)
+    filtering = chain is not None and chain.enabled
+    ratio = chain.oversample if filtering else 1
+    pad_lp = -((-(chain.lowpass_taps // 2)) // ratio) if filtering else 0
+    pad_notch = chain.notch_taps // 2 if filtering and chain.notch_enabled else 0
+    n_sim = count + 2 * (pad_lp + pad_notch)
+
+    theta = draw_phases(config.lo_phase_policy, n_sim, rng)
+    q = states.sample_quadrature(state, theta, rng, size=n_sim)
+    wave = q * math.sqrt(2.0 * config.conversion_gain * config.lo_power)
+    if filtering:
+        width = max(1, int(round(ratio * chain.pulse_duty)))
+        start = (ratio - width) // 2
+        pulses = np.zeros((n_sim, ratio))
+        pulses[:, start:start + width] = wave[:, None]
+        wave = pulses.ravel()
     if config.electronic_noise_var > 0:
-        analog = analog + rng.normal(0.0, math.sqrt(config.electronic_noise_var), count)
-    excess = config.excess_noise_var
-    if config.excess_noise_tracks_power:
-        excess = excess * config.lo_power
+        wave += rng.normal(0.0, math.sqrt(config.electronic_noise_var), wave.size)
+    excess = config.excess_noise_var * (
+        config.lo_power if config.excess_noise_tracks_power else 1.0)
     if excess > 0:
-        analog = analog + rng.normal(0.0, math.sqrt(excess), count)
-    codes, clipped = quantize(analog, config)
+        wave += rng.normal(0.0, math.sqrt(excess), wave.size)
+    if not filtering:
+        return wave, wave
+
+    in_rate = ratio * config.pulse_rate
+    filtered = dsp.lowpass(wave, in_rate, chain.lowpass_cutoff, chain.lowpass_taps)
+    per_pulse = dsp.subsample_per_pulse(filtered, in_rate, config.pulse_rate,
+                                        chain.sample_phase)
+    per_pulse = per_pulse[pad_lp:pad_lp + count + 2 * pad_notch]
+    raw = per_pulse[pad_notch:pad_notch + count]
+    if not chain.notch_enabled:
+        return raw, raw
+    notched = dsp.remove_low_frequency(per_pulse, config.pulse_rate,
+                                       chain.modulation_freq, chain.notch_cutoff,
+                                       chain.notch_taps)
+    return raw, notched[pad_notch:pad_notch + count]
+
+
+def measure_block(state: QuantumStateModel, config: MeasurementConfig, count: int,
+                  rng: np.random.Generator, *, run_id: str = "run",
+                  timestamp: str = "1970-01-01T00:00:00Z") -> RawSampleBlock:
+    """Digitize ``count`` unfiltered pulses of ``state`` into one block."""
+    codes, clipped = quantize(measure_pulses(state, config, count, rng)[0], config)
     return RawSampleBlock(codes=codes, config=config, run_id=run_id,
                           timestamp=timestamp, clipped=clipped)
 
@@ -211,12 +260,6 @@ def vacuum_unit_resolution(adc_step: float, gradient: float, power: float) -> fl
     if power <= 0 or not math.isfinite(power):
         raise ValueError(f"operating power must be positive, got {power!r}")
     return adc_step / math.sqrt(2.0 * gradient * power)
-
-
-def adc_resolution_vacuum_units(config: MeasurementConfig, gradient: float,
-                                power: float) -> float:
-    """Bin width delta in vacuum units for this digitizer at a calibrated gradient."""
-    return vacuum_unit_resolution(config.adc_step, gradient, power)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +320,3 @@ def read_block(path, config: MeasurementConfig) -> RawSampleBlock:
     return RawSampleBlock(codes=codes.astype(np.int16), config=config,
                           run_id=lines[5].removeprefix("run="),
                           timestamp=lines[6].removeprefix("created="))
-
-
-def write_block_csv(path, block: RawSampleBlock) -> None:
-    from ._io import write_text_atomic
-    body = "\n".join(str(int(c)) for c in block.codes) + "\n"
-    write_text_atomic(path, body)
-
-
-def requantize(filtered: np.ndarray, block: RawSampleBlock) -> RawSampleBlock:
-    """Map filtered analog-domain samples back onto the ADC grid.
-
-    Filtering happens on dequantized values (codes * step); the extractor
-    consumes integer codes, so the filtered stream is re-digitized with the
-    same step and saturation rules.
-    """
-    codes, clipped = quantize(np.asarray(filtered, dtype=float), block.config)
-    return replace(block, codes=codes, clipped=block.clipped + clipped)

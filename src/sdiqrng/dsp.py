@@ -39,7 +39,6 @@ from scipy import signal as _signal
 __all__ = [
     "design_lowpass",
     "lowpass",
-    "lowpass_blocked",
     "transient_samples",
     "subsample_per_pulse",
     "remove_low_frequency",
@@ -108,49 +107,14 @@ def _padded(samples: np.ndarray, taps: int) -> np.ndarray:
     return np.pad(samples, half, mode="reflect")
 
 
-def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
-            engine: str = "auto") -> np.ndarray:
-    """Low-pass filter; same length as the input, group delay compensated.
-
-    ``engine`` selects the convolution: "direct" (np.convolve), "fft"
-    (overlap-free FFT convolution) or "auto" (direct for small jobs).  Both
-    engines implement the same linear filter; FFT output differs from
-    direct only at the level of floating-point rounding.
-    """
+def lowpass(samples, rate: float, cutoff: float, taps: int = 201) -> np.ndarray:
+    """Low-pass filter by FFT convolution; same length as the input, group
+    delay compensated."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("samples must be 1-d")
     h = design_lowpass(rate, cutoff, taps)
-    padded = _padded(x, taps)
-    if engine == "auto":
-        engine = "direct" if x.size * taps <= (1 << 26) else "fft"
-    if engine == "direct":
-        return np.convolve(padded, h, mode="valid")
-    if engine == "fft":
-        return _signal.fftconvolve(padded, h, mode="valid")
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def lowpass_blocked(samples, rate: float, cutoff: float, taps: int = 201,
-                    block: int = 65536) -> np.ndarray:
-    """Block-parallel low-pass, bit-identical to ``lowpass(engine="direct")``.
-
-    Overlap-save stitching: each block is filtered with ``taps - 1`` samples
-    of context so every output sample is the same dot product, in the same
-    order, as the single-pass direct computation.
-    """
-    x = np.asarray(samples, dtype=float)
-    if block < taps:
-        raise ValueError("block must be at least the tap count")
-    h = design_lowpass(rate, cutoff, taps)
-    padded = _padded(x, taps)
-    out = np.empty(x.size)
-    for start in range(0, x.size, block):
-        stop = min(start + block, x.size)
-        # padded[start : stop + taps - 1] is the exact context window for
-        # output samples [start, stop)
-        out[start:stop] = np.convolve(padded[start:stop + taps - 1], h, mode="valid")
-    return out
+    return _signal.fftconvolve(_padded(x, taps), h, mode="valid")
 
 
 def subsample_per_pulse(samples, input_rate: float, pulse_rate: float,
@@ -175,8 +139,7 @@ def subsample_per_pulse(samples, input_rate: float, pulse_rate: float,
 
 
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
-                         post_mod_lowpass_cutoff: float, taps: int = 801, *,
-                         engine: str = "auto") -> np.ndarray:
+                         post_mod_lowpass_cutoff: float, taps: int = 801) -> np.ndarray:
     """Suppress DC and drift below ``pulse_rate/2 - post_mod_lowpass_cutoff``.
 
     Modulate to move low frequencies up to Nyquist, low-pass them away,
@@ -196,8 +159,7 @@ def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
     else:
         carrier = np.cos(2.0 * np.pi * modulation_freq * k / pulse_rate)
         gain = 2.0
-    shifted = lowpass(x * carrier, pulse_rate, post_mod_lowpass_cutoff, taps,
-                      engine=engine)
+    shifted = lowpass(x * carrier, pulse_rate, post_mod_lowpass_cutoff, taps)
     return gain * carrier * shifted
 
 

@@ -145,35 +145,37 @@ def _reduce_theta(theta: float) -> float:
     return float(theta) % (2.0 * math.pi)
 
 
-def _fock_psi_sq(n: int, q: np.ndarray) -> np.ndarray:
-    """|psi_n(q)|^2 via stable recurrence on the normalized wavefunctions.
+def _fock_psi(n_max: int, q: np.ndarray):
+    """Yield psi_0(q), ..., psi_{n_max}(q) by the stable recurrence on the
+    normalized wavefunctions:
 
     psi_0 = pi**-1/4 exp(-q^2/2); psi_k = sqrt(2/k) q psi_{k-1}
                                           - sqrt((k-1)/k) psi_{k-2}.
     """
     q = np.asarray(q, dtype=float)
     prev = np.pi ** -0.25 * np.exp(-0.5 * q * q)
-    if n == 0:
-        return prev * prev
+    yield prev
+    if n_max == 0:
+        return
     cur = math.sqrt(2.0) * q * prev
-    for k in range(2, n + 1):
+    yield cur
+    for k in range(2, n_max + 1):
         prev, cur = cur, math.sqrt(2.0 / k) * q * cur - math.sqrt((k - 1) / k) * prev
-    return cur * cur
+        yield cur
+
+
+def _fock_psi_sq(n: int, q: np.ndarray) -> np.ndarray:
+    """|psi_n(q)|^2."""
+    for psi in _fock_psi(n, q):
+        pass
+    return psi * psi
 
 
 def _fock_psi_sq_table(n_max: int, q: np.ndarray) -> np.ndarray:
     """All |psi_n(q)|^2 for n = 0..n_max, shape (n_max + 1, len(q))."""
-    q = np.asarray(q, dtype=float)
-    out = np.empty((n_max + 1, q.size), dtype=float)
-    prev = np.pi ** -0.25 * np.exp(-0.5 * q * q)
-    out[0] = prev * prev
-    if n_max == 0:
-        return out
-    cur = math.sqrt(2.0) * q * prev
-    out[1] = cur * cur
-    for k in range(2, n_max + 1):
-        prev, cur = cur, math.sqrt(2.0 / k) * q * cur - math.sqrt((k - 1) / k) * prev
-        out[k] = cur * cur
+    out = np.empty((n_max + 1, np.size(q)), dtype=float)
+    for n, psi in enumerate(_fock_psi(n_max, q)):
+        out[n] = psi * psi
     return out
 
 

@@ -14,7 +14,7 @@ from scipy import integrate, optimize, special
 
 from sdiqrng import attacklab, calibration, detector, dsp, entropy, extractor, states
 from sdiqrng import stats as battery
-from sdiqrng.cli import _chain_pulses, main
+from sdiqrng.cli import main
 from sdiqrng.config import load_config, substream
 
 
@@ -247,8 +247,8 @@ def test_acceptance_8_end_to_end_statistics(capsys):
     pulses = blocks_needed * plan.samples_per_block
 
     rng = substream(2026, "acceptance-8")
-    _, filtered = _chain_pulses(cfg, cfg.source, cfg.detector.lo_power,
-                                pulses, rng)
+    _, filtered = detector.measure_pulses(cfg.source, cfg.detector, pulses, rng,
+                                          cfg.dsp)
     codes, clipped = detector.quantize(filtered, cfg.detector)
     block = detector.RawSampleBlock(codes=codes, config=cfg.detector,
                                     run_id="acceptance-8", timestamp="",

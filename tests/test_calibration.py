@@ -35,7 +35,7 @@ def _result(h_min, timestamp):
         gradient=50.0, intercept=3.0, gradient_stderr=0.1,
         intercept_stderr=0.1, r_squared=0.999, operating_power=1.0,
         adc_step=0.625, delta=0.0625, delta_conservative=0.063,
-        h_min_bits=h_min, intercept_suspicious=False, timestamp=timestamp)
+        h_min_bits=h_min, timestamp=timestamp)
 
 
 def test_exact_line_recovered():
@@ -120,12 +120,17 @@ def test_flat_sweep_has_no_positive_slope():
         fit_calibration(_points(powers, variances), adc_step=0.625)
 
 
-def test_negative_intercept_flagged_suspicious():
+def test_negative_intercept_flagged_suspicious(tmp_path):
     powers = [0.2, 0.4, 0.6, 0.8, 1.0]
     res = fit_calibration(_points(powers, [50.0 * p - 5.0 for p in powers]),
                           adc_step=0.625)
     assert res.intercept == pytest.approx(-5.0, rel=1e-9)
     assert res.intercept_suspicious
+    # the flag survives the log round trip
+    log = tmp_path / "calibration.log"
+    append_log(log, res)
+    (back,) = read_log(log)
+    assert back.intercept_suspicious
 
 
 def test_power_scale_equivariance():
@@ -206,6 +211,7 @@ def test_log_roundtrip(tmp_path):
                   "delta_conservative", "h_min_bits", "operating_power",
                   "adc_step", "timestamp"):
         assert getattr(back[0], field) == getattr(res, field)
+    assert not back[0].intercept_suspicious
     assert math.isnan(back[0].r_squared)
 
     log.write_text("# comment\n\nnot,a,valid,line\n")

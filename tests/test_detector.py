@@ -18,17 +18,16 @@ from sdiqrng.detector import (
     RawSampleBlock,
     UniformRandomPhase,
     WrappedGaussianPhase,
-    adc_resolution_vacuum_units,
     block_to_bytes,
     draw_phases,
     measure_block,
+    measure_pulses,
     quantize,
     read_block,
-    requantize,
     vacuum_unit_resolution,
     write_block,
-    write_block_csv,
 )
+from sdiqrng.config import load_config
 from sdiqrng.states import Vacuum
 
 # variance of an 8-bit round-half-away + saturate quantizer applied to a
@@ -65,6 +64,11 @@ def test_quantize_rounds_half_away_from_zero():
     np.testing.assert_array_equal(codes, [-2, -1, 0, 0, 0, 1, 2, 3])
     assert clipped == 0
     assert codes.dtype == np.int16
+    # values already on the grid quantize back to their own codes
+    grid = np.array([-128, -5, 0, 5, 127], dtype=np.int16)
+    codes, clipped = quantize(grid.astype(float) * cfg.adc_step, cfg)
+    np.testing.assert_array_equal(codes, grid)
+    assert clipped == 0
 
 
 def test_quantize_saturates_and_counts():
@@ -123,7 +127,6 @@ def test_vacuum_unit_resolution_formula():
     cfg = MeasurementConfig()
     delta = vacuum_unit_resolution(cfg.adc_step, 136.0, 1.0)
     assert delta == pytest.approx(0.625 / math.sqrt(272.0), rel=1e-14)
-    assert adc_resolution_vacuum_units(cfg, 136.0, 1.0) == delta
     # doubling the LO power shrinks the effective bin by sqrt(2)
     assert vacuum_unit_resolution(0.625, 136.0, 2.0) == pytest.approx(
         delta / math.sqrt(2.0), rel=1e-14)
@@ -180,6 +183,38 @@ def test_measure_block_deterministic_per_seed():
         measure_block(Vacuum(), cfg, 0, np.random.default_rng(1))
 
 
+def test_measure_pulses_without_chain_returns_one_stream_twice():
+    cfg = MeasurementConfig(electronic_noise_var=2.0)
+    raw, filtered = measure_pulses(Vacuum(), cfg, 4096, np.random.default_rng(5))
+    assert raw is filtered
+    assert raw.shape == (4096,)
+    chain = load_config(None, overrides={"dsp.enabled": "false"}).dsp
+    raw, filtered = measure_pulses(Vacuum(), cfg, 4096, np.random.default_rng(5),
+                                   chain)
+    assert raw is filtered
+
+
+def test_measure_block_quantizes_the_unfiltered_pulses():
+    cfg = MeasurementConfig(electronic_noise_var=2.0, excess_noise_var=1.0)
+    block = measure_block(Vacuum(), cfg, 4096, np.random.default_rng(9))
+    raw, _ = measure_pulses(Vacuum(), cfg, 4096, np.random.default_rng(9))
+    codes, clipped = quantize(raw, cfg)
+    np.testing.assert_array_equal(block.codes, codes)
+    assert block.clipped == clipped
+
+
+@pytest.mark.parametrize("notch", ["true", "false"])
+def test_measure_pulses_chain_streams_have_count_samples(notch):
+    cfg = load_config(None, overrides={
+        "dsp.notch_enabled": notch, "dsp.notch_taps": "801",
+        "dsp.modulation_freq": "24.5e6", "dsp.notch_cutoff": "24.495e6"})
+    raw, filtered = measure_pulses(Vacuum(), cfg.detector, 3000,
+                                   np.random.default_rng(3), cfg.dsp)
+    assert raw.shape == filtered.shape == (3000,)
+    assert np.all(np.isfinite(filtered))
+    assert (raw is filtered) == (notch == "false")
+
+
 def test_block_serialization_roundtrip(tmp_path):
     cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
     block = measure_block(Vacuum(), cfg, 1000, np.random.default_rng(41),
@@ -221,27 +256,6 @@ def test_wide_codes_use_two_byte_payload(tmp_path):
     path = tmp_path / "wide.bin"
     write_block(path, block)
     np.testing.assert_array_equal(read_block(path, cfg).codes, codes)
-
-
-def test_block_csv_writer(tmp_path):
-    cfg = MeasurementConfig()
-    block = RawSampleBlock(codes=np.array([-3, 0, 12], dtype=np.int16),
-                           config=cfg)
-    path = tmp_path / "block.csv"
-    write_block_csv(path, block)
-    assert path.read_text().splitlines() == ["-3", "0", "12"]
-
-
-def test_requantize_grid_idempotence_and_clip_accounting():
-    cfg = MeasurementConfig()
-    codes = np.array([-128, -5, 0, 5, 127], dtype=np.int16)
-    block = RawSampleBlock(codes=codes, config=cfg, clipped=5)
-    same = requantize(codes.astype(float) * cfg.adc_step, block)
-    np.testing.assert_array_equal(same.codes, codes)
-    assert same.clipped == 5
-    hot = requantize(np.array([0.0, 1e6, -1e6, 1.0, 2.0]), block)
-    assert hot.clipped == 7
-    np.testing.assert_array_equal(hot.codes[:3], [0, 127, -128])
 
 
 def test_block_validation():
