@@ -240,7 +240,7 @@ def cmd_extract(cfg: RunConfig) -> int:
         f"input_bits_per_block: {plan.input_bits}",
         f"output_bits_per_block: {plan.output_bits}",
         f"seed_bits: {plan.seed_bits}",
-        f"budget_slack_bits_per_block: {report.budget_slack_bits(plan)!r}",
+        f"budget_slack_bits_per_block: {plan.slack_bits!r}",
         report.to_text(),
     ]
     write_text_atomic(out / "accounting.txt", "\n".join(text))
@@ -354,17 +354,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         plan = extractor.plan_extraction(bits, h, 2.0 ** eps_log2, target)
         n = plan.samples_per_block
         expect_m = math.floor(n * h - 2.0 * (-eps_log2))
-        slack = n * h - plan.security_bits - plan.output_bits
         ok = (plan.output_bits == expect_m
               and plan.bits_per_sample_effective >= target - 1e-9
-              and slack >= -1e-9)
+              and plan.slack_bits >= -1e-9)
         status = "ok" if ok else "FAIL"
         if not ok:
             failures.append(f"leftover-hash h={h}: N={n} m={plan.output_bits}")
         lines.append(f"{status}   leftover-hash h={h:<5g} eps=2^{eps_log2:g} "
                      f"target={target:g}: N={n} m={plan.output_bits} "
                      f"({plan.bits_per_sample_effective:.4f} bits/sample, "
-                     f"slack {slack:.4f} bits)")
+                     f"slack {plan.slack_bits:.4f} bits)")
     try:
         extractor.plan_extraction(8, 5.0, 2.0 ** -100, 5.0)
         failures.append("infeasible-plan guard did not trigger")

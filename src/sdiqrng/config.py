@@ -6,7 +6,15 @@ Grammar (INI subset, parsed with :mod:`configparser`):
 * every key has a default, so the empty file (or no file) is valid;
 * unknown sections or keys are rejected, not ignored, to catch typos;
 * lists (calibration powers, verification bin widths) are space-separated;
-* booleans accept true/false, yes/no, on/off, 1/0.
+* booleans accept true/false, yes/no, on/off, 1/0;
+* integers parse exactly; exact float spellings such as ``2.0`` or ``1e6``
+  are accepted too.
+
+The settings dataclasses below are the schema: one frozen class per
+section, one field per key carrying its type and default.  ``load_config``
+parses each given value with the parser chosen by the field's annotation.
+``[source]`` and ``[detector]`` are then built into the state model and the
+``MeasurementConfig``.
 
 All randomness used by commands descends from ``run.rng_seed`` through
 named substreams, and ``run.timestamp`` is the fixed reference time stamped
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,158 +35,105 @@ from .detector import (FixedPhase, MeasurementConfig, UniformRandomPhase,
                        WrappedGaussianPhase)
 from .exceptions import ConfigError
 
-__all__ = ["RunConfig", "load_config", "substream", "DEFAULT_CONFIG"]
-
-DEFAULT_CONFIG = """\
-[run]
-out_dir = run-artifacts
-rng_seed = 20260815
-threads = 1
-timestamp = 0.0
-
-[source]
-kind = vacuum
-fock_n = 1
-thermal_mean_photons = 0.5
-squeeze_r = 1.5
-squeeze_angle = 0.0
-displacement_re = 0.0
-displacement_im = 0.0
-mixture = 0.5:0 0.5:1
-
-[detector]
-lo_phase_policy = uniform
-lo_phase = 0.0
-lo_phase_width = 0.1
-lo_power = 1.0
-pulse_rate = 50e6
-adc_bits = 8
-adc_full_scale = 160.0
-electronic_noise_var = 2.0
-excess_noise_var = 0.0
-excess_noise_tracks_power = false
-conversion_gain = 122.0
-
-[dsp]
-enabled = true
-oversample = 8
-pulse_duty = 0.5
-lowpass_cutoff = 140e6
-lowpass_taps = 257
-sample_phase = 0.5
-notch_enabled = true
-modulation_freq = 25e6
-notch_cutoff = 24.995e6
-notch_taps = 16001
-autocorr_max_lag = 400
-autocorr_samples = 1000000
-
-[simulate]
-pulses = 1000000
-blocks = 1
-
-[calibration]
-powers = 0.25 0.5 1.0 1.5 2.0
-samples_per_point = 200000
-min_points = 5
-conservatism = 2.0
-recalibration_interval = 600.0
-drift_threshold = 0.02
-
-[extractor]
-epsilon_log2 = -100
-target_bits_per_sample = 5.4
-h_min_override =
-seed_file =
-
-[stats]
-string_bits = 100000
-alpha = 0.01
-
-[attack]
-r = 1.5
-delta = 0.1
-lo_mode = fixed
-rounds = 1000000
-displaced = true
-
-[verify]
-fock_n_max = 20
-deltas = 0.01 0.05 0.1 0.5 1.0
-equivalence_states = 100
-equivalence_dim_max = 8
-"""
+__all__ = ["RunConfig", "load_config", "substream"]
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    out_dir: str
-    rng_seed: int
-    threads: int
-    timestamp: float
+    out_dir: str = "run-artifacts"
+    rng_seed: int = 20260815
+    threads: int = 1
+    timestamp: float = 0.0
+
+
+@dataclass(frozen=True)
+class SourceSettings:
+    kind: str = "vacuum"   # vacuum | fock | thermal | displaced_squeezed | mixture
+    fock_n: int = 1
+    thermal_mean_photons: float = 0.5
+    squeeze_r: float = 1.5
+    squeeze_angle: float = 0.0
+    displacement_re: float = 0.0
+    displacement_im: float = 0.0
+    mixture: str = "0.5:0 0.5:1"   # weight:fock_n tokens
+
+
+@dataclass(frozen=True)
+class DetectorSettings:
+    lo_phase_policy: str = "uniform"   # fixed | uniform | wrapped
+    lo_phase: float = 0.0
+    lo_phase_width: float = 0.1
+    lo_power: float = 1.0
+    pulse_rate: float = 50e6
+    adc_bits: int = 8
+    adc_full_scale: float = 160.0
+    electronic_noise_var: float = 2.0
+    excess_noise_var: float = 0.0
+    excess_noise_tracks_power: bool = False
+    conversion_gain: float = 122.0
 
 
 @dataclass(frozen=True)
 class ChainSettings:
-    enabled: bool
-    oversample: int
-    pulse_duty: float
-    lowpass_cutoff: float
-    lowpass_taps: int
-    sample_phase: float
-    notch_enabled: bool
-    modulation_freq: float
-    notch_cutoff: float
-    notch_taps: int
-    autocorr_max_lag: int
-    autocorr_samples: int
+    enabled: bool = True
+    oversample: int = 8
+    pulse_duty: float = 0.5
+    lowpass_cutoff: float = 140e6
+    lowpass_taps: int = 257
+    sample_phase: float = 0.5
+    notch_enabled: bool = True
+    modulation_freq: float = 25e6
+    notch_cutoff: float = 24.995e6
+    notch_taps: int = 16001
+    autocorr_max_lag: int = 400
+    autocorr_samples: int = 1000000
 
 
 @dataclass(frozen=True)
 class SimulateSettings:
-    pulses: int
-    blocks: int
+    pulses: int = 1000000
+    blocks: int = 1
 
 
 @dataclass(frozen=True)
 class CalibrationSettings:
-    powers: tuple[float, ...]
-    samples_per_point: int
-    min_points: int
-    conservatism: float
-    recalibration_interval: float
-    drift_threshold: float
+    powers: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
+    samples_per_point: int = 200000
+    min_points: int = 5
+    conservatism: float = 2.0
+    recalibration_interval: float = 600.0
+    drift_threshold: float = 0.02
 
 
 @dataclass(frozen=True)
 class ExtractorSettings:
-    epsilon_log2: float
-    target_bits_per_sample: float
-    h_min_override: float | None
-    seed_file: str | None
+    epsilon_log2: float = -100.0
+    target_bits_per_sample: float = 5.4
+    h_min_override: float | None = None
+    seed_file: str | None = None
 
 
 @dataclass(frozen=True)
 class StatsSettings:
-    string_bits: int
-    alpha: float
+    string_bits: int = 100000
+    alpha: float = 0.01
 
 
 @dataclass(frozen=True)
 class AttackSettings:
-    r: float
-    delta: float
-    lo_mode: str
-    rounds: int
-    displaced: bool
+    r: float = 1.5
+    delta: float = 0.1
+    lo_mode: str = "fixed"
+    rounds: int = 1000000
+    displaced: bool = True
 
 
 @dataclass(frozen=True)
 class VerifySettings:
-    fock_n_max: int
-    deltas: tuple[float, ...]
-    equivalence_states: int
-    equivalence_dim_max: int
+    fock_n_max: int = 20
+    deltas: tuple[float, ...] = (0.01, 0.05, 0.1, 0.5, 1.0)
+    equivalence_states: int = 100
+    equivalence_dim_max: int = 8
 
 
 @dataclass(frozen=True)
@@ -195,75 +150,77 @@ class RunConfig:
     verify: VerifySettings
 
 
-class _Reader:
-    """Typed access to one parsed section with section.key error context."""
-
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self._p = parser
-        self._s = section
-
-    def _raw(self, key: str) -> str:
-        return self._p.get(self._s, key)
-
-    def _convert(self, key, fn, kind):
-        raw = self._raw(key)
-        try:
-            return fn(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self._s}.{key}: expected {kind}, got {raw!r}") from None
-
-    def str(self, key: str) -> str:
-        return self._raw(key).strip()
-
-    def float(self, key: str) -> float:
-        return self._convert(key, float, "a number")
-
-    def int(self, key: str) -> int:
-        def parse(raw):
-            value = float(raw)
-            if value != int(value):
-                raise ValueError(raw)
-            return int(value)
-        return self._convert(key, parse, "an integer")
-
-    def bool(self, key: str) -> bool:
-        raw = self._raw(key).strip().lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{self._s}.{key}: expected a boolean, got {raw!r}")
-
-    def floats(self, key: str) -> tuple[float, ...]:
-        return self._convert(
-            key, lambda raw: tuple(float(tok) for tok in raw.split()),
-            "space-separated numbers")
-
-    def opt_float(self, key: str) -> float | None:
-        return self.float(key) if self._raw(key).strip() else None
-
-    def opt_str(self, key: str) -> str | None:
-        raw = self._raw(key).strip()
-        return raw or None
+# every section and its schema; [source] and [detector] hold raw keys that
+# _build_source and _build_detector turn into the state and detector models
+_SECTIONS = {
+    "run": RunSettings,
+    "source": SourceSettings,
+    "detector": DetectorSettings,
+    "dsp": ChainSettings,
+    "simulate": SimulateSettings,
+    "calibration": CalibrationSettings,
+    "extractor": ExtractorSettings,
+    "stats": StatsSettings,
+    "attack": AttackSettings,
+    "verify": VerifySettings,
+}
 
 
-def _build_source(sec: _Reader) -> states.QuantumStateModel:
-    kind = sec.str("kind").lower()
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)   # exact float spellings such as 2.0 or 1e6
+        if not value.is_integer():
+            raise
+        return int(value)
+
+
+def _bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("true", "yes", "on", "1"):
+        return True
+    if word in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(word)
+
+
+# parser and expected-kind wording for each settings field annotation
+_PARSERS = {
+    "str": (str.strip, ""),
+    "str | None": (lambda raw: raw.strip() or None, ""),
+    "int": (_int, "an integer"),
+    "float": (float, "a number"),
+    "float | None": (lambda raw: float(raw) if raw.strip() else None, "a number"),
+    "bool": (_bool, "a boolean"),
+    "tuple[float, ...]": (lambda raw: tuple(float(tok) for tok in raw.split()),
+                          "space-separated numbers"),
+}
+
+
+def _parse(section: str, key: str, kind: str, raw: str):
+    parse, expected = _PARSERS[kind]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from None
+
+
+def _build_source(s: SourceSettings) -> states.QuantumStateModel:
+    kind = s.kind.lower()
     if kind == "vacuum":
         return states.Vacuum()
     if kind == "fock":
-        return states.Fock(sec.int("fock_n"))
+        return states.Fock(s.fock_n)
     if kind == "thermal":
-        return states.Thermal(sec.float("thermal_mean_photons"))
+        return states.Thermal(s.thermal_mean_photons)
     if kind == "displaced_squeezed":
-        alpha = complex(sec.float("displacement_re"), sec.float("displacement_im"))
         return states.DisplacedSqueezed(
-            r=sec.float("squeeze_r"), squeeze_angle=sec.float("squeeze_angle"),
-            displacement=alpha)
+            r=s.squeeze_r, squeeze_angle=s.squeeze_angle,
+            displacement=complex(s.displacement_re, s.displacement_im))
     if kind == "mixture":
         comps = []
-        for token in sec.str("mixture").split():
+        for token in s.mixture.split():
             try:
                 w_text, n_text = token.split(":")
                 comps.append((float(w_text), int(n_text)))
@@ -275,28 +232,25 @@ def _build_source(sec: _Reader) -> states.QuantumStateModel:
     raise ConfigError(f"source.kind: unknown state kind {kind!r}")
 
 
-def _build_detector(sec: _Reader) -> MeasurementConfig:
-    policy_name = sec.str("lo_phase_policy").lower()
+def _build_detector(s: DetectorSettings) -> MeasurementConfig:
+    policy_name = s.lo_phase_policy.lower()
     if policy_name == "fixed":
-        policy = FixedPhase(sec.float("lo_phase"))
+        policy = FixedPhase(s.lo_phase)
     elif policy_name == "uniform":
         policy = UniformRandomPhase()
     elif policy_name == "wrapped":
-        policy = WrappedGaussianPhase(sec.float("lo_phase"), sec.float("lo_phase_width"))
+        policy = WrappedGaussianPhase(s.lo_phase, s.lo_phase_width)
     else:
         raise ConfigError(
             f"detector.lo_phase_policy: expected fixed|uniform|wrapped, got {policy_name!r}")
     try:
         return MeasurementConfig(
-            lo_phase_policy=policy,
-            lo_power=sec.float("lo_power"),
-            pulse_rate=sec.float("pulse_rate"),
-            adc_bits=sec.int("adc_bits"),
-            adc_full_scale=sec.float("adc_full_scale"),
-            electronic_noise_var=sec.float("electronic_noise_var"),
-            excess_noise_var=sec.float("excess_noise_var"),
-            excess_noise_tracks_power=sec.bool("excess_noise_tracks_power"),
-            conversion_gain=sec.float("conversion_gain"))
+            lo_phase_policy=policy, lo_power=s.lo_power, pulse_rate=s.pulse_rate,
+            adc_bits=s.adc_bits, adc_full_scale=s.adc_full_scale,
+            electronic_noise_var=s.electronic_noise_var,
+            excess_noise_var=s.excess_noise_var,
+            excess_noise_tracks_power=s.excess_noise_tracks_power,
+            conversion_gain=s.conversion_gain)
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from None
 
@@ -329,8 +283,8 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError("simulate.pulses and simulate.blocks must be >= 1")
     if cfg.run.threads < 1:
         raise ConfigError("run.threads must be >= 1")
-    if not cfg.run.rng_seed >= 0:
-        raise ConfigError("run.rng_seed must be a nonnegative integer")
+    if not 0 <= cfg.run.rng_seed < 2 ** 64:
+        raise ConfigError("run.rng_seed must be a nonnegative integer below 2**64")
     if cfg.extractor.epsilon_log2 >= 0:
         raise ConfigError("extractor.epsilon_log2 must be negative")
     if cfg.extractor.target_bits_per_sample <= 0:
@@ -352,15 +306,12 @@ def _cross_validate(cfg: RunConfig) -> None:
 
 
 def load_config(path: str | None = None, *, overrides: dict | None = None) -> RunConfig:
-    """Parse ``path`` over the built-in defaults and validate the result.
+    """Parse ``path`` over the settings defaults and validate the result.
 
     ``overrides`` maps dotted keys (``run.out_dir``) to replacement raw
     values, used for command-line flags.
     """
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#",), interpolation=None)
-    parser.read_string(DEFAULT_CONFIG)
-    known = {s: set(parser.options(s)) for s in parser.sections()}
+    given: dict[str, dict[str, str]] = {section: {} for section in _SECTIONS}
     if path is not None:
         user = configparser.ConfigParser(
             inline_comment_prefixes=("#",), interpolation=None)
@@ -372,68 +323,28 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error in {path}: {exc}") from None
         for section in user.sections():
-            if section not in known:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in user.items(section):
-                if key not in known[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                parser.set(section, key, value)
+            given.setdefault(section, {}).update(user.items(section))
     for dotted, value in (overrides or {}).items():
         section, key = dotted.split(".", 1)
-        parser.set(section, key, str(value))
+        given.setdefault(section, {})[key] = str(value)
 
-    run = _Reader(parser, "run")
-    dsp = _Reader(parser, "dsp")
-    sim = _Reader(parser, "simulate")
-    cal = _Reader(parser, "calibration")
-    ext = _Reader(parser, "extractor")
-    sta = _Reader(parser, "stats")
-    att = _Reader(parser, "attack")
-    ver = _Reader(parser, "verify")
+    settings = {}
+    for section, values in given.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        kinds = {f.name: f.type for f in fields(_SECTIONS[section])}
+        for key in values:
+            if key not in kinds:
+                raise ConfigError(f"unknown config key {section}.{key}")
+        settings[section] = _SECTIONS[section](**{
+            key: _parse(section, key, kinds[key], raw) for key, raw in values.items()})
+
     try:
-        source = _build_source(_Reader(parser, "source"))
+        source = _build_source(settings.pop("source"))
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from None
-    cfg = RunConfig(
-        run=RunSettings(
-            out_dir=run.str("out_dir"), rng_seed=run.int("rng_seed"),
-            threads=run.int("threads"), timestamp=run.float("timestamp")),
-        source=source,
-        detector=_build_detector(_Reader(parser, "detector")),
-        dsp=ChainSettings(
-            enabled=dsp.bool("enabled"), oversample=dsp.int("oversample"),
-            pulse_duty=dsp.float("pulse_duty"),
-            lowpass_cutoff=dsp.float("lowpass_cutoff"),
-            lowpass_taps=dsp.int("lowpass_taps"),
-            sample_phase=dsp.float("sample_phase"),
-            notch_enabled=dsp.bool("notch_enabled"),
-            modulation_freq=dsp.float("modulation_freq"),
-            notch_cutoff=dsp.float("notch_cutoff"),
-            notch_taps=dsp.int("notch_taps"),
-            autocorr_max_lag=dsp.int("autocorr_max_lag"),
-            autocorr_samples=dsp.int("autocorr_samples")),
-        simulate=SimulateSettings(pulses=sim.int("pulses"), blocks=sim.int("blocks")),
-        calibration=CalibrationSettings(
-            powers=cal.floats("powers"),
-            samples_per_point=cal.int("samples_per_point"),
-            min_points=cal.int("min_points"),
-            conservatism=cal.float("conservatism"),
-            recalibration_interval=cal.float("recalibration_interval"),
-            drift_threshold=cal.float("drift_threshold")),
-        extractor=ExtractorSettings(
-            epsilon_log2=ext.float("epsilon_log2"),
-            target_bits_per_sample=ext.float("target_bits_per_sample"),
-            h_min_override=ext.opt_float("h_min_override"),
-            seed_file=ext.opt_str("seed_file")),
-        stats=StatsSettings(string_bits=sta.int("string_bits"), alpha=sta.float("alpha")),
-        attack=AttackSettings(
-            r=att.float("r"), delta=att.float("delta"),
-            lo_mode=att.str("lo_mode"), rounds=att.int("rounds"),
-            displaced=att.bool("displaced")),
-        verify=VerifySettings(
-            fock_n_max=ver.int("fock_n_max"), deltas=ver.floats("deltas"),
-            equivalence_states=ver.int("equivalence_states"),
-            equivalence_dim_max=ver.int("equivalence_dim_max")))
+    cfg = RunConfig(source=source,
+                    detector=_build_detector(settings.pop("detector")), **settings)
     try:
         states.validate_state(cfg.source)
     except ValueError as exc:

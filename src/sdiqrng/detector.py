@@ -26,9 +26,9 @@ the noise enters white at that input rate, and the anti-alias low-pass,
 per-pulse subsampling and optional drift notch of ``dsp`` run before
 digitization.
 
-Raw blocks serialize to a little-endian binary format with a fixed 8-line
-ASCII header (magic, version, bits, count, config hash, run id, timestamp,
-terminator).
+Raw blocks serialize to a little-endian binary format with a fixed 9-line
+ASCII header (magic, version, bits, count, clipped count, config hash, run
+id, timestamp, terminator).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _MAGIC = "SDIQRNG-BLOCK"
-_VERSION = "1"
+_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -271,6 +271,7 @@ def _header_lines(block: RawSampleBlock) -> list[str]:
         _VERSION,
         f"bits={block.config.adc_bits}",
         f"count={len(block)}",
+        f"clipped={block.clipped}",
         f"config={block.config.content_hash()}",
         f"run={block.run_id}",
         f"created={block.timestamp}",
@@ -297,26 +298,29 @@ def read_block(path, config: MeasurementConfig) -> RawSampleBlock:
     """Read a binary block; the header is validated against ``config``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    parts = data.split(b"\n", 8)
-    if len(parts) < 9:
+    parts = data.split(b"\n", 9)
+    if len(parts) < 10:
         raise ValueError(f"{path}: truncated block header")
-    lines = [p.decode("ascii", "replace") for p in parts[:8]]
+    lines = [p.decode("ascii", "replace") for p in parts[:9]]
     if lines[0] != _MAGIC:
         raise ValueError(f"{path}: bad magic {lines[0]!r}")
     if lines[1] != _VERSION:
         raise ValueError(f"{path}: unsupported version {lines[1]!r}")
     bits = int(lines[2].removeprefix("bits="))
     count = int(lines[3].removeprefix("count="))
-    cfg_hash = lines[4].removeprefix("config=")
+    clipped = int(lines[4].removeprefix("clipped="))
+    cfg_hash = lines[5].removeprefix("config=")
     if bits != config.adc_bits:
         raise ValueError(f"{path}: header bits {bits} != config bits {config.adc_bits}")
     if cfg_hash != config.content_hash():
         raise ValueError(f"{path}: config hash mismatch")
-    if lines[7] != "---":
+    if lines[8] != "---":
         raise ValueError(f"{path}: malformed header terminator")
-    codes = np.frombuffer(parts[8], dtype=_payload_dtype(bits))
+    codes = np.frombuffer(parts[9], dtype=_payload_dtype(bits))
     if codes.size != count:
         raise ValueError(f"{path}: payload has {codes.size} codes, header says {count}")
+    if not 0 <= clipped <= count:
+        raise ValueError(f"{path}: clipped count {clipped} outside 0..{count}")
     return RawSampleBlock(codes=codes.astype(np.int16), config=config,
-                          run_id=lines[5].removeprefix("run="),
-                          timestamp=lines[6].removeprefix("created="))
+                          run_id=lines[6].removeprefix("run="),
+                          timestamp=lines[7].removeprefix("created="), clipped=clipped)

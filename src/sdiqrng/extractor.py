@@ -45,6 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
+from .entropy import equivalent_bit_rate
 from .exceptions import (InfeasiblePlanError, SecurityModelViolation,
                          StaleCalibrationError)
 
@@ -91,6 +92,12 @@ class ExtractionPlan:
     @property
     def security_bits(self) -> float:
         return -2.0 * math.log2(self.epsilon)
+
+    @property
+    def slack_bits(self) -> float:
+        """Leftover-hash slack per block: N*h - 2*log2(1/eps) - m >= 0."""
+        return (self.samples_per_block * self.h_min_per_sample
+                - self.security_bits - self.output_bits)
 
 
 def plan_extraction(bits_per_sample: int, h_min_per_sample: float, epsilon: float,
@@ -333,12 +340,7 @@ class AccountingReport:
 
     @property
     def equivalent_rate_bits_per_s(self) -> float:
-        return self.pulse_rate * self.bits_per_sample_effective
-
-    def budget_slack_bits(self, plan: ExtractionPlan) -> float:
-        """Leftover-hash slack per block: N*h - 2*log2(1/eps) - m >= 0."""
-        return (plan.samples_per_block * plan.h_min_per_sample
-                - plan.security_bits - plan.output_bits)
+        return equivalent_bit_rate(self.pulse_rate, self.bits_per_sample_effective)
 
     def to_text(self) -> str:
         lines = [
@@ -360,8 +362,8 @@ class AccountingReport:
 
 
 def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
-                   scheduler_decision: str = "keep", threads: int = 1,
-                   method: str = "fft") -> tuple[np.ndarray, AccountingReport]:
+                   scheduler_decision: str = "keep",
+                   threads: int = 1) -> tuple[np.ndarray, AccountingReport]:
     """Hash a sequence of raw sample blocks into near-uniform output bits.
 
     ``blocks`` is an iterable of detector.RawSampleBlock.  Samples are
@@ -417,20 +419,15 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
         stop = min(first + _BATCH_BLOCKS, n_blocks)
         bits = serialize_samples(chunks[first:stop].ravel(), plan.bits_per_sample)
         try:
-            hashed = toeplitz_hash(bits, seed, m, method=method,
-                                   residual=residuals[batch:batch + 1])
+            hashed = toeplitz_hash(bits, seed, m, residual=residuals[batch:batch + 1])
         except SecurityModelViolation as exc:
             raise SecurityModelViolation(
                 f"batch {batch} (blocks {first}..{stop - 1}): {exc}") from None
         # a batch starts at bit first * m, a multiple of 8 * m: byte batch * m
         out[batch * m:batch * m + (hashed.size + 7) // 8] = np.packbits(hashed)
 
-    if threads == 1:
-        for batch in range(n_batches):
-            hash_batch(batch)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(hash_batch, range(n_batches)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(hash_batch, range(n_batches)))
 
     report = AccountingReport(
         samples_in=n_samples, samples_used=used, blocks=n_blocks,

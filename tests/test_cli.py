@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import re
 import shutil
 
 import numpy as np
@@ -308,3 +309,32 @@ def test_output_bits_look_balanced(pipeline):
     bits = np.unpackbits(raw)
     # mean of n fair bits is 0.5 within 5 binomial sigmas
     assert abs(bits.mean() - 0.5) < 5 * 0.5 / np.sqrt(bits.size)
+
+
+def test_accounting_reports_the_clip_count_of_simulate(tmp_path, capsys):
+    # a narrow ADC range clips the Fock-1 half of the mixture
+    (tmp_path / "clip.cfg").write_text("""\
+[source]
+kind = mixture
+mixture = 0.5:0 0.5:1
+
+[detector]
+adc_full_scale = 60
+
+[dsp]
+enabled = false
+
+[simulate]
+pulses = 200000
+blocks = 2
+
+[extractor]
+h_min_override = 5.55
+""")
+    out = tmp_path / "clip"
+    run_pipeline(str(tmp_path / "clip.cfg"), out, ("simulate", "extract"))
+    printed = capsys.readouterr().out
+    clipped = int(re.search(r"simulate: (\d+) of 400000 samples clipped",
+                            printed).group(1))
+    assert clipped > 0
+    assert f"clipped_samples: {clipped}\n" in (out / "accounting.txt").read_text()

@@ -1,9 +1,13 @@
 """Tests for config parsing, validation and the substream derivation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sdiqrng import states
+from sdiqrng import config, states
 from sdiqrng.config import load_config, substream
 from sdiqrng.detector import FixedPhase, UniformRandomPhase, WrappedGaussianPhase
 from sdiqrng.exceptions import ConfigError
@@ -105,6 +109,30 @@ def test_overrides_mapping():
     assert cfg.run.out_dir == "elsewhere"
     assert cfg.run.rng_seed == 99
     assert cfg.extractor.seed_file == "seed.bin"
+
+
+def test_integers_parse_exactly():
+    for seed in (2 ** 53 + 1, 2 ** 63 - 1, 2 ** 64 - 1):
+        cfg = load_config(None, overrides={"run.rng_seed": str(seed)})
+        assert cfg.run.rng_seed == seed
+    assert load_config(None, overrides={"simulate.pulses": "1e6"}).simulate.pulses == 10 ** 6
+    with pytest.raises(ConfigError, match="rng_seed"):
+        load_config(None, overrides={"run.rng_seed": str(2 ** 64)})
+    with pytest.raises(ConfigError, match="simulate.pulses: expected an integer"):
+        load_config(None, overrides={"simulate.pulses": "inf"})
+
+
+def test_every_settings_field_has_a_parser():
+    for section, cls in config._SECTIONS.items():
+        for field in dataclasses.fields(cls):
+            assert field.type in config._PARSERS, f"{section}.{field.name}"
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = load_config(write_cfg(tmp_path, example))
+    assert cfg == load_config(None)
 
 
 def test_source_kinds(tmp_path):

@@ -244,6 +244,24 @@ def test_block_serialization_roundtrip(tmp_path):
         read_block(trunc, cfg)
 
 
+def test_block_header_carries_clip_count(tmp_path):
+    cfg = MeasurementConfig()
+    codes = np.array([-128, 5, 127, 127, 0], dtype=np.int16)
+    path = tmp_path / "clipped.bin"
+    write_block(path, RawSampleBlock(codes=codes, config=cfg, clipped=3))
+    data = path.read_bytes()
+    assert data.split(b"\n")[1:5] == [b"2", b"bits=8", b"count=5", b"clipped=3"]
+    assert read_block(path, cfg).clipped == 3
+
+    for old, new, match in ((b"clipped=3", b"clipped=6", "clipped count 6"),
+                            (b"clipped=3", b"clipped=-1", "clipped count -1"),
+                            (b"\n2\n", b"\n1\n", "unsupported version")):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ValueError, match=match):
+            read_block(bad, cfg)
+
+
 def test_wide_codes_use_two_byte_payload(tmp_path):
     cfg = MeasurementConfig(adc_bits=12)
     codes = np.array([-2048, -1, 0, 1, 2047], dtype=np.int16)

@@ -227,13 +227,14 @@ def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
     assert 0.0 <= report.fft_rounding_residual_max < 1e-9
     assert (f"fft_rounding_residual_max: {report.fft_rounding_residual_max!r}"
             in report.to_text())
-    _, naive = extract_stream(blocks, plan, seed, method="naive")
-    assert naive.fft_rounding_residual_max == 0.0
 
     slot = np.zeros(1)
     x = rng.integers(0, 2, plan.input_bits, dtype=np.uint8)
     toeplitz_hash(x, seed, plan.output_bits, residual=slot)
     assert 0.0 <= slot[0] < 1e-9
+    slot[0] = 1.0
+    toeplitz_hash(x, seed, plan.output_bits, method="naive", residual=slot)
+    assert slot[0] == 0.0
 
     exact_irfft = extractor.irfft
     monkeypatch.setattr(extractor, "irfft",
@@ -342,7 +343,7 @@ def test_extract_stream_against_full_oracle():
     np.testing.assert_array_equal(packed, np.packbits(want_bits))
 
 
-def test_extract_stream_determinism_threads_and_methods():
+def test_extract_stream_determinism_threads_and_oracle():
     plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
     rng = np.random.default_rng(29)
     blocks = _code_blocks(rng, [500, 90 * 76])  # 96 blocks, 12 batches
@@ -358,8 +359,13 @@ def test_extract_stream_determinism_threads_and_methods():
     finally:
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(ref, threaded)
-    naive, _ = extract_stream(blocks, plan, seed, method="naive")
-    np.testing.assert_array_equal(ref, naive)
+    # the first and the last batch against the per-block oracle
+    m = plan.output_bits
+    chunks = np.concatenate([b.codes for b in blocks])[:96 * 76].reshape(96, 76)
+    hashed = np.unpackbits(ref)[:96 * m].reshape(96, m)
+    for i in (*range(8), *range(88, 96)):
+        np.testing.assert_array_equal(
+            hashed[i], oracle_toeplitz(serialize_samples(chunks[i], 8), seed.bits, m))
     other, _ = extract_stream(blocks, plan, prng_seed(plan.seed_bits, 32))
     assert not np.array_equal(ref, other)
 
@@ -400,8 +406,8 @@ def test_extract_stream_operating_point_accounting():
     assert report.bits_per_sample_effective == pytest.approx(5.4, abs=1e-12)
     assert report.equivalent_rate_bits_per_s == pytest.approx(270e6,
                                                               rel=1e-12)
-    assert report.budget_slack_bits(plan) >= 0.0
-    assert report.budget_slack_bits(plan) == pytest.approx(0.2, abs=1e-6)
+    assert plan.slack_bits >= 0.0
+    assert plan.slack_bits == pytest.approx(0.2, abs=1e-6)
     text = report.to_text()
     assert "output_bits: 249480" in text
     assert "seed_provenance: test-prng-insecure" in text
