@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 from scipy.special import erf as _erf
 
 from .states import _fock_psi, _gl_nodes, bin_index
@@ -283,8 +282,11 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     Eve's guess each round is the bin holding her displacement; the guess
     succeeds when the measured outcome lands in that bin.  The mimicry
     p-value is a KS test of the outcomes against the exact vacuum CDF
-    (1 + erf(q)) / 2.
+    (1 + erf(q)) / 2.  ``scipy.stats`` is imported here, not at module
+    scope, so that only the attack stage pays for loading it.
     """
+    from scipy import stats
+
     n = scenario.n_rounds
     r = scenario.r
     sq_var = math.exp(-2.0 * r) / 2.0
@@ -305,7 +307,7 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     guesses = bin_index(d, scenario.delta)
     outcomes = bin_index(q, scenario.delta)
     guess_rate = float(np.mean(guesses == outcomes))
-    ks = _stats.kstest(q, lambda v: 0.5 * (1.0 + _erf(v)))
+    ks = stats.kstest(q, lambda v: 0.5 * (1.0 + _erf(v)))
     return AttackReport(
         scenario=scenario,
         measured_variance=float(np.var(q)),

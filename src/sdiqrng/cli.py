@@ -191,7 +191,10 @@ def cmd_extract(cfg: RunConfig) -> int:
         blocks_dir.glob("raw_*.bin"))
     if not paths:
         raise ConfigError(f"no sample blocks under {blocks_dir}; run simulate first")
-    blocks = [detector.read_block(p, det) for p in paths]
+    try:
+        blocks = [detector.read_block(p, det) for p in paths]
+    except ValueError as exc:
+        raise ConfigError(f"sample block {exc}") from None
 
     log_path = out / "calibration.csv"
     if es.h_min_override is not None:

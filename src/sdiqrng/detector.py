@@ -295,32 +295,42 @@ def write_block(path, block: RawSampleBlock) -> None:
 
 
 def read_block(path, config: MeasurementConfig) -> RawSampleBlock:
-    """Read a binary block; the header is validated against ``config``."""
+    """Read a binary block; the header is validated against ``config``.
+
+    Every malformed or mismatched file raises ValueError naming ``path``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse_block(data, config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_block(data: bytes, config: MeasurementConfig) -> RawSampleBlock:
     parts = data.split(b"\n", 9)
     if len(parts) < 10:
-        raise ValueError(f"{path}: truncated block header")
+        raise ValueError("truncated block header")
     lines = [p.decode("ascii", "replace") for p in parts[:9]]
     if lines[0] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {lines[0]!r}")
+        raise ValueError(f"bad magic {lines[0]!r}")
     if lines[1] != _VERSION:
-        raise ValueError(f"{path}: unsupported version {lines[1]!r}")
+        raise ValueError(f"unsupported version {lines[1]!r}")
     bits = int(lines[2].removeprefix("bits="))
     count = int(lines[3].removeprefix("count="))
     clipped = int(lines[4].removeprefix("clipped="))
     cfg_hash = lines[5].removeprefix("config=")
     if bits != config.adc_bits:
-        raise ValueError(f"{path}: header bits {bits} != config bits {config.adc_bits}")
+        raise ValueError(f"header bits {bits} != config bits {config.adc_bits}")
     if cfg_hash != config.content_hash():
-        raise ValueError(f"{path}: config hash mismatch")
+        raise ValueError("config hash mismatch")
     if lines[8] != "---":
-        raise ValueError(f"{path}: malformed header terminator")
+        raise ValueError("malformed header terminator")
     codes = np.frombuffer(parts[9], dtype=_payload_dtype(bits))
     if codes.size != count:
-        raise ValueError(f"{path}: payload has {codes.size} codes, header says {count}")
+        raise ValueError(f"payload has {codes.size} codes, header says {count}")
     if not 0 <= clipped <= count:
-        raise ValueError(f"{path}: clipped count {clipped} outside 0..{count}")
+        raise ValueError(f"clipped count {clipped} outside 0..{count}")
     return RawSampleBlock(codes=codes.astype(np.int16), config=config,
                           run_id=lines[6].removeprefix("run="),
                           timestamp=lines[7].removeprefix("created="), clipped=clipped)

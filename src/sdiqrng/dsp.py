@@ -1,10 +1,15 @@
 """Offline DSP chain: anti-alias filtering, per-pulse subsampling, drift
 removal and whiteness diagnostics.
 
-The filters are linear-phase FIR (windowed-sinc, Hamming window).  A plain
-windowed-sinc design places its half-amplitude (-6 dB) point at the design
-frequency, so ``design_lowpass`` bisects the design frequency until the
-realized response crosses -3 dB at the requested cutoff.  Filtering uses
+The filters are linear-phase FIR (windowed-sinc, Hamming window).  The
+design is numpy only and mirrors the operation order of
+``scipy.signal.firwin(taps, f, window="hamming", fs=rate)``, so its taps are
+bitwise equal to scipy's; convolution runs on ``scipy.fft`` at the size and
+slice of ``scipy.signal.fftconvolve(..., mode="valid")``, so its output is
+bitwise equal too, and no stage has to import ``scipy.signal``.  A
+plain windowed-sinc design places its half-amplitude (-6 dB) point at the
+design frequency, so ``design_lowpass`` bisects the design frequency until
+the realized response crosses -3 dB at the requested cutoff.  Filtering uses
 reflect padding and compensates the group delay, returning a sequence of
 the input length; the first and last ``taps // 2`` output samples are
 contaminated by the padding and must be excluded from entropy accounting
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as _signal
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "design_lowpass",
@@ -61,6 +66,16 @@ def _response_magnitude(h: np.ndarray, freq: float, rate: float) -> float:
     return float(np.abs(np.dot(h, np.exp(-2j * np.pi * freq * k / rate))))
 
 
+def _hamming_sinc(rate: float, freq: float, taps: int) -> np.ndarray:
+    """Hamming windowed-sinc with half-amplitude point ``freq`` and unit DC gain."""
+    right = freq / (0.5 * rate)
+    m = np.arange(taps, dtype=float) - 0.5 * (taps - 1)
+    h = right * np.sinc(right * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    h /= np.sum(h)
+    return h
+
+
 @lru_cache(maxsize=32)
 def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     """Hamming windowed-sinc FIR with its -3 dB point at ``cutoff``.
@@ -74,8 +89,8 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     target = 2.0 ** -0.5
 
     def miss(design_freq: float) -> float:
-        h = _signal.firwin(taps, design_freq, window="hamming", fs=rate)
-        return _response_magnitude(h, cutoff, rate) - target
+        return _response_magnitude(_hamming_sinc(rate, design_freq, taps),
+                                   cutoff, rate) - target
 
     transition = 3.3 * rate / taps
     lo = cutoff
@@ -92,7 +107,7 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
             hi = mid
         if hi - lo < 1e-9 * nyq:
             break
-    return _signal.firwin(taps, 0.5 * (lo + hi), window="hamming", fs=rate)
+    return _hamming_sinc(rate, 0.5 * (lo + hi), taps)
 
 
 def transient_samples(taps: int) -> int:
@@ -114,7 +129,10 @@ def lowpass(samples, rate: float, cutoff: float, taps: int = 201) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("samples must be 1-d")
     h = design_lowpass(rate, cutoff, taps)
-    return _signal.fftconvolve(_padded(x, taps), h, mode="valid")
+    padded = _padded(x, taps)
+    size = next_fast_len(padded.size + taps - 1, True)
+    full = irfft(rfft(padded, size) * rfft(h, size), size)
+    return full[taps - 1:padded.size]
 
 
 def subsample_per_pulse(samples, input_rate: float, pulse_rate: float,

@@ -97,13 +97,15 @@ def sdi_bound_check(state_list, delta: float, *, nodes: int = 80) -> BoundCheckR
     would mean the certificate's core inequality failed.
     """
     bound = math.erf(delta / 2.0)
-    margins = []
+    state_list = list(state_list)
     for st in state_list:
         if not isinstance(st, (states.Vacuum, states.Fock, states.Mixture)):
             raise ValueError(
                 "bound check applies to photon-number-diagonal states "
                 f"(Vacuum, Fock, Mixture), got {type(st).__name__}")
-        p_max = states.max_bin_probability(st, 0.0, delta, nodes=nodes)
+    margins = []
+    p_maxes = states.max_bin_probabilities(state_list, delta, nodes=nodes)
+    for st, p_max in zip(state_list, p_maxes):
         margin = bound - p_max
         if margin < -1e-12:
             raise SecurityModelViolation(

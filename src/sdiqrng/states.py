@@ -41,6 +41,7 @@ __all__ = [
     "quadrature_pdf",
     "sample_quadrature",
     "max_bin_probability",
+    "max_bin_probabilities",
     "bin_index",
     "search_halfwidth",
 ]
@@ -325,14 +326,15 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _fock_bin_probabilities(n_list: tuple[int, ...], delta: float, halfwidth: float,
-                            nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin masses for several Fock indices on a common bin grid.
+def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float,
+                            nodes: int) -> np.ndarray:
+    """Bin masses of Fock 0..n_max on the bins covering [-halfwidth, halfwidth].
 
-    Returns (k_values, P) where P[i, j] is the probability that Fock
-    n_list[i] falls in bin k_values[j].  Gauss-Legendre with ``nodes``
-    points per bin; the integrand is analytic so the error is far below
-    1e-12 for the bin widths used here.
+    Returns P of shape (n_max + 1, bins), P[n, j] the probability that
+    Fock n falls in bin j.  Gauss-Legendre with ``nodes`` points per bin;
+    the integrand is analytic so the error is far below 1e-12 for the bin
+    widths used here.  Each entry depends only on n and its bin, not on
+    n_max or the window, so one table serves every state up to n_max.
     """
     k_max = int(math.ceil((halfwidth + delta) / delta))
     k_values = np.arange(-k_max, k_max + 1)
@@ -340,11 +342,9 @@ def _fock_bin_probabilities(n_list: tuple[int, ...], delta: float, halfwidth: fl
     x, w = _gl_nodes(nodes)
     # map [-1, 1] nodes into every bin at once
     pts = edges_lo[:, None] + (x[None, :] + 1.0) * (delta / 2.0)
-    flat = pts.ravel()
-    table = _fock_psi_sq_table(max(n_list), flat)
-    table = table.reshape(table.shape[0], k_values.size, nodes)
-    probs = table @ w * (delta / 2.0)
-    return k_values, probs[list(n_list), :]
+    table = _fock_psi_sq_table(n_max, pts.ravel())
+    table = table.reshape(n_max + 1, k_values.size, nodes)
+    return table @ w * (delta / 2.0)
 
 
 def _gaussian_max_bin(mean: float, var: float, delta: float) -> float:
@@ -359,28 +359,46 @@ def _gaussian_max_bin(mean: float, var: float, delta: float) -> float:
     return best
 
 
-def max_bin_probability(state, theta: float, delta: float, *, nodes: int = 80) -> float:
-    """Largest probability any single width-``delta`` bin can capture.
+def _fock_components(state: Fock | Mixture) -> tuple[tuple[float, int], ...]:
+    return ((1.0, state.n),) if isinstance(state, Fock) else state.components
+
+
+def max_bin_probabilities(state_list, delta: float, *, theta: float = 0.0,
+                          nodes: int = 80) -> list[float]:
+    """Largest probability any single width-``delta`` bin can capture, per state.
 
     For Gaussian-family states this is a closed-form scan of the bins
     around the mean.  For Fock states and mixtures the bin masses are
-    integrated by per-bin Gauss-Legendre quadrature over the supported
-    window (half-width 8 + 4*sqrt(n+1)) and the maximum over bins of the
-    *mixed* distribution is returned, which is what bounds a guesser who
-    sees the mixture, not its parts.
+    integrated by per-bin Gauss-Legendre quadrature, and the maximum over
+    bins of the *mixed* distribution is returned, which is what bounds a
+    guesser who sees the mixture, not its parts.  All Fock states and
+    mixtures read one table, built for the highest photon number in
+    ``state_list`` over the widest supported window (half-width
+    8 + 4*sqrt(n+1)); the bins a state gains beyond its own window lie
+    where its mass is negligible, so its maximum does not change.
     """
-    validate_state(state)
+    state_list = list(state_list)
+    for st in state_list:
+        validate_state(st)
     theta = _reduce_theta(theta)
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
-    moments = _gaussian_moments(state, theta)
-    if moments is not None:
-        return _gaussian_max_bin(moments[0], moments[1], delta)
-    if isinstance(state, Fock):
-        comps = ((1.0, state.n),)
-    else:
-        comps = state.components
-    n_list = tuple(n for _, n in comps)
-    _, probs = _fock_bin_probabilities(n_list, delta, search_halfwidth(state), nodes)
-    weights = np.array([w for w, _ in comps])
-    return float(np.max(weights @ probs))
+    diagonal = [st for st in state_list if isinstance(st, (Fock, Mixture))]
+    if diagonal:
+        n_max = max(n for st in diagonal for _, n in _fock_components(st))
+        halfwidth = max(search_halfwidth(st) for st in diagonal)
+        probs = _fock_bin_probabilities(n_max, delta, halfwidth, nodes)
+    out = []
+    for st in state_list:
+        if isinstance(st, (Fock, Mixture)):
+            comps = _fock_components(st)
+            weights = np.array([w for w, _ in comps])
+            out.append(float(np.max(weights @ probs[[n for _, n in comps]])))
+        else:
+            out.append(_gaussian_max_bin(*_gaussian_moments(st, theta), delta))
+    return out
+
+
+def max_bin_probability(state, theta: float, delta: float, *, nodes: int = 80) -> float:
+    """``max_bin_probabilities`` for one state at LO phase ``theta``."""
+    return max_bin_probabilities([state], delta, theta=theta, nodes=nodes)[0]

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erfc, gammaincc
-from scipy.stats import norm
+from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
     "bits_from_bytes",
@@ -157,11 +156,11 @@ def _cusum_pvalue(n: int, z: int) -> float:
     sqrt_n = math.sqrt(n)
     nz = n // z
     k1 = np.arange(_trunc_div(-nz + 1, 4), _trunc_div(nz - 1, 4) + 1)
-    term1 = np.sum(norm.cdf((4 * k1 + 1) * z / sqrt_n)
-                   - norm.cdf((4 * k1 - 1) * z / sqrt_n))
+    term1 = np.sum(ndtr((4 * k1 + 1) * z / sqrt_n)
+                   - ndtr((4 * k1 - 1) * z / sqrt_n))
     k2 = np.arange(_trunc_div(-nz - 3, 4), _trunc_div(nz - 1, 4) + 1)
-    term2 = np.sum(norm.cdf((4 * k2 + 3) * z / sqrt_n)
-                   - norm.cdf((4 * k2 + 1) * z / sqrt_n))
+    term2 = np.sum(ndtr((4 * k2 + 3) * z / sqrt_n)
+                   - ndtr((4 * k2 + 1) * z / sqrt_n))
     return float(np.clip(1.0 - term1 + term2, 0.0, 1.0))
 
 

@@ -235,6 +235,29 @@ def test_test_without_bits_is_config_error(tmp_path):
     assert main(["test", "--config", cfg_path, "--out", str(out)]) == 2
 
 
+def test_block_from_another_detector_config_exits_2(tmp_path, capsys):
+    body = """\
+[dsp]
+enabled = false
+
+[simulate]
+pulses = 20000
+blocks = 1
+
+[extractor]
+h_min_override = 5.55
+"""
+    out = tmp_path / "o"
+    (tmp_path / "a.cfg").write_text(f"[detector]\nadc_full_scale = 160\n\n{body}")
+    (tmp_path / "b.cfg").write_text(f"[detector]\nadc_full_scale = 200\n\n{body}")
+    run_pipeline(str(tmp_path / "a.cfg"), out, ("simulate",))
+    capsys.readouterr()
+    assert main(["extract", "--config", str(tmp_path / "b.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config hash mismatch" in err
+    assert "raw_0000.bin" in err
+
+
 def test_extract_without_calibration_exits_3(pipeline, tmp_path):
     root, cfg_path, out = pipeline
     fresh = tmp_path / "nocal"

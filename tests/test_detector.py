@@ -255,7 +255,8 @@ def test_block_header_carries_clip_count(tmp_path):
 
     for old, new, match in ((b"clipped=3", b"clipped=6", "clipped count 6"),
                             (b"clipped=3", b"clipped=-1", "clipped count -1"),
-                            (b"\n2\n", b"\n1\n", "unsupported version")):
+                            (b"\n2\n", b"\n1\n", "unsupported version"),
+                            (b"count=5", b"count=x", "bad.bin: invalid literal")):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data.replace(old, new, 1))
         with pytest.raises(ValueError, match=match):

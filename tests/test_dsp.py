@@ -2,7 +2,9 @@
 
 Frequency-domain expectations are computed in the test from the definitional
 DFT of the designed taps (and cross-checked against scipy.signal.freqz), so
-the time-domain measurements have an independent oracle.
+the time-domain measurements have an independent oracle.  scipy.signal is a
+test-only oracle: the numpy design must equal ``firwin`` and ``lowpass`` must
+equal ``fftconvolve`` bit for bit.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import signal as ssig
 
+from sdiqrng import dsp
 from sdiqrng.dsp import (
     AutocorrelationReport,
     autocorrelation,
@@ -84,6 +87,27 @@ def test_lowpass_matches_direct_convolution_oracle():
     fft = lowpass(x, 1000.0, 100.0, 201)
     assert fft.size == direct.size == x.size
     np.testing.assert_allclose(fft, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("taps", [5, 201, 257, 801, 16001])
+def test_design_equals_scipy_firwin(taps):
+    rng = np.random.default_rng(taps)
+    for rate in (1.0, 1000.0, 50e6, 400e6):
+        fractions = np.concatenate(([1e-4, 0.25, 0.5, 0.98], rng.uniform(0.001, 0.999, 6)))
+        for freq in fractions * rate / 2.0:
+            ours = dsp._hamming_sinc(rate, float(freq), taps)
+            ref = ssig.firwin(taps, float(freq), window="hamming", fs=rate)
+            assert np.array_equal(ours, ref), (rate, freq)
+
+
+@pytest.mark.parametrize("n,rate,cutoff,taps", [(5000, 1000.0, 100.0, 201),
+                                                (100_003, 400e6, 140e6, 257),
+                                                (40_000, 50e6, 24.495e6, 16001)])
+def test_lowpass_equals_scipy_fftconvolve(n, rate, cutoff, taps):
+    x = np.random.default_rng(n).normal(size=n)
+    padded = np.pad(x, taps // 2, mode="reflect")
+    ref = ssig.fftconvolve(padded, design_lowpass(rate, cutoff, taps), mode="valid")
+    assert np.array_equal(lowpass(x, rate, cutoff, taps), ref)
 
 
 def test_lowpass_linearity():

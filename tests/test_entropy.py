@@ -149,9 +149,9 @@ def test_bound_check_rejects_non_diagonal_states():
 
 
 def test_violation_guard_wiring(monkeypatch):
-    monkeypatch.setattr(states, "max_bin_probability",
-                        lambda st, theta, delta, nodes=80:
-                        math.erf(delta / 2.0) + 1e-6)
+    monkeypatch.setattr(states, "max_bin_probabilities",
+                        lambda state_list, delta, nodes=80:
+                        [math.erf(delta / 2.0) + 1e-6 for _ in state_list])
     with pytest.raises(SecurityModelViolation):
         sdi_bound_check([states.Fock(1)], 0.1)
 

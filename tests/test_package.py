@@ -1,7 +1,12 @@
-"""Package-level checks: every exported name exists."""
+"""Package-level checks: every exported name exists, and a stage's import
+path stays free of the slow scipy subpackages."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +21,55 @@ def test_module_all_names_resolve(name):
     exported = getattr(module, "__all__", ())
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"sdiqrng.{name}.__all__ names missing attributes: {missing}"
+
+
+STAGE_RUN = """\
+import sys
+from sdiqrng.cli import main
+
+cfg, out = sys.argv[1:]
+for stage in ("simulate", "extract", "test", "verify"):
+    code = main([stage, "--config", cfg, "--out", out])
+    # the battery verdict on a few dozen strings is not what is checked here
+    assert code == 0 or (stage, code) == ("test", 5), f"{stage} exited {code}"
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"]))
+print("loaded:", *loaded)
+"""
+
+TINY_CHAIN_CONFIG = """\
+[run]
+timestamp = 1786752000.0
+
+[dsp]
+autocorr_max_lag = 50
+autocorr_samples = 2000
+
+[simulate]
+pulses = 20000
+blocks = 2
+
+[extractor]
+h_min_override = 5.55
+
+[stats]
+string_bits = 5000
+
+[verify]
+fock_n_max = 5
+deltas = 0.1 0.5
+equivalence_states = 5
+equivalence_dim_max = 5
+"""
+
+
+def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
+    # a fresh interpreter: pytest's own test modules import both subpackages;
+    # only the attack stage loads scipy.stats, inside run_attack
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CHAIN_CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(Path(sdiqrng.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", STAGE_RUN, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"

@@ -21,6 +21,7 @@ from sdiqrng.states import (
     Thermal,
     Vacuum,
     bin_index,
+    max_bin_probabilities,
     max_bin_probability,
     quadrature_pdf,
     sample_quadrature,
@@ -222,6 +223,18 @@ def test_max_bin_matches_quadrature_oracle(n, delta):
               for k in range(-k_max, k_max + 1)]
     got = max_bin_probability(Fock(n), 0.0, delta, nodes=200)
     assert got == pytest.approx(max(masses), abs=1e-11)
+
+
+def test_shared_fock_table_matches_one_state_calls():
+    # one table for the highest n on the widest window gives every state
+    # exactly the maximum its own, narrower table gives
+    batch = [Fock(12), Vacuum(), Fock(0), Mixture(((0.3, 0), (0.7, 4))),
+             Thermal(0.4), DisplacedSqueezed(0.3, 0.2, 0.5 + 0.1j), Fock(3)]
+    for delta in (0.05, 0.3, 1.0):
+        for theta in (0.0, 1.1):
+            alone = [max_bin_probability(st, theta, delta, nodes=60) for st in batch]
+            assert max_bin_probabilities(batch, delta, theta=theta, nodes=60) == alone
+    assert max_bin_probabilities([], 0.1) == []
 
 
 def test_bin_index_right_closed_convention():
