@@ -1,5 +1,6 @@
 """Atomic file writes (temp file in the target directory, then rename), the
-append-only log line and the artifacts' UTC timestamp format."""
+append-only log line, the artifacts' UTC timestamp format, and the two text
+artifact layouts: "key: value" reports and commented CSVs."""
 
 from __future__ import annotations
 
@@ -37,3 +38,21 @@ def append_line(path, line: str) -> None:
     """Append one text line; creates the file if missing (append-only logs)."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line.rstrip("\n") + "\n")
+
+
+def write_report(path, fields) -> None:
+    """Write ``(key, value)`` pairs as "key: value" lines, each newline-ended.
+
+    Values print with ``str``; a float's ``str`` is its shortest round-trip
+    form, the same as its ``repr``.
+    """
+    write_text_atomic(path, "".join(f"{key}: {value}\n" for key, value in fields))
+
+
+def write_csv(path, comments, header, rows) -> None:
+    """Write a CSV artifact: each comment line prefixed "# ", then the header
+    columns, then one line per row, cells printed with ``str`` and joined by
+    commas; every line newline-ended."""
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -78,10 +78,6 @@ class BipartiteState:
         """View as rho[k, n, l, m] for E indices k,l and A indices n,m."""
         return self.rho.reshape(self.dim_e, self.dim_a, self.dim_e, self.dim_a)
 
-    def a_marginal(self) -> np.ndarray:
-        """Reduced density matrix on A."""
-        return np.einsum("knkm->nm", self.tensor())
-
 
 def two_mode_squeezed(gamma: float, dim: int, *, form: str = "printed") -> BipartiteState:
     """Truncated two-mode squeezed state shared between E and A.
@@ -234,7 +230,6 @@ class AttackScenario:
     r: float = 1.5
     delta: float = 0.1
     lo_mode: str = "fixed"
-    theta: float = 0.0
     n_rounds: int = 1_000_000
     displaced: bool = True
 
@@ -259,21 +254,6 @@ class AttackReport:
     mimicry_pvalue: float
     vacuum_guess_bound: float
     samples: np.ndarray
-
-    def to_text(self) -> str:
-        s = self.scenario
-        lines = [
-            f"lo_mode: {s.lo_mode}",
-            f"r: {s.r!r}",
-            f"delta: {s.delta!r}",
-            f"displaced: {s.displaced}",
-            f"n_rounds: {s.n_rounds}",
-            f"measured_variance: {self.measured_variance!r}",
-            f"eve_guess_rate: {self.eve_guess_rate!r}",
-            f"mimicry_pvalue: {self.mimicry_pvalue!r}",
-            f"vacuum_guess_bound: {self.vacuum_guess_bound!r}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackReport:

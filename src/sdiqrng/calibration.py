@@ -212,23 +212,34 @@ def append_log(path, result: CalibrationResult) -> None:
 
 
 def read_log(path) -> list[CalibrationResult]:
-    """Parse the append-only calibration log back into results."""
+    """Parse the append-only calibration log back into results.
+
+    A line that is not a log entry, or a file that is not UTF-8 text, raises
+    CalibrationError naming the path (and the line).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise CalibrationError(f"{path}: calibration log is not UTF-8 text") from None
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != len(_LOG_FIELDS) + 4:
-                raise CalibrationError(f"{path}:{line_no}: malformed log line")
-            vals = dict(zip(_LOG_FIELDS, map(float, parts[1:1 + len(_LOG_FIELDS)])))
-            out.append(CalibrationResult(
-                gradient=vals["gradient"], intercept=vals["intercept"],
-                gradient_stderr=vals["gradient_stderr"],
-                intercept_stderr=vals["intercept_stderr"],
-                r_squared=float("nan"), operating_power=float(parts[-3]),
-                adc_step=float(parts[-2]), delta=vals["delta"],
-                delta_conservative=vals["delta_conservative"],
-                h_min_bits=vals["h_min_bits"], timestamp=float(parts[-1])))
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            numbers = [float(p) for p in line.split(",")[1:]]
+        except ValueError:
+            numbers = []
+        if len(numbers) != len(_LOG_FIELDS) + 3:
+            raise CalibrationError(f"{path}:{line_no}: malformed log line")
+        vals = dict(zip(_LOG_FIELDS, numbers))
+        out.append(CalibrationResult(
+            gradient=vals["gradient"], intercept=vals["intercept"],
+            gradient_stderr=vals["gradient_stderr"],
+            intercept_stderr=vals["intercept_stderr"],
+            r_squared=float("nan"), operating_power=numbers[-3],
+            adc_step=numbers[-2], delta=vals["delta"],
+            delta_conservative=vals["delta_conservative"],
+            h_min_bits=vals["h_min_bits"], timestamp=numbers[-1]))
     return out

@@ -31,7 +31,7 @@ from scipy.special import erf
 
 from . import __version__, attacklab, calibration, detector, dsp, entropy, extractor, states
 from . import stats as battery
-from ._io import iso_utc, write_bytes_atomic, write_text_atomic
+from ._io import iso_utc, write_bytes_atomic, write_csv, write_report, write_text_atomic
 from .config import RunConfig, load_config, substream
 from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
                          SecurityModelViolation)
@@ -47,14 +47,10 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> None:
     report = dsp.autocorrelation(codes.astype(float), max_lag)
-    lines = [
-        "# autocorrelation of the filtered per-pulse stream",
-        f"# n_samples={report.n_samples} ci95={report.ci95!r} "
-        f"fraction_outside_ci={report.fraction_outside_ci!r}",
-        "lag,coefficient",
-    ]
-    lines += [f"{lag},{float(c)!r}" for lag, c in enumerate(report.coefficients)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ["autocorrelation of the filtered per-pulse stream",
+                     f"n_samples={report.n_samples} ci95={report.ci95!r} "
+                     f"fraction_outside_ci={report.fraction_outside_ci!r}"],
+              ["lag", "coefficient"], enumerate(report.coefficients.tolist()))
 
 
 def _write_histogram_csv(path: Path, codes: np.ndarray,
@@ -68,14 +64,11 @@ def _write_histogram_csv(path: Path, codes: np.ndarray,
         reference = codes.size * np.diff(cdf)
     else:
         reference = np.zeros(counts.size)
-    lines = [
-        "# raw ADC code histogram against a Gaussian of the measured width",
-        f"# n_samples={codes.size} sigma_codes={sigma_codes!r}",
-        "code,count,gaussian_reference",
-    ]
-    lines += [f"{config.code_min + i},{int(c)},{float(reference[i])!r}"
-              for i, c in enumerate(counts)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ["raw ADC code histogram against a Gaussian of the measured width",
+                     f"n_samples={codes.size} sigma_codes={sigma_codes!r}"],
+              ["code", "count", "gaussian_reference"],
+              zip(range(config.code_min, config.code_max + 1), counts.tolist(),
+                  reference.tolist()))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -149,30 +142,28 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     calibration.append_log(out / "calibration.csv", result)
 
     bound = entropy.vacuum_min_entropy(result.delta_conservative)
-    report = [
-        f"timestamp: {iso_utc(result.timestamp)}",
-        f"gradient: {result.gradient!r} +- {result.gradient_stderr!r}",
-        f"intercept: {result.intercept!r} +- {result.intercept_stderr!r}",
-        f"r_squared: {result.r_squared!r}",
-        f"operating_power: {result.operating_power!r}",
-        f"adc_step: {result.adc_step!r}",
-        f"delta_vacuum_units: {result.delta!r}",
-        f"delta_conservative: {result.delta_conservative!r}",
-        f"guessing_probability: {bound.guessing_probability!r}",
-        f"h_min_bits: {result.h_min_bits!r}",
-        f"intercept_suspicious: {result.intercept_suspicious}",
-    ]
-    write_text_atomic(out / "entropy_bound.txt", "\n".join(report) + "\n")
-
-    lines = [
-        "# detector output variance (raw units squared) against LO power, with OLS line",
-        f"# gradient={result.gradient!r} intercept={result.intercept!r} "
-        f"gradient_stderr={result.gradient_stderr!r} r_squared={result.r_squared!r}",
-        "power,variance,fit",
-    ]
-    lines += [f"{p.power!r},{p.variance!r},"
-              f"{result.gradient * p.power + result.intercept!r}" for p in points]
-    write_text_atomic(out / "calibration_line.csv", "\n".join(lines) + "\n")
+    write_report(out / "entropy_bound.txt", [
+        ("timestamp", iso_utc(result.timestamp)),
+        ("gradient", f"{result.gradient!r} +- {result.gradient_stderr!r}"),
+        ("intercept", f"{result.intercept!r} +- {result.intercept_stderr!r}"),
+        ("r_squared", result.r_squared),
+        ("operating_power", result.operating_power),
+        ("adc_step", result.adc_step),
+        ("delta_vacuum_units", result.delta),
+        ("delta_conservative", result.delta_conservative),
+        ("guessing_probability", bound.guessing_probability),
+        ("h_min_bits", result.h_min_bits),
+        ("intercept_suspicious", result.intercept_suspicious),
+    ])
+    write_csv(out / "calibration_line.csv",
+              ["detector output variance (raw units squared) against LO power, "
+               "with OLS line",
+               f"gradient={result.gradient!r} intercept={result.intercept!r} "
+               f"gradient_stderr={result.gradient_stderr!r} "
+               f"r_squared={result.r_squared!r}"],
+              ["power", "variance", "fit"],
+              [(p.power, p.variance, result.gradient * p.power + result.intercept)
+               for p in points])
 
     print(f"calibrate: gradient {result.gradient:.4f} +- {result.gradient_stderr:.4f}, "
           f"intercept {result.intercept:.4f}")
@@ -237,16 +228,27 @@ def cmd_extract(cfg: RunConfig) -> int:
                                               scheduler_decision=decision,
                                               threads=cfg.run.threads)
     write_bytes_atomic(out / "output.bits", packed.tobytes())
-    text = [
-        f"scheduler_decision: {decision}",
-        f"samples_per_block: {plan.samples_per_block}",
-        f"input_bits_per_block: {plan.input_bits}",
-        f"output_bits_per_block: {plan.output_bits}",
-        f"seed_bits: {plan.seed_bits}",
-        f"budget_slack_bits_per_block: {plan.slack_bits!r}",
-        report.to_text(),
-    ]
-    write_text_atomic(out / "accounting.txt", "\n".join(text))
+    write_report(out / "accounting.txt", [
+        ("scheduler_decision", decision),
+        ("samples_per_block", plan.samples_per_block),
+        ("input_bits_per_block", plan.input_bits),
+        ("output_bits_per_block", plan.output_bits),
+        ("seed_bits", plan.seed_bits),
+        ("budget_slack_bits_per_block", plan.slack_bits),
+        ("samples_in", report.samples_in),
+        ("samples_used", report.samples_used),
+        ("blocks", report.blocks),
+        ("raw_bits", report.raw_bits),
+        ("output_bits", report.output_bits),
+        ("bits_per_sample_effective", report.bits_per_sample_effective),
+        ("h_min_per_sample", report.h_min_per_sample),
+        ("epsilon", report.epsilon),
+        ("seed_provenance", report.seed_provenance),
+        ("pulse_rate_hz", report.pulse_rate),
+        ("equivalent_rate_bits_per_s", report.equivalent_rate_bits_per_s),
+        ("clipped_samples", report.clipped_samples),
+        ("fft_rounding_residual_max", report.fft_rounding_residual_max),
+    ])
     print(f"extract: {report.output_bits} bits from {report.samples_used} samples "
           f"({report.bits_per_sample_effective:.4f} bits/sample)")
     print(f"extract: equivalent rate "
@@ -260,14 +262,17 @@ def cmd_test(cfg: RunConfig) -> int:
     bits_path = out / "output.bits"
     if not bits_path.exists():
         raise ConfigError(f"no extracted bitstream at {bits_path}; run extract first")
-    bits = battery.bits_from_bytes(bits_path.read_bytes())
+    bits = np.unpackbits(np.frombuffer(bits_path.read_bytes(), dtype=np.uint8))
     try:
         report = battery.run_battery(bits, cfg.stats.string_bits,
                                      alpha=cfg.stats.alpha)
     except ValueError as exc:
         raise ConfigError(f"stats: {exc}") from None
     write_text_atomic(out / "battery.txt", report.to_text())
-    write_text_atomic(out / "battery.csv", report.to_csv())
+    write_csv(out / "battery.csv", [],
+              ["statistic", "proportion", "proportion_bound", "uniformity_p", "passed"],
+              [(r.name, r.proportion, r.proportion_bound, r.uniformity_p, int(r.passed))
+               for r in report.results])
     print(report.to_text(), end="")
     if not report.all_passed:
         raise SecurityModelViolation("randomness battery failed")
@@ -284,21 +289,28 @@ def cmd_attack(cfg: RunConfig) -> int:
         raise ConfigError(f"attack: {exc}") from None
     rng = substream(cfg.run.rng_seed, "attack")
     report = attacklab.run_attack(scenario, rng)
-    write_text_atomic(out / "attack_report.txt", report.to_text())
+    write_report(out / "attack_report.txt", [
+        ("lo_mode", scenario.lo_mode),
+        ("r", scenario.r),
+        ("delta", scenario.delta),
+        ("displaced", scenario.displaced),
+        ("n_rounds", scenario.n_rounds),
+        ("measured_variance", report.measured_variance),
+        ("eve_guess_rate", report.eve_guess_rate),
+        ("mimicry_pvalue", report.mimicry_pvalue),
+        ("vacuum_guess_bound", report.vacuum_guess_bound),
+    ])
 
     bins = states.bin_index(report.samples, a.delta)
     lo, hi = int(bins.min()), int(bins.max())
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     k = np.arange(lo, hi + 1)
     vacuum = 0.5 * (erf((k + 0.5) * a.delta) - erf((k - 0.5) * a.delta))
-    lines = [
-        "# attack outcome histogram against the exact vacuum bin masses",
-        f"# lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}",
-        "bin,count,vacuum_expected",
-    ]
-    lines += [f"{int(kk)},{int(c)},{float(scenario.n_rounds * v)!r}"
-              for kk, c, v in zip(k, counts, vacuum)]
-    write_text_atomic(out / "attack_histogram.csv", "\n".join(lines) + "\n")
+    write_csv(out / "attack_histogram.csv",
+              ["attack outcome histogram against the exact vacuum bin masses",
+               f"lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}"],
+              ["bin", "count", "vacuum_expected"],
+              zip(k.tolist(), counts.tolist(), (scenario.n_rounds * vacuum).tolist()))
 
     print(f"attack: lo_mode={a.lo_mode} variance {report.measured_variance:.4f}, "
           f"KS p {report.mimicry_pvalue:.4g}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import states
+from . import calibration, states
 from .detector import (FixedPhase, MeasurementConfig, UniformRandomPhase,
                        WrappedGaussianPhase)
 from .exceptions import ConfigError
@@ -293,10 +293,22 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError("stats.string_bits must be >= 100")
     if not 0.0 < cfg.stats.alpha < 0.5:
         raise ConfigError("stats.alpha must lie in (0, 0.5)")
-    if cfg.calibration.samples_per_point < 2:
-        raise ConfigError("calibration.samples_per_point must be >= 2")
-    if not cfg.calibration.powers:
+    cal = cfg.calibration
+    if cal.samples_per_point < calibration.MIN_SAMPLES_PER_POINT:
+        raise ConfigError("calibration.samples_per_point must be >= "
+                          f"{calibration.MIN_SAMPLES_PER_POINT}")
+    if not cal.powers:
         raise ConfigError("calibration.powers cannot be empty")
+    if cal.min_points < 3:
+        raise ConfigError("calibration.min_points must be >= 3")
+    if cal.conservatism < 0:
+        raise ConfigError("calibration.conservatism must be non-negative")
+    try:
+        calibration.RecalibrationPolicy(interval_seconds=cal.recalibration_interval,
+                                        drift_threshold=cal.drift_threshold)
+    except ValueError as exc:
+        raise ConfigError("calibration.recalibration_interval/drift_threshold: "
+                          f"{exc}") from None
     if cfg.verify.fock_n_max < 1 or cfg.verify.equivalence_states < 1:
         raise ConfigError("verify counts must be >= 1")
     if not 2 <= cfg.verify.equivalence_dim_max <= 16:
@@ -318,7 +330,7 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         try:
             with open(path, encoding="utf-8") as fh:
                 user.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"config syntax error in {path}: {exc}") from None

@@ -54,7 +54,6 @@ __all__ = [
     "RawSampleBlock",
     "draw_phases",
     "measure_pulses",
-    "measure_block",
     "quantize",
     "vacuum_unit_resolution",
     "write_block",
@@ -240,15 +239,6 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
                                        chain.modulation_freq, chain.notch_cutoff,
                                        chain.notch_taps)
     return raw, notched[pad_notch:pad_notch + count]
-
-
-def measure_block(state: QuantumStateModel, config: MeasurementConfig, count: int,
-                  rng: np.random.Generator, *, run_id: str = "run",
-                  timestamp: str = "1970-01-01T00:00:00Z") -> RawSampleBlock:
-    """Digitize ``count`` unfiltered pulses of ``state`` into one block."""
-    codes, clipped = quantize(measure_pulses(state, config, count, rng)[0], config)
-    return RawSampleBlock(codes=codes, config=config, run_id=run_id,
-                          timestamp=timestamp, clipped=clipped)
 
 
 def vacuum_unit_resolution(adc_step: float, gradient: float, power: float) -> float:

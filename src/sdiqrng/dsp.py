@@ -12,8 +12,7 @@ design frequency, so ``design_lowpass`` bisects the design frequency until
 the realized response crosses -3 dB at the requested cutoff.  Filtering uses
 reflect padding and compensates the group delay, returning a sequence of
 the input length; the first and last ``taps // 2`` output samples are
-contaminated by the padding and must be excluded from entropy accounting
-(``transient_samples``).
+contaminated by the padding and must be excluded from entropy accounting.
 
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
@@ -44,7 +43,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 __all__ = [
     "design_lowpass",
     "lowpass",
-    "transient_samples",
     "subsample_per_pulse",
     "remove_low_frequency",
     "autocorrelation",
@@ -108,11 +106,6 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
         if hi - lo < 1e-9 * nyq:
             break
     return _hamming_sinc(rate, 0.5 * (lo + hi), taps)
-
-
-def transient_samples(taps: int) -> int:
-    """Samples at each end of a filtered sequence contaminated by edge padding."""
-    return taps // 2
 
 
 def _padded(samples: np.ndarray, taps: int) -> np.ndarray:

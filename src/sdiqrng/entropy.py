@@ -24,7 +24,6 @@ from .exceptions import SecurityModelViolation
 __all__ = [
     "EntropyBound",
     "vacuum_min_entropy",
-    "small_delta_guessing_probability",
     "sdi_bound_check",
     "BoundCheckReport",
     "equivalent_bit_rate",
@@ -56,18 +55,6 @@ def vacuum_min_entropy(delta: float) -> EntropyBound:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     p = math.erf(delta / 2.0)
     return EntropyBound(delta=delta, guessing_probability=p, h_min_bits=-math.log2(p))
-
-
-def small_delta_guessing_probability(delta: float) -> float:
-    """First-order guessing probability delta / sqrt(pi), valid for delta <= 0.2.
-
-    The relative deviation from the exact erf form is below delta**2 / 12
-    on the admitted range; outside it the linearization is misleading and a
-    ValueError is raised.
-    """
-    if not math.isfinite(delta) or not 0.0 < delta <= 0.2:
-        raise ValueError(f"small-delta form only admitted for 0 < delta <= 0.2, got {delta!r}")
-    return delta / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,6 @@ __all__ = [
     "serialize_samples",
     "extract_stream",
     "AccountingReport",
-    "pack_bits",
-    "unpack_bits",
 ]
 
 
@@ -173,22 +171,10 @@ def test_prng_seed(seed_bits: int, rng_seed: int) -> ToeplitzSeed:
     return ToeplitzSeed(bits=bits, provenance="test-prng-insecure")
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack 0/1 bits MSB-first into uint8 bytes (final byte zero-padded)."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8))
-
-
-def unpack_bits(data: bytes | np.ndarray, n_bits: int) -> np.ndarray:
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    bits = np.unpackbits(arr)
-    if bits.size < n_bits:
-        raise ValueError(f"need {n_bits} bits, buffer holds {bits.size}")
-    return bits[:n_bits]
-
-
 def write_seed_file(path, seed: ToeplitzSeed) -> None:
+    """Write the seed bits packed MSB-first, the final byte zero-padded."""
     from ._io import write_bytes_atomic
-    write_bytes_atomic(path, pack_bits(seed.bits).tobytes())
+    write_bytes_atomic(path, np.packbits(np.asarray(seed.bits, dtype=np.uint8)).tobytes())
 
 
 def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:
@@ -200,7 +186,8 @@ def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:
         raise ValueError(
             f"{path}: seed file holds {len(data)} bytes, need exactly {expect} "
             f"for {seed_bits} bits")
-    return ToeplitzSeed(bits=unpack_bits(data, seed_bits), provenance=f"file:{path}")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:seed_bits]
+    return ToeplitzSeed(bits=bits, provenance=f"file:{path}")
 
 
 def _check_hash_args(x: np.ndarray, seed: np.ndarray, m: int) -> int:
@@ -267,13 +254,7 @@ def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray,
     return (rounded.astype(np.int64) & 1).astype(np.uint8).ravel(), residual
 
 
-def _toeplitz_fft(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
-    """FFT route for one block: every output parity is a coefficient of conv(seed, x)."""
-    return _fft_parities(x[None, :], _seed_spectrum(seed), m)[0]
-
-
 def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
-                  method: str = "fft",
                   residual: np.ndarray | None = None) -> np.ndarray:
     """GF(2) Toeplitz hash of ``input_bits`` down to ``m`` bits per block.
 
@@ -282,24 +263,17 @@ def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
     the m-bit outputs are returned concatenated.  Input of any other length
     is an error.
 
-    ``method`` picks the route: "fft" (default) or "naive" (the reference
-    oracle).  The two are bit-identical; tests enforce it across sizes.  A
-    ``ToeplitzSeed`` carries its FFT spectrum across calls; a bare array
-    seed is transformed on every call.  When ``residual`` is given, a
-    one-element float array, the FFT route stores its rounding residual
-    ``max|c - rint(c)|`` there (the naive route stores 0).
+    Hashing runs on the FFT route; tests hold it bit-identical to the
+    ``_toeplitz_naive`` oracle across sizes.  A ``ToeplitzSeed`` carries
+    its FFT spectrum across calls; a bare array seed is transformed on every
+    call.  When ``residual`` is given, a one-element float array, the
+    rounding residual ``max|c - rint(c)|`` is stored there.
     """
     x = np.asarray(input_bits, dtype=np.uint8)
     s = np.asarray(seed.bits if isinstance(seed, ToeplitzSeed) else seed, dtype=np.uint8)
     n = _check_hash_args(x, s, m)
-    blocks = x.reshape(-1, n)
-    if method == "naive":
-        out, worst = np.concatenate([_toeplitz_naive(b, s, m) for b in blocks]), 0.0
-    elif method == "fft":
-        spectrum = seed.spectrum if isinstance(seed, ToeplitzSeed) else _seed_spectrum(s)
-        out, worst = _fft_parities(blocks, spectrum, m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    spectrum = seed.spectrum if isinstance(seed, ToeplitzSeed) else _seed_spectrum(s)
+    out, worst = _fft_parities(x.reshape(-1, n), spectrum, m)
     if residual is not None:
         residual[0] = worst
     return out
@@ -341,24 +315,6 @@ class AccountingReport:
     @property
     def equivalent_rate_bits_per_s(self) -> float:
         return equivalent_bit_rate(self.pulse_rate, self.bits_per_sample_effective)
-
-    def to_text(self) -> str:
-        lines = [
-            f"samples_in: {self.samples_in}",
-            f"samples_used: {self.samples_used}",
-            f"blocks: {self.blocks}",
-            f"raw_bits: {self.raw_bits}",
-            f"output_bits: {self.output_bits}",
-            f"bits_per_sample_effective: {self.bits_per_sample_effective!r}",
-            f"h_min_per_sample: {self.h_min_per_sample!r}",
-            f"epsilon: {self.epsilon!r}",
-            f"seed_provenance: {self.seed_provenance}",
-            f"pulse_rate_hz: {self.pulse_rate!r}",
-            f"equivalent_rate_bits_per_s: {self.equivalent_rate_bits_per_s!r}",
-            f"clipped_samples: {self.clipped_samples}",
-            f"fft_rounding_residual_max: {self.fft_rounding_residual_max!r}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,

@@ -172,14 +172,6 @@ def _fock_psi_sq(n: int, q: np.ndarray) -> np.ndarray:
     return psi * psi
 
 
-def _fock_psi_sq_table(n_max: int, q: np.ndarray) -> np.ndarray:
-    """All |psi_n(q)|^2 for n = 0..n_max, shape (n_max + 1, len(q))."""
-    out = np.empty((n_max + 1, np.size(q)), dtype=float)
-    for n, psi in enumerate(_fock_psi(n_max, q)):
-        out[n] = psi * psi
-    return out
-
-
 def _gaussian_moments(state: QuantumStateModel, theta: float) -> tuple[float, float] | None:
     """(mean, variance) for the Gaussian-family states, None otherwise."""
     match state:
@@ -335,6 +327,8 @@ def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float,
     the integrand is analytic so the error is far below 1e-12 for the bin
     widths used here.  Each entry depends only on n and its bin, not on
     n_max or the window, so one table serves every state up to n_max.
+    Each row is reduced over the nodes as the recurrence yields it, so the
+    (n_max + 1) x bins x nodes table of |psi_n|^2 is never built.
     """
     k_max = int(math.ceil((halfwidth + delta) / delta))
     k_values = np.arange(-k_max, k_max + 1)
@@ -342,9 +336,10 @@ def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float,
     x, w = _gl_nodes(nodes)
     # map [-1, 1] nodes into every bin at once
     pts = edges_lo[:, None] + (x[None, :] + 1.0) * (delta / 2.0)
-    table = _fock_psi_sq_table(n_max, pts.ravel())
-    table = table.reshape(n_max + 1, k_values.size, nodes)
-    return table @ w * (delta / 2.0)
+    out = np.empty((n_max + 1, k_values.size))
+    for n, psi in enumerate(_fock_psi(n_max, pts)):
+        out[n] = (psi * psi) @ w
+    return out * (delta / 2.0)
 
 
 def _gaussian_max_bin(mean: float, var: float, delta: float) -> float:

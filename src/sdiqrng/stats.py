@@ -26,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
-    "bits_from_bytes",
     "frequency_test",
     "block_frequency_test",
     "runs_test",
@@ -50,13 +49,6 @@ UNIMPLEMENTED_TESTS = (
     "random-excursions",
     "random-excursions-variant",
 )
-
-
-def bits_from_bytes(data) -> np.ndarray:
-    """Unpack bytes (or a uint8 array) into a 0/1 array, MSB first."""
-    arr = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
-        data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
-    return np.unpackbits(arr)
 
 
 def _check_bits(bits: np.ndarray, minimum: int, name: str) -> np.ndarray:
@@ -306,13 +298,6 @@ class BatteryReport:
         lines.append("not implemented: " + ", ".join(self.unimplemented))
         lines.append(f"overall: {'pass' if self.all_passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        rows = ["statistic,proportion,proportion_bound,uniformity_p,passed"]
-        for r in self.results:
-            rows.append(f"{r.name},{r.proportion!r},{r.proportion_bound!r},"
-                        f"{r.uniformity_p!r},{int(r.passed)}")
-        return "\n".join(rows) + "\n"
 
 
 def _uniformity_p(p_values: np.ndarray) -> float:

@@ -185,8 +185,9 @@ def test_acceptance_6_calibration_recovery(capsys):
             electronic_noise_var=config.electronic_noise_var,
             excess_noise_var=0.0, excess_noise_tracks_power=False,
             conversion_gain=gain)
-        block = detector.measure_block(states.Vacuum(), cfg_p, 10 ** 6, rng)
-        variance = float(np.var(block.codes.astype(float) * config.adc_step))
+        codes, _ = detector.quantize(
+            detector.measure_pulses(states.Vacuum(), cfg_p, 10 ** 6, rng)[0], cfg_p)
+        variance = float(np.var(codes.astype(float) * config.adc_step))
         points.append(calibration.CalibrationPoint(
             power=power, variance=variance, n_samples=10 ** 6))
     result = calibration.fit_calibration(points, config.adc_step,
@@ -225,7 +226,7 @@ def test_acceptance_7_extractor_oracle_equivalence(capsys):
         biggest = max(biggest, n)
         x = rng.integers(0, 2, n).astype(np.uint8)
         seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
-        fast = extractor._toeplitz_fft(x, seed, m)
+        fast = extractor.toeplitz_hash(x, seed, m)
         naive = extractor._toeplitz_naive(x, seed, m)
         if not np.array_equal(fast, naive):
             mismatches += 1

@@ -21,7 +21,7 @@ from sdiqrng.calibration import (
     read_log,
     recalibration_decision,
 )
-from sdiqrng.detector import FixedPhase, MeasurementConfig, measure_block
+from sdiqrng.detector import FixedPhase, MeasurementConfig, measure_pulses, quantize
 from sdiqrng.exceptions import CalibrationError
 from sdiqrng.states import Vacuum
 
@@ -76,10 +76,10 @@ def test_simulated_sweep_recovers_gain_and_noise():
         cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0), lo_power=p,
                                 conversion_gain=50.0,
                                 electronic_noise_var=3.0)
-        block = measure_block(Vacuum(), cfg, 1_000_000,
-                              np.random.default_rng(100 + i))
-        analog = block.codes.astype(float) * cfg.adc_step
-        points.append(CalibrationPoint(p, float(np.var(analog)), len(block)))
+        codes, _ = quantize(measure_pulses(Vacuum(), cfg, 1_000_000,
+                                           np.random.default_rng(100 + i))[0], cfg)
+        analog = codes.astype(float) * cfg.adc_step
+        points.append(CalibrationPoint(p, float(np.var(analog)), codes.size))
     res = fit_calibration(points, adc_step=cfg.adc_step)
     assert res.gradient == pytest.approx(50.0, rel=0.02)
     # quantization adds step^2/12 on top of the electronic noise
@@ -216,6 +216,15 @@ def test_log_roundtrip(tmp_path):
 
     log.write_text("# comment\n\nnot,a,valid,line\n")
     with pytest.raises(CalibrationError, match="malformed"):
+        read_log(log)
+    # the right field count with one field not a number
+    fields = lines[0].split(",")
+    fields[3] = "banana"
+    log.write_text(lines[0] + "\n" + ",".join(fields) + "\n")
+    with pytest.raises(CalibrationError, match=r"calibration\.log:2: malformed"):
+        read_log(log)
+    log.write_bytes(lines[0].encode() + b"\n\xff\xfe\n")
+    with pytest.raises(CalibrationError, match="not UTF-8"):
         read_log(log)
 
 

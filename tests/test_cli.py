@@ -147,12 +147,17 @@ def test_battery_artifacts(pipeline):
     csv = (out / "battery.csv").read_text().splitlines()
     assert csv[0] == "statistic,proportion,proportion_bound,uniformity_p,passed"
     assert len(csv) == 1 + 10
+    for row in csv[1:]:
+        assert len(row.split(",")) == 5
 
 
 def test_attack_artifacts(pipeline):
     root, cfg_path, out = pipeline
     report = (out / "attack_report.txt").read_text()
     assert report.startswith("lo_mode: fixed")
+    for key in ("r: 1.5", "measured_variance:", "eve_guess_rate:",
+                "vacuum_guess_bound:"):
+        assert key in report
     hist = (out / "attack_histogram.csv").read_text().splitlines()
     assert hist[2] == "bin,count,vacuum_expected"
     counts = [int(line.split(",")[1]) for line in hist[3:]]
@@ -279,6 +284,18 @@ def test_stale_calibration_exits_3(pipeline, tmp_path):
         "timestamp = 1786752000.0", "timestamp = 1786752700.0")
     (tmp_path / "late.cfg").write_text(text)
     assert main(["extract", "--config", late_cfg, "--out", str(stale_dir)]) == 3
+
+
+def test_malformed_calibration_log_exits_3(pipeline, tmp_path, capsys):
+    root, cfg_path, out = pipeline
+    bad_dir = tmp_path / "badlog"
+    bad_dir.mkdir()
+    shutil.copytree(out / "blocks", bad_dir / "blocks")
+    fields = (out / "calibration.csv").read_text().rstrip("\n").split(",")
+    fields[1] = "1.2.3"
+    (bad_dir / "calibration.csv").write_text(",".join(fields) + "\n")
+    assert main(["extract", "--config", cfg_path, "--out", str(bad_dir)]) == 3
+    assert "calibration.csv:1: malformed log line" in capsys.readouterr().err
 
 
 def test_infeasible_plan_exits_4(pipeline, tmp_path):

@@ -80,6 +80,10 @@ def test_missing_file_and_syntax_error(tmp_path):
         load_config(str(tmp_path / "nope.cfg"))
     with pytest.raises(ConfigError, match="config syntax error"):
         load_config(write_cfg(tmp_path, "rng_seed = 1\n"))  # key before section
+    not_utf8 = tmp_path / "latin.cfg"
+    not_utf8.write_bytes(b"[run]\nout_dir = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(str(not_utf8))
 
 
 def test_typed_conversion_errors(tmp_path):
@@ -196,6 +200,11 @@ def test_detector_policies_and_validation(tmp_path):
     ("[stats]\nalpha = 0.5", "alpha"),
     ("[calibration]\nsamples_per_point = 1", "samples_per_point"),
     ("[calibration]\npowers =", "powers"),
+    ("[calibration]\nsamples_per_point = 5000", "samples_per_point"),
+    ("[calibration]\nmin_points = 2", "min_points"),
+    ("[calibration]\nconservatism = -1", "conservatism"),
+    ("[calibration]\ndrift_threshold = 1.5", "drift_threshold must lie in"),
+    ("[calibration]\nrecalibration_interval = 0", "interval_seconds must be positive"),
     ("[verify]\nequivalence_dim_max = 17", "equivalence_dim_max"),
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
 ])

@@ -20,7 +20,6 @@ from sdiqrng.detector import (
     WrappedGaussianPhase,
     block_to_bytes,
     draw_phases,
-    measure_block,
     measure_pulses,
     quantize,
     read_block,
@@ -88,25 +87,31 @@ def test_quantized_gaussian_variance_golden():
     assert np.var(codes) == pytest.approx(oracle, abs=2.0)
 
 
+def measured_codes(state, cfg, count, seed):
+    """ADC codes and clip count of ``count`` unfiltered pulses of ``state``."""
+    return quantize(measure_pulses(state, cfg, count, np.random.default_rng(seed))[0],
+                    cfg)
+
+
 def test_measure_block_vacuum_code_variance():
     cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
-    block = measure_block(Vacuum(), cfg, 1_000_000, np.random.default_rng(3))
+    codes, clipped = measured_codes(Vacuum(), cfg, 1_000_000, 3)
     sigma_codes = math.sqrt(cfg.conversion_gain * cfg.lo_power) / cfg.adc_step
     want = oracle_quantized_gaussian_var(sigma_codes, cfg.adc_bits)
     assert want == pytest.approx(cfg.conversion_gain / cfg.adc_step ** 2
                                  + 1.0 / 12.0, rel=1e-6)
-    assert np.var(block.codes) == pytest.approx(want, rel=0.01)
-    assert abs(np.mean(block.codes)) < 0.08
-    assert block.clipped == 0
+    assert np.var(codes) == pytest.approx(want, rel=0.01)
+    assert abs(np.mean(codes)) < 0.08
+    assert clipped == 0
 
 
 def test_electronic_noise_adds_to_analog_variance():
     cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0),
                             electronic_noise_var=50.0)
-    block = measure_block(Vacuum(), cfg, 500_000, np.random.default_rng(13))
+    codes, _ = measured_codes(Vacuum(), cfg, 500_000, 13)
     sigma_codes = math.sqrt(cfg.conversion_gain + 50.0) / cfg.adc_step
     want = oracle_quantized_gaussian_var(sigma_codes, cfg.adc_bits)
-    assert np.var(block.codes) == pytest.approx(want, rel=0.015)
+    assert np.var(codes) == pytest.approx(want, rel=0.015)
 
 
 def test_excess_noise_power_tracking_flag():
@@ -117,10 +122,10 @@ def test_excess_noise_power_tracking_flag():
     static = MeasurementConfig(excess_noise_tracks_power=False, **base)
     var_vac = 2.0 * 136.0 * 4.0 * 0.5
     for cfg, excess in ((tracking, 40.0), (static, 10.0)):
-        block = measure_block(Vacuum(), cfg, 500_000, np.random.default_rng(17))
+        codes, _ = measured_codes(Vacuum(), cfg, 500_000, 17)
         sigma_codes = math.sqrt(var_vac + excess) / cfg.adc_step
         want = oracle_quantized_gaussian_var(sigma_codes, cfg.adc_bits)
-        assert np.var(block.codes) == pytest.approx(want, rel=0.01)
+        assert np.var(codes) == pytest.approx(want, rel=0.01)
 
 
 def test_vacuum_unit_resolution_formula():
@@ -138,7 +143,7 @@ def test_vacuum_unit_resolution_formula():
 def test_vacuum_codes_follow_analytic_bin_masses():
     """Dual route: histogram of measured codes vs erf-difference bin masses."""
     cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
-    block = measure_block(Vacuum(), cfg, 200_000, np.random.default_rng(23))
+    codes, _ = measured_codes(Vacuum(), cfg, 200_000, 23)
     delta = vacuum_unit_resolution(cfg.adc_step, cfg.conversion_gain,
                                    cfg.lo_power)
     k = np.arange(cfg.code_min, cfg.code_max + 1)
@@ -146,13 +151,13 @@ def test_vacuum_codes_follow_analytic_bin_masses():
     lower = np.where(k == cfg.code_min, -np.inf, (k - 0.5) * delta)
     masses = 0.5 * (np.vectorize(math.erf)(np.clip(upper, -40, 40))
                     - np.vectorize(math.erf)(np.clip(lower, -40, 40)))
-    observed = np.bincount(block.codes - cfg.code_min, minlength=k.size)
+    observed = np.bincount(codes - cfg.code_min, minlength=k.size)
     # merge codes into equal-probability groups so every cell is populated
     targets = np.arange(1, 40) / 40.0
     cuts = np.searchsorted(np.cumsum(masses), targets)
     groups = np.concatenate(([0], cuts, [k.size]))
     obs_g = np.add.reduceat(observed, groups[:-1])
-    exp_g = np.add.reduceat(masses, groups[:-1]) * block.codes.size
+    exp_g = np.add.reduceat(masses, groups[:-1]) * codes.size
     exp_g *= obs_g.sum() / exp_g.sum()
     assert sps.chisquare(obs_g, exp_g).pvalue > 0.001
 
@@ -174,13 +179,13 @@ def test_draw_phases_policies():
 
 def test_measure_block_deterministic_per_seed():
     cfg = MeasurementConfig()
-    a = measure_block(Vacuum(), cfg, 4096, np.random.default_rng(99))
-    b = measure_block(Vacuum(), cfg, 4096, np.random.default_rng(99))
-    c = measure_block(Vacuum(), cfg, 4096, np.random.default_rng(100))
-    np.testing.assert_array_equal(a.codes, b.codes)
-    assert not np.array_equal(a.codes, c.codes)
+    a, _ = measured_codes(Vacuum(), cfg, 4096, 99)
+    b, _ = measured_codes(Vacuum(), cfg, 4096, 99)
+    c, _ = measured_codes(Vacuum(), cfg, 4096, 100)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        measure_block(Vacuum(), cfg, 0, np.random.default_rng(1))
+        measure_pulses(Vacuum(), cfg, 0, np.random.default_rng(1))
 
 
 def test_measure_pulses_without_chain_returns_one_stream_twice():
@@ -192,15 +197,6 @@ def test_measure_pulses_without_chain_returns_one_stream_twice():
     raw, filtered = measure_pulses(Vacuum(), cfg, 4096, np.random.default_rng(5),
                                    chain)
     assert raw is filtered
-
-
-def test_measure_block_quantizes_the_unfiltered_pulses():
-    cfg = MeasurementConfig(electronic_noise_var=2.0, excess_noise_var=1.0)
-    block = measure_block(Vacuum(), cfg, 4096, np.random.default_rng(9))
-    raw, _ = measure_pulses(Vacuum(), cfg, 4096, np.random.default_rng(9))
-    codes, clipped = quantize(raw, cfg)
-    np.testing.assert_array_equal(block.codes, codes)
-    assert block.clipped == clipped
 
 
 @pytest.mark.parametrize("notch", ["true", "false"])
@@ -217,8 +213,9 @@ def test_measure_pulses_chain_streams_have_count_samples(notch):
 
 def test_block_serialization_roundtrip(tmp_path):
     cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
-    block = measure_block(Vacuum(), cfg, 1000, np.random.default_rng(41),
-                          run_id="unit", timestamp="2026-08-15T00:00:00Z")
+    codes, clipped = measured_codes(Vacuum(), cfg, 1000, 41)
+    block = RawSampleBlock(codes=codes, config=cfg, run_id="unit",
+                           timestamp="2026-08-15T00:00:00Z", clipped=clipped)
     path = tmp_path / "block.bin"
     write_block(path, block)
     back = read_block(path, cfg)

@@ -21,7 +21,6 @@ from sdiqrng.dsp import (
     lowpass,
     remove_low_frequency,
     subsample_per_pulse,
-    transient_samples,
 )
 
 
@@ -36,7 +35,7 @@ def _tone(freq, rate, n, phase=0.0):
 
 
 def _amplitude(x, taps):
-    core = x[transient_samples(taps):x.size - transient_samples(taps)]
+    core = x[taps // 2:x.size - taps // 2]
     return math.sqrt(2.0 * np.mean(core * core))
 
 

@@ -17,7 +17,6 @@ from sdiqrng.entropy import (
     EntropyBound,
     equivalent_bit_rate,
     sdi_bound_check,
-    small_delta_guessing_probability,
     vacuum_min_entropy,
 )
 from sdiqrng.exceptions import SecurityModelViolation
@@ -64,23 +63,6 @@ def test_bound_consistency_and_monotonicity():
             b.guessing_probability, rel=1e-12)
         assert b.h_min_bits < h_prev
         h_prev = b.h_min_bits
-
-
-def test_small_delta_form():
-    val = small_delta_guessing_probability(0.1)
-    assert val == pytest.approx(0.1 / math.sqrt(math.pi), rel=1e-15)
-    assert val == pytest.approx(0.056419, abs=5e-7)
-    # agrees with the exact erf form to 0.1% at delta = 0.1
-    assert val == pytest.approx(ERF_005, rel=1e-3)
-    assert math.erf(0.05) == pytest.approx(ERF_005, rel=1e-14)
-    # the linearization error stays below delta^2 / 12 on the whole range
-    for d in np.linspace(0.005, 0.2, 40):
-        exact = math.erf(d / 2.0)
-        approx_p = small_delta_guessing_probability(float(d))
-        assert abs(approx_p - exact) / approx_p < d * d / 12.0
-    for bad in (0.5, 0.2000001, 0.0, -0.1, float("nan")):
-        with pytest.raises(ValueError):
-            small_delta_guessing_probability(bad)
 
 
 def test_bound_check_fock_ladder():

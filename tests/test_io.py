@@ -1,0 +1,23 @@
+"""Byte-exact layouts of the two text artifact writers."""
+
+from sdiqrng._io import write_csv, write_report
+
+
+def test_report_layout(tmp_path):
+    path = tmp_path / "report.txt"
+    write_report(path, [("decision", "keep"), ("blocks", 3), ("rate", 0.1),
+                        ("big", 270000000.0), ("flag", False), ("pair", "1.5 +- 0.25")])
+    assert path.read_bytes() == (b"decision: keep\nblocks: 3\nrate: 0.1\n"
+                                 b"big: 270000000.0\nflag: False\npair: 1.5 +- 0.25\n")
+    write_report(path, [])
+    assert path.read_bytes() == b""
+
+
+def test_csv_layout(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["title line", "n=2 ci95=0.5"], ["lag", "coefficient"],
+              enumerate([1.0, -0.0625]))
+    assert path.read_bytes() == (b"# title line\n# n=2 ci95=0.5\nlag,coefficient\n"
+                                 b"0,1.0\n1,-0.0625\n")
+    write_csv(path, [], ["name", "p", "passed"], [("runs", 1e-05, 1)])
+    assert path.read_bytes() == b"name,p,passed\nruns,1e-05,1\n"
