@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -270,8 +271,8 @@ def _cross_validate(cfg: RunConfig) -> None:
             raise ConfigError("dsp.pulse_duty must lie in (0, 1]")
         if not 0.0 <= d.sample_phase < 1.0:
             raise ConfigError("dsp.sample_phase must lie in [0, 1)")
-        if d.lowpass_taps % 2 == 0 or d.notch_taps % 2 == 0:
-            raise ConfigError("dsp tap counts must be odd (linear phase)")
+        if any(taps % 2 == 0 or taps < 5 for taps in (d.lowpass_taps, d.notch_taps)):
+            raise ConfigError("dsp tap counts must be odd (linear phase) and >= 5")
         if d.notch_enabled:
             if d.modulation_freq > det.pulse_rate / 2.0:
                 raise ConfigError("dsp.modulation_freq cannot exceed pulse Nyquist")
@@ -301,6 +302,14 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError("calibration.powers cannot be empty")
     if cal.min_points < 3:
         raise ConfigError("calibration.min_points must be >= 3")
+    distinct = sorted(set(cal.powers))
+    if not all(0.0 < p < math.inf for p in distinct):
+        raise ConfigError("calibration.powers must be positive and finite")
+    if distinct[-1] / distinct[0] < 2.0:
+        raise ConfigError("calibration.powers must span at least 2x (max/min)")
+    if cal.min_points > len(distinct):
+        raise ConfigError(f"calibration.min_points ({cal.min_points}) exceeds the "
+                          f"{len(distinct)} distinct calibration.powers")
     if cal.conservatism < 0:
         raise ConfigError("calibration.conservatism must be non-negative")
     try:

@@ -21,10 +21,12 @@ units, which is where the bin-width conversion
 comes from (``m`` is the calibrated variance-vs-power gradient).
 
 With the analog filtering chain switched on (``measure_pulses`` given an
-enabled chain), each pulse instead occupies ``oversample`` input samples,
-the noise enters white at that input rate, and the anti-alias low-pass,
-per-pulse subsampling and optional drift notch of ``dsp`` run before
-digitization.
+enabled chain), each pulse instead occupies ``oversample`` input samples and
+the noise enters white at that input rate.  One decimating ``dsp.lowpass``
+call then filters the oversampled wave and keeps the sample at
+``sample_phase`` of every pulse, and the optional drift notch of ``dsp`` runs
+on those per-pulse samples before digitization.  Only the oversampled wave
+itself is held at the input rate.
 
 Raw blocks serialize to a little-endian binary format with a fixed 9-line
 ASCII header (magic, version, bits, count, clipped count, config hash, run
@@ -197,7 +199,7 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     ``pulse_duty`` fraction of its period at ``oversample`` input samples
     per period, and the noise enters white at the input rate.  Returns two
     per-pulse analog streams with all filter transients trimmed: the
-    low-passed, subsampled stream before drift removal, and the final
+    low-passed, decimated stream before drift removal, and the final
     filtered stream.
     """
     states.validate_state(state)
@@ -212,14 +214,19 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     theta = draw_phases(config.lo_phase_policy, n_sim, rng)
     q = states.sample_quadrature(state, theta, rng, size=n_sim)
     wave = q * math.sqrt(2.0 * config.conversion_gain * config.lo_power)
+    electronic = config.electronic_noise_var
     if filtering:
+        # the flat top is added into the electronic-noise draw (e + s == s + e
+        # exactly), so no pulse matrix of zeros is built when that noise is on
+        shape = (n_sim, ratio)
+        pulses = (rng.normal(0.0, math.sqrt(electronic), shape) if electronic > 0
+                  else np.zeros(shape))
         width = max(1, int(round(ratio * chain.pulse_duty)))
         start = (ratio - width) // 2
-        pulses = np.zeros((n_sim, ratio))
-        pulses[:, start:start + width] = wave[:, None]
+        pulses[:, start:start + width] += wave[:, None]
         wave = pulses.ravel()
-    if config.electronic_noise_var > 0:
-        wave += rng.normal(0.0, math.sqrt(config.electronic_noise_var), wave.size)
+    elif electronic > 0:
+        wave += rng.normal(0.0, math.sqrt(electronic), wave.size)
     excess = config.excess_noise_var * (
         config.lo_power if config.excess_noise_tracks_power else 1.0)
     if excess > 0:
@@ -227,10 +234,10 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     if not filtering:
         return wave, wave
 
-    in_rate = ratio * config.pulse_rate
-    filtered = dsp.lowpass(wave, in_rate, chain.lowpass_cutoff, chain.lowpass_taps)
-    per_pulse = dsp.subsample_per_pulse(filtered, in_rate, config.pulse_rate,
-                                        chain.sample_phase)
+    per_pulse = dsp.lowpass(wave, ratio * config.pulse_rate, chain.lowpass_cutoff,
+                            chain.lowpass_taps, decimate=ratio,
+                            sample_phase=chain.sample_phase)
+    del pulses, wave   # the notch needs only the per-pulse samples
     per_pulse = per_pulse[pad_lp:pad_lp + count + 2 * pad_notch]
     raw = per_pulse[pad_notch:pad_notch + count]
     if not chain.notch_enabled:

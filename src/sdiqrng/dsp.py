@@ -1,18 +1,25 @@
-"""Offline DSP chain: anti-alias filtering, per-pulse subsampling, drift
-removal and whiteness diagnostics.
+"""Offline DSP chain: anti-alias filtering with decimation to one sample per
+pulse, drift removal and whiteness diagnostics.
 
 The filters are linear-phase FIR (windowed-sinc, Hamming window).  The
 design is numpy only and mirrors the operation order of
 ``scipy.signal.firwin(taps, f, window="hamming", fs=rate)``, so its taps are
-bitwise equal to scipy's; convolution runs on ``scipy.fft`` at the size and
-slice of ``scipy.signal.fftconvolve(..., mode="valid")``, so its output is
-bitwise equal too, and no stage has to import ``scipy.signal``.  A
-plain windowed-sinc design places its half-amplitude (-6 dB) point at the
-design frequency, so ``design_lowpass`` bisects the design frequency until
-the realized response crosses -3 dB at the requested cutoff.  Filtering uses
-reflect padding and compensates the group delay, returning a sequence of
-the input length; the first and last ``taps // 2`` output samples are
-contaminated by the padding and must be excluded from entropy accounting.
+bitwise equal to scipy's.  A plain windowed-sinc design places its
+half-amplitude (-6 dB) point at the design frequency, so ``design_lowpass``
+bisects the design frequency until the realized response crosses -3 dB at
+the requested cutoff.
+
+``lowpass`` is the one filter engine: FFT convolution on ``scipy.fft`` of
+the reflect-padded input, group delay compensated, so no stage has to import
+``scipy.signal``.  Without decimation it is a single transform at the size
+and slice of ``scipy.signal.fftconvolve(..., mode="valid")``, bitwise equal
+to it, and returns a sequence of the input length.  With ``decimate = D`` it
+keeps one output per D inputs (one per pulse period, at ``sample_phase``
+within the period) and runs overlap-save over fixed cache-sized blocks: only
+the edge blocks are reflect padded, and neither the full-rate output nor a
+padded copy of the input is ever built.  The first and last ``taps // 2``
+full-rate outputs are contaminated by the padding and must be excluded from
+entropy accounting.
 
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
@@ -43,7 +50,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 __all__ = [
     "design_lowpass",
     "lowpass",
-    "subsample_per_pulse",
     "remove_low_frequency",
     "autocorrelation",
     "AutocorrelationReport",
@@ -57,11 +63,6 @@ def _validate_filter_args(rate: float, cutoff: float, taps: int) -> None:
         raise ValueError(f"cutoff must lie in (0, rate/2), got {cutoff}")
     if taps < 5 or taps % 2 == 0:
         raise ValueError(f"taps must be an odd integer >= 5, got {taps}")
-
-
-def _response_magnitude(h: np.ndarray, freq: float, rate: float) -> float:
-    k = np.arange(h.size)
-    return float(np.abs(np.dot(h, np.exp(-2j * np.pi * freq * k / rate))))
 
 
 def _hamming_sinc(rate: float, freq: float, taps: int) -> np.ndarray:
@@ -85,10 +86,10 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     _validate_filter_args(rate, cutoff, taps)
     nyq = rate / 2.0
     target = 2.0 ** -0.5
+    probe = np.exp(-2j * np.pi * cutoff * np.arange(taps) / rate)
 
     def miss(design_freq: float) -> float:
-        return _response_magnitude(_hamming_sinc(rate, design_freq, taps),
-                                   cutoff, rate) - target
+        return float(np.abs(np.dot(_hamming_sinc(rate, design_freq, taps), probe))) - target
 
     transition = 3.3 * rate / taps
     lo = cutoff
@@ -108,45 +109,68 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     return _hamming_sinc(rate, 0.5 * (lo + hi), taps)
 
 
-def _padded(samples: np.ndarray, taps: int) -> np.ndarray:
-    half = taps // 2
-    if samples.size <= half:
-        raise ValueError(f"need more than taps//2 = {half} samples, got {samples.size}")
-    return np.pad(samples, half, mode="reflect")
+def _reflected(x: np.ndarray, half: int, start: int, stop: int) -> np.ndarray:
+    """``np.pad(x, half, mode="reflect")[start:stop]`` without padding all of ``x``."""
+    n = x.size
+    if start >= half and stop <= half + n:
+        return x[start - half:stop - half]
+    head = np.arange(start, min(stop, half))
+    tail = np.arange(max(start, half + n), stop)
+    middle = x[max(start - half, 0):max(min(stop - half, n), 0)]
+    return np.concatenate((x[half - head], middle, x[2 * (n - 1) + half - tail]))
 
 
-def lowpass(samples, rate: float, cutoff: float, taps: int = 201) -> np.ndarray:
-    """Low-pass filter by FFT convolution; same length as the input, group
-    delay compensated."""
+def _block_size(taps: int, decimate: int) -> int:
+    """Transform length of one overlap-save block when decimating.
+
+    Transforms of this size stay in cache (2**14 points ran about twice as
+    fast as 2**16 over 8M samples); each block yields
+    ``(size - taps + 1) // decimate`` kept outputs.
+    """
+    return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate), True)
+
+
+def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
+            decimate: int = 1, sample_phase: float = 0.5) -> np.ndarray:
+    """Low-pass filter by FFT convolution, group delay compensated.
+
+    ``decimate = 1`` returns a sequence of the input length.  An integer
+    ``decimate > 1`` keeps one output per ``decimate`` inputs, the one at
+    ``sample_phase`` in [0, 1) of each period (0.5 = mid-pulse), for the
+    ``len(samples) // decimate`` whole periods; it equals the full output
+    strided from offset ``min(round(sample_phase * decimate), decimate - 1)``
+    to within rounding.
+    """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("samples must be 1-d")
-    h = design_lowpass(rate, cutoff, taps)
-    padded = _padded(x, taps)
-    size = next_fast_len(padded.size + taps - 1, True)
-    full = irfft(rfft(padded, size) * rfft(h, size), size)
-    return full[taps - 1:padded.size]
-
-
-def subsample_per_pulse(samples, input_rate: float, pulse_rate: float,
-                        sample_phase: float = 0.5) -> np.ndarray:
-    """Keep one sample per pulse period.
-
-    ``input_rate / pulse_rate`` must be an integer ratio; ``sample_phase``
-    in [0, 1) selects the intra-pulse position (0.5 = mid-pulse).
-    """
-    x = np.asarray(samples)
-    if input_rate <= 0 or pulse_rate <= 0:
-        raise ValueError("rates must be positive")
-    ratio_f = input_rate / pulse_rate
-    ratio = int(round(ratio_f))
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9 * ratio:
-        raise ValueError(f"input_rate/pulse_rate = {ratio_f} is not a positive integer")
+    if isinstance(decimate, bool) or decimate != int(decimate) or decimate < 1:
+        raise ValueError(f"decimate must be a positive integer, got {decimate!r}")
+    decimate = int(decimate)
     if not 0.0 <= sample_phase < 1.0:
         raise ValueError("sample_phase must lie in [0, 1)")
-    offset = min(int(round(sample_phase * ratio)), ratio - 1)
-    n_pulses = x.shape[-1] // ratio
-    return x[..., offset:n_pulses * ratio:ratio]
+    h = design_lowpass(rate, cutoff, taps)
+    half = taps // 2
+    if x.size <= half:
+        raise ValueError(f"need more than taps//2 = {half} samples, got {x.size}")
+    offset = min(int(round(sample_phase * decimate)), decimate - 1)
+    count = x.size // decimate
+    if decimate == 1:
+        # one transform over the whole padded input: bitwise fftconvolve
+        size = next_fast_len(x.size + 2 * (taps - 1), True)
+    else:
+        size = _block_size(taps, decimate)
+    per_block = (size - taps + 1) // decimate
+    spectrum = rfft(h, size)
+    keep = taps - 1 + offset
+    out = np.empty(count)
+    for first in range(0, count, per_block):
+        last = min(count, first + per_block)
+        segment = _reflected(x, half, first * decimate,
+                             (last - 1) * decimate + offset + taps)
+        full = irfft(rfft(segment, size) * spectrum, size)
+        out[first:last] = full[keep:keep + (last - first) * decimate:decimate]
+    return out
 
 
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc, gammaincc, ndtr
 
 __all__ = [
@@ -183,9 +182,13 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     """Counts of all overlapping m-bit patterns with wraparound, length 2^m."""
     if m == 0:
         return np.array([bits.size], dtype=np.int64)
-    padded = np.concatenate([bits, bits[: m - 1]])
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    codes = sliding_window_view(padded, m) @ weights
+    # first bit most significant; int32 holds every code below 2**31
+    dtype = np.int32 if m < 31 else np.int64
+    padded = np.concatenate([bits, bits[: m - 1]]).astype(dtype)
+    codes = np.zeros(bits.size, dtype=dtype)
+    for i in range(m):
+        codes <<= 1
+        codes |= padded[i:i + bits.size]
     return np.bincount(codes, minlength=1 << m)
 
 

@@ -187,6 +187,8 @@ def test_detector_policies_and_validation(tmp_path):
 @pytest.mark.parametrize("body,match", [
     ("[dsp]\noversample = 2\nlowpass_cutoff = 50e6", "Nyquist"),
     ("[dsp]\nlowpass_taps = 256", "odd"),
+    ("[dsp]\nlowpass_taps = 3", ">= 5"),
+    ("[dsp]\nnotch_taps = 3", ">= 5"),
     ("[dsp]\nsample_phase = 1.0", "sample_phase"),
     ("[dsp]\npulse_duty = 0.0", "pulse_duty"),
     ("[dsp]\nautocorr_max_lag = 400\nautocorr_samples = 4000", "autocorr"),
@@ -202,6 +204,10 @@ def test_detector_policies_and_validation(tmp_path):
     ("[calibration]\npowers =", "powers"),
     ("[calibration]\nsamples_per_point = 5000", "samples_per_point"),
     ("[calibration]\nmin_points = 2", "min_points"),
+    ("[calibration]\nmin_points = 6", "exceeds the 5 distinct"),
+    ("[calibration]\npowers = 1 1 2 2 4", "exceeds the 3 distinct"),
+    ("[calibration]\npowers = 1 1.5 1.9", "span at least 2x"),
+    ("[calibration]\npowers = 0 1 2", "positive and finite"),
     ("[calibration]\nconservatism = -1", "conservatism"),
     ("[calibration]\ndrift_threshold = 1.5", "drift_threshold must lie in"),
     ("[calibration]\nrecalibration_interval = 0", "interval_seconds must be positive"),

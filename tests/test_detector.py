@@ -7,6 +7,7 @@ below was evaluated independently at high precision.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sdiqrng.detector import (
     vacuum_unit_resolution,
     write_block,
 )
+from sdiqrng import dsp, states
 from sdiqrng.config import load_config
 from sdiqrng.states import Vacuum
 
@@ -209,6 +211,60 @@ def test_measure_pulses_chain_streams_have_count_samples(notch):
     assert raw.shape == filtered.shape == (3000,)
     assert np.all(np.isfinite(filtered))
     assert (raw is filtered) == (notch == "false")
+
+
+def _full_rate_chain(cfg, count, rng, chain):
+    """The chain built step by step: a zero pulse matrix, noise added to it,
+    the full-rate low-pass, then one sample per pulse and the notch."""
+    ratio = chain.oversample
+    pad_lp = -(-(chain.lowpass_taps // 2) // ratio)
+    pad_notch = chain.notch_taps // 2
+    n_sim = count + 2 * (pad_lp + pad_notch)
+    theta = draw_phases(cfg.lo_phase_policy, n_sim, rng)
+    q = states.sample_quadrature(Vacuum(), theta, rng, size=n_sim)
+    wave = q * math.sqrt(2.0 * cfg.conversion_gain * cfg.lo_power)
+    width = max(1, int(round(ratio * chain.pulse_duty)))
+    start = (ratio - width) // 2
+    pulses = np.zeros((n_sim, ratio))
+    pulses[:, start:start + width] = wave[:, None]
+    wave = pulses.ravel()
+    for var in (cfg.electronic_noise_var, cfg.excess_noise_var):
+        if var > 0:
+            wave += rng.normal(0.0, math.sqrt(var), wave.size)
+    full = dsp.lowpass(wave, ratio * cfg.pulse_rate, chain.lowpass_cutoff,
+                       chain.lowpass_taps)
+    offset = min(int(round(chain.sample_phase * ratio)), ratio - 1)
+    per_pulse = full[offset::ratio][pad_lp:pad_lp + count + 2 * pad_notch]
+    notched = dsp.remove_low_frequency(per_pulse, cfg.pulse_rate, chain.modulation_freq,
+                                       chain.notch_cutoff, chain.notch_taps)
+    return (per_pulse[pad_notch:pad_notch + count],
+            notched[pad_notch:pad_notch + count])
+
+
+@pytest.mark.parametrize("electronic,excess", [(2.0, 0.0), (0.0, 0.0), (2.0, 0.5)])
+def test_measure_pulses_chain_equals_full_rate_reference(electronic, excess):
+    cfg = load_config(None, overrides={
+        "detector.electronic_noise_var": electronic,
+        "detector.excess_noise_var": excess, "dsp.notch_taps": "801",
+        "dsp.modulation_freq": "24.5e6", "dsp.notch_cutoff": "24.495e6"})
+    got = measure_pulses(Vacuum(), cfg.detector, 5000, np.random.default_rng(41), cfg.dsp)
+    ref = _full_rate_chain(cfg.detector, 5000, np.random.default_rng(41), cfg.dsp)
+    for a, b in zip(got, ref):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
+
+
+def test_measure_pulses_peak_memory_stays_near_the_oversampled_wave():
+    cfg = load_config(None)
+    chain, count = cfg.dsp, 200_000
+    pads = -(-(chain.lowpass_taps // 2) // chain.oversample) + chain.notch_taps // 2
+    wave_bytes = (count + 2 * pads) * chain.oversample * 8
+    tracemalloc.start()
+    try:
+        measure_pulses(Vacuum(), cfg.detector, count, np.random.default_rng(43), chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * wave_bytes, peak / wave_bytes
 
 
 def test_block_serialization_roundtrip(tmp_path):

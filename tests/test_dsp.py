@@ -4,7 +4,8 @@ Frequency-domain expectations are computed in the test from the definitional
 DFT of the designed taps (and cross-checked against scipy.signal.freqz), so
 the time-domain measurements have an independent oracle.  scipy.signal is a
 test-only oracle: the numpy design must equal ``firwin`` and ``lowpass`` must
-equal ``fftconvolve`` bit for bit.
+equal ``fftconvolve`` bit for bit.  The decimating ``lowpass`` is checked
+against the full-rate output strided by hand.
 """
 
 import math
@@ -20,7 +21,6 @@ from sdiqrng.dsp import (
     design_lowpass,
     lowpass,
     remove_low_frequency,
-    subsample_per_pulse,
 )
 
 
@@ -99,6 +99,38 @@ def test_design_equals_scipy_firwin(taps):
             assert np.array_equal(ours, ref), (rate, freq)
 
 
+def _per_step_probe_design(rate, cutoff, taps):
+    """The bisection as first written: a fresh probe vector on every step."""
+    nyq = rate / 2.0
+
+    def miss(freq):
+        h = dsp._hamming_sinc(rate, freq, taps)
+        k = np.arange(h.size)
+        return float(np.abs(np.dot(h, np.exp(-2j * np.pi * cutoff * k / rate)))) - 2.0 ** -0.5
+
+    lo = cutoff
+    hi = min(cutoff + 2.0 * 3.3 * rate / taps, nyq * (1.0 - 1e-9))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if miss(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-9 * nyq:
+            break
+    return dsp._hamming_sinc(rate, 0.5 * (lo + hi), taps)
+
+
+@pytest.mark.parametrize("rate,cutoff,taps", [(1000.0, 100.0, 201),
+                                              (400e6, 140e6, 257),
+                                              (50e6, 24.5e6, 801),
+                                              (50e6, 24.495e6, 16001),
+                                              (50e6, 24.995e6, 16001)])
+def test_design_equals_per_step_probe_bisection(rate, cutoff, taps):
+    expected = _per_step_probe_design(rate, cutoff, taps)
+    assert np.array_equal(dsp.design_lowpass.__wrapped__(rate, cutoff, taps), expected)
+
+
 @pytest.mark.parametrize("n,rate,cutoff,taps", [(5000, 1000.0, 100.0, 201),
                                                 (100_003, 400e6, 140e6, 257),
                                                 (40_000, 50e6, 24.495e6, 16001)])
@@ -129,35 +161,74 @@ def test_group_delay_compensated_impulse():
                                y[500 - 1:500 - 90:-1], atol=1e-12)
 
 
-def test_subsample_index_arithmetic():
-    x = np.arange(800.0)
-    y = subsample_per_pulse(x, 800.0, 1.0, 0.5)
-    np.testing.assert_array_equal(y, [400.0])
-    y = subsample_per_pulse(np.arange(32.0), 8.0, 1.0, 0.0)
-    np.testing.assert_array_equal(y, [0.0, 8.0, 16.0, 24.0])
+def _strided(x, rate, cutoff, taps, decimate, sample_phase):
+    """Oracle for the decimating lowpass: full-rate output, then stride."""
+    offset = min(int(round(sample_phase * decimate)), decimate - 1)
+    return lowpass(x, rate, cutoff, taps)[offset:(x.size // decimate) * decimate:decimate]
+
+
+@pytest.mark.parametrize("taps", [5, 257, 801])
+@pytest.mark.parametrize("decimate", [2, 4, 8, 16])
+def test_decimating_lowpass_equals_full_output_strided(decimate, taps):
+    rng = np.random.default_rng(100 * decimate + taps)
+    block = (dsp._block_size(taps, decimate) - taps + 1) // decimate * decimate
+    lengths = (taps // 2 + 1,          # every output reaches into the padding
+               1003,                   # shorter than one block
+               3 * block,              # a whole number of blocks
+               2 * block + 5 * decimate + 3)
+    for n in lengths:
+        x = rng.normal(size=n)
+        for phase in (0.0, 0.5, 0.99):
+            got = lowpass(x, 8.0, 2.8, taps, decimate=decimate, sample_phase=phase)
+            ref = _strided(x, 8.0, 2.8, taps, decimate, phase)
+            assert got.shape == (n // decimate,)
+            # every output, the reflect-padded edge outputs included
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_decimate_index_arithmetic():
+    def kept(x, decimate, phase, taps=5):
+        return (lowpass(x, 8.0, 2.8, taps, decimate=decimate, sample_phase=phase),
+                lowpass(x, 8.0, 2.8, taps))
+
+    rng = np.random.default_rng(29)
+    got, full = kept(rng.normal(size=800), 800, 0.5, taps=201)
+    np.testing.assert_allclose(got, full[[400]], rtol=0, atol=1e-12)
+    got, full = kept(rng.normal(size=32), 8, 0.0)
+    np.testing.assert_allclose(got, full[[0, 8, 16, 24]], rtol=0, atol=1e-12)
     # phase just below 1 stays inside the pulse period
-    y = subsample_per_pulse(np.arange(16.0), 8.0, 1.0, 0.99)
-    np.testing.assert_array_equal(y, [7.0, 15.0])
+    got, full = kept(rng.normal(size=16), 8, 0.99)
+    np.testing.assert_allclose(got, full[[7, 15]], rtol=0, atol=1e-12)
     # output length is the whole number of pulses
-    assert subsample_per_pulse(np.arange(805.0), 8.0, 1.0, 0.5).size == 100
+    assert kept(rng.normal(size=805), 8, 0.5)[0].size == 100
+    # decimate = 1 ignores the phase and is the full output itself
+    x = rng.normal(size=64)
+    assert np.array_equal(lowpass(x, 8.0, 2.8, 5, decimate=1, sample_phase=0.9),
+                          lowpass(x, 8.0, 2.8, 5))
 
 
-def test_subsample_captures_aligned_impulse_train():
-    ratio = 8
+def test_decimate_keeps_the_mid_pulse_sample():
     x = np.zeros(8 * 100)
-    x[4::ratio] = 1.0
-    y = subsample_per_pulse(x, 8.0, 1.0, 0.5)
-    assert y.size == 100
-    assert np.all(y == 1.0)
+    x[8 * 50 + 4] = 1.0     # impulse at the middle of pulse 50
+    full = lowpass(x, 8.0, 2.8, 201)
+    mid = lowpass(x, 8.0, 2.8, 201, decimate=8, sample_phase=0.5)
+    assert mid.size == 100
+    assert int(np.argmax(mid)) == 50
+    assert mid[50] == pytest.approx(full.max(), abs=1e-12)
+    start = lowpass(x, 8.0, 2.8, 201, decimate=8, sample_phase=0.0)
+    assert start.max() < mid.max()
 
 
-def test_subsample_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        subsample_per_pulse(np.arange(10.0), 10.0, 3.0, 0.5)
-    with pytest.raises(ValueError):
-        subsample_per_pulse(np.arange(10.0), 10.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        subsample_per_pulse(np.arange(10.0), -10.0, 1.0, 0.5)
+def test_decimate_rejects_bad_arguments():
+    x = np.arange(10.0)
+    for decimate in (0, -8, 2.5, True):
+        with pytest.raises(ValueError, match="decimate"):
+            lowpass(x, 10.0, 2.0, 5, decimate=decimate)
+    for phase in (1.0, -0.1):
+        with pytest.raises(ValueError, match="sample_phase"):
+            lowpass(x, 10.0, 2.0, 5, decimate=2, sample_phase=phase)
+    with pytest.raises(ValueError, match="rate"):
+        lowpass(x, -10.0, 2.0, 5, decimate=2)
 
 
 def test_notch_removes_dc_offset():
@@ -198,14 +269,14 @@ def test_notch_rejects_modulation_above_nyquist():
 
 
 def test_full_chain_variance_bookkeeping():
-    """In-band noise keeps its variance through lowpass, subsample, notch."""
+    """In-band noise keeps its variance through decimating lowpass and notch."""
     rng = np.random.default_rng(17)
     input_rate, pulse_rate = 400e6, 50e6
     white = rng.normal(size=1 << 21)
     inband = lowpass(white, input_rate, 100e6, 1001)
     pre = np.var(inband[1000:-1000])
-    filtered = lowpass(inband, input_rate, 140e6, 257)
-    per_pulse = subsample_per_pulse(filtered, input_rate, pulse_rate, 0.5)
+    per_pulse = lowpass(inband, input_rate, 140e6, 257,
+                        decimate=int(input_rate // pulse_rate), sample_phase=0.5)
     cleaned = remove_low_frequency(per_pulse, pulse_rate, 25e6, 24.5e6, 801)
     post = np.var(cleaned[400:-400])
     assert post == pytest.approx(pre, rel=0.05)

@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc, gammaincc
 from scipy.stats import norm
 
 from sdiqrng.stats import (
     UNIMPLEMENTED_TESTS,
+    _pattern_counts,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -156,6 +158,18 @@ def test_approximate_entropy_matches_dict_counting_oracle():
         assert approximate_entropy_test(bits, m) == pytest.approx(
             oracle_apen(bits, m), rel=1e-10
         )
+
+
+def test_pattern_counts_match_window_matmul_oracle():
+    rng = np.random.default_rng(47)
+    for n, ms in ((100_000, (1, 2, 10, 11, 16, 17)), (7, (1, 3, 6))):
+        bits = rng.integers(0, 2, n).astype(np.int64)
+        for m in ms:
+            wrapped = np.concatenate([bits, bits[: m - 1]])
+            weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+            expected = np.bincount(sliding_window_view(wrapped, m) @ weights,
+                                   minlength=1 << m)
+            assert np.array_equal(_pattern_counts(bits, m), expected), (n, m)
 
 
 def oracle_longest_run_128(bits):
