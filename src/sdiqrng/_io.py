@@ -34,10 +34,19 @@ def write_text_atomic(path, text: str) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
 
 
-def append_line(path, line: str) -> None:
-    """Append one text line; creates the file if missing (append-only logs)."""
-    with open(path, "a", encoding="utf-8") as fh:
+def append_line(path, line: str, *, header: str) -> None:
+    """Append one line to a log, flushed and fsynced.  A new or empty log gets
+    ``header`` first; a log starting otherwise raises ValueError, unchanged."""
+    with open(path, "a+", encoding="utf-8") as fh:
+        if fh.tell() == 0:
+            fh.write(header + "\n")
+        else:
+            fh.seek(0)
+            if fh.readline().rstrip("\n") != header:
+                raise ValueError(f"{path}: first line is not {header!r}")
         fh.write(line.rstrip("\n") + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def write_report(path, fields) -> None:

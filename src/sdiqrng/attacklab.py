@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
+from .entropy import vacuum_min_entropy
 from .states import _fock_psi, _gl_nodes, bin_index
 
 __all__ = [
@@ -293,5 +294,5 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
         measured_variance=float(np.var(q)),
         eve_guess_rate=guess_rate,
         mimicry_pvalue=float(ks.pvalue),
-        vacuum_guess_bound=math.erf(scenario.delta / 2.0),
+        vacuum_guess_bound=vacuum_min_entropy(scenario.delta).guessing_probability,
         samples=q)

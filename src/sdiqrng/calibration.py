@@ -12,30 +12,30 @@ claimed entropy:
     delta              = adc_step / sqrt(2 * m * operating_power)
     delta_conservative = adc_step / sqrt(2 * (m - k * se_m) * operating_power)
 
-The recalibration scheduler is a pure function of explicit timestamps and
-the calibration history; it never reads the wall clock, so runs replay
-deterministically.  Results append to a line-oriented text log (one CSV
-line per calibration, ISO timestamp first).
+Fits append to a CSV log whose version line names ``time`` and every
+``CalibrationResult`` field.  ``current_calibration`` alone decides which
+logged fit certifies an extraction; it reads explicit timestamps, never the
+wall clock, so runs replay deterministically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._io import append_line, iso_utc
-from .detector import vacuum_unit_resolution
+from .detector import MeasurementConfig, vacuum_unit_resolution
 from .entropy import vacuum_min_entropy
-from .exceptions import CalibrationError
+from .exceptions import CalibrationError, StaleCalibrationError
 
 __all__ = [
     "CalibrationPoint",
     "CalibrationResult",
     "fit_calibration",
     "RecalibrationPolicy",
-    "recalibration_decision",
+    "current_calibration",
     "append_log",
     "read_log",
 ]
@@ -169,77 +169,77 @@ class RecalibrationPolicy:
     drift_threshold: float = 0.02
 
     def __post_init__(self):
-        if self.interval_seconds <= 0:
+        if not self.interval_seconds > 0:  # written so that NaN fails too
             raise ValueError("interval_seconds must be positive")
         if not 0.0 < self.drift_threshold < 1.0:
             raise ValueError("drift_threshold must lie in (0, 1)")
 
 
-def recalibration_decision(history, now: float,
-                           policy: RecalibrationPolicy) -> str:
-    """Return "keep", "recalibrate" or "alarm" for the given instant.
+def current_calibration(history, now: float, policy: RecalibrationPolicy,
+                        detector: MeasurementConfig) -> CalibrationResult:
+    """The newest logged fit at the detector's ADC step and LO power, the two
+    settings in delta = adc_step / sqrt(2 * m * lo_power).  StaleCalibrationError
+    when none matches, when the two newest differ in H_min beyond the drift
+    threshold (checked first) or when the newest is ``interval_seconds`` old;
+    CalibrationError when ``now`` precedes it."""
+    matching = sorted((r for r in history if r.adc_step == detector.adc_step
+                       and r.operating_power == detector.lo_power),
+                      key=lambda r: r.timestamp)
+    if not matching:
+        raise StaleCalibrationError(f"no calibration at adc_step {detector.adc_step!r} "
+                                    f"and lo_power {detector.lo_power!r}")
+    last = matching[-1]
+    prev = matching[-2] if len(matching) > 1 else last
+    drift = abs(last.h_min_bits - prev.h_min_bits) / prev.h_min_bits
+    if drift > policy.drift_threshold:
+        raise StaleCalibrationError(f"alarm: h_min drifted {drift:.2%} between the "
+                                    "two newest calibrations")
+    age = now - last.timestamp
+    if age >= policy.interval_seconds:
+        raise StaleCalibrationError(f"calibration is {age!r} s old, past the "
+                                    f"{policy.interval_seconds!r} s recalibration interval")
+    if age < 0:
+        raise CalibrationError(f"time {now!r} precedes the calibration at {last.timestamp!r}")
+    return last
 
-    Alarm dominates: if the two latest calibrations disagree on H_min by
-    more than the drift threshold, the pipeline must stop regardless of
-    age.  With no history at all the answer is "recalibrate".
-    """
-    history = sorted(history, key=lambda r: r.timestamp)
-    if not history:
-        return "recalibrate"
-    if len(history) >= 2:
-        prev, last = history[-2], history[-1]
-        drift = abs(last.h_min_bits - prev.h_min_bits) / prev.h_min_bits
-        if drift > policy.drift_threshold:
-            return "alarm"
-    if now - history[-1].timestamp >= policy.interval_seconds:
-        return "recalibrate"
-    if now < history[-1].timestamp:
-        raise ValueError("decision instant precedes the latest calibration")
-    return "keep"
 
-
-_LOG_FIELDS = ("gradient", "intercept", "gradient_stderr", "intercept_stderr",
-               "delta", "delta_conservative", "h_min_bits")
+_LOG_VERSION_LINE = "# sdiqrng calibration log v2: " + ",".join(
+    ["time"] + [f.name for f in fields(CalibrationResult)])
 
 
 def append_log(path, result: CalibrationResult) -> None:
-    """Append one calibration as a CSV line: ISO timestamp then the fit fields."""
-    fields = [iso_utc(result.timestamp)] + [repr(getattr(result, f)) for f in _LOG_FIELDS]
-    fields.append(repr(result.operating_power))
-    fields.append(repr(result.adc_step))
-    fields.append(repr(result.timestamp))
-    append_line(path, ",".join(fields))
+    """Append one fit as a CSV row, ISO time then every field by ``repr``,
+    below the version line; a log without that line raises CalibrationError."""
+    row = ",".join([iso_utc(result.timestamp)]
+                   + [repr(getattr(result, f.name)) for f in fields(result)])
+    try:
+        append_line(path, row, header=_LOG_VERSION_LINE)
+    except ValueError:
+        raise CalibrationError(f"{path}:1: not a version-2 calibration log") from None
 
 
 def read_log(path) -> list[CalibrationResult]:
-    """Parse the append-only calibration log back into results.
-
-    A line that is not a log entry, or a file that is not UTF-8 text, raises
-    CalibrationError naming the path (and the line).
-    """
+    """Parse the calibration log back into results, in file order.  An
+    unreadable or non-UTF-8 file, a missing version line, or a row without a
+    finite number per field raises CalibrationError naming path and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = fh.read().splitlines()
     except UnicodeDecodeError:
         raise CalibrationError(f"{path}: calibration log is not UTF-8 text") from None
+    except OSError as exc:
+        raise CalibrationError(f"cannot read calibration log {path}: {exc.strerror}; "
+                               "run calibrate first") from None
+    if not lines or lines[0] != _LOG_VERSION_LINE:
+        raise CalibrationError(f"{path}:1: not a version-2 calibration log")
+    names = [f.name for f in fields(CalibrationResult)]
     out = []
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in enumerate(lines[1:], 2):
         try:
-            numbers = [float(p) for p in line.split(",")[1:]]
+            numbers = [float(cell) for cell in line.split(",")[1:]]
         except ValueError:
             numbers = []
-        if len(numbers) != len(_LOG_FIELDS) + 3:
+        if len(numbers) != len(names) or not all(map(math.isfinite, numbers)):
             raise CalibrationError(f"{path}:{line_no}: malformed log line")
-        vals = dict(zip(_LOG_FIELDS, numbers))
-        out.append(CalibrationResult(
-            gradient=vals["gradient"], intercept=vals["intercept"],
-            gradient_stderr=vals["gradient_stderr"],
-            intercept_stderr=vals["intercept_stderr"],
-            r_squared=float("nan"), operating_power=numbers[-3],
-            adc_step=numbers[-2], delta=vals["delta"],
-            delta_conservative=vals["delta_conservative"],
-            h_min_bits=vals["h_min_bits"], timestamp=numbers[-1]))
+        out.append(CalibrationResult(**dict(zip(names, numbers))))
     return out

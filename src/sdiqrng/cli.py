@@ -41,7 +41,10 @@ __all__ = ["main", "build_parser"]
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"artifact directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -187,22 +190,14 @@ def cmd_extract(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(f"sample block {exc}") from None
 
-    log_path = out / "calibration.csv"
     if es.h_min_override is not None:
         h_min = es.h_min_override
-        decision = "keep"
     else:
-        if not log_path.exists():
-            raise CalibrationError(
-                f"no calibration log at {log_path}; run calibrate first or set "
-                "extractor.h_min_override")
-        history = calibration.read_log(log_path)
-        policy = calibration.RecalibrationPolicy(
-            interval_seconds=cs.recalibration_interval,
-            drift_threshold=cs.drift_threshold)
-        decision = calibration.recalibration_decision(history, cfg.run.timestamp,
-                                                      policy)
-        h_min = history[-1].h_min_bits
+        policy = calibration.RecalibrationPolicy(cs.recalibration_interval,
+                                                 cs.drift_threshold)
+        h_min = calibration.current_calibration(
+            calibration.read_log(out / "calibration.csv"), cfg.run.timestamp,
+            policy, det).h_min_bits
 
     epsilon = 2.0 ** es.epsilon_log2
     try:
@@ -225,11 +220,10 @@ def cmd_extract(cfg: RunConfig) -> int:
         extractor.write_seed_file(out / "toeplitz.seed", seed)
 
     packed, report = extractor.extract_stream(blocks, plan, seed,
-                                              scheduler_decision=decision,
                                               threads=cfg.run.threads)
     write_bytes_atomic(out / "output.bits", packed.tobytes())
     write_report(out / "accounting.txt", [
-        ("scheduler_decision", decision),
+        ("scheduler_decision", "keep"),
         ("samples_per_block", plan.samples_per_block),
         ("input_bits_per_block", plan.input_bits),
         ("output_bits_per_block", plan.output_bits),

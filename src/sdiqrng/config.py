@@ -8,7 +8,8 @@ Grammar (INI subset, parsed with :mod:`configparser`):
 * lists (calibration powers, verification bin widths) are space-separated;
 * booleans accept true/false, yes/no, on/off, 1/0;
 * integers parse exactly; exact float spellings such as ``2.0`` or ``1e6``
-  are accepted too.
+  are accepted too;
+* every number read as a float must be finite: nan and +-inf are rejected.
 
 The settings dataclasses below are the schema: one frozen class per
 section, one field per key carrying its type and default.  ``load_config``
@@ -32,6 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import calibration, states
+from ._io import iso_utc
 from .detector import (FixedPhase, MeasurementConfig, UniformRandomPhase,
                        WrappedGaussianPhase)
 from .exceptions import ConfigError
@@ -177,6 +179,13 @@ def _int(raw: str) -> int:
         return int(value)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _bool(raw: str) -> bool:
     word = raw.strip().lower()
     if word in ("true", "yes", "on", "1"):
@@ -191,10 +200,10 @@ _PARSERS = {
     "str": (str.strip, ""),
     "str | None": (lambda raw: raw.strip() or None, ""),
     "int": (_int, "an integer"),
-    "float": (float, "a number"),
-    "float | None": (lambda raw: float(raw) if raw.strip() else None, "a number"),
+    "float": (_finite, "a number"),
+    "float | None": (lambda raw: _finite(raw) if raw.strip() else None, "a number"),
     "bool": (_bool, "a boolean"),
-    "tuple[float, ...]": (lambda raw: tuple(float(tok) for tok in raw.split()),
+    "tuple[float, ...]": (lambda raw: tuple(_finite(tok) for tok in raw.split()),
                           "space-separated numbers"),
 }
 
@@ -259,14 +268,22 @@ def _build_detector(s: DetectorSettings) -> MeasurementConfig:
 def _cross_validate(cfg: RunConfig) -> None:
     d = cfg.dsp
     det = cfg.detector
+    try:
+        iso_utc(cfg.run.timestamp)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(f"run.timestamp {cfg.run.timestamp!r} is not a "
+                          "representable UTC time") from None
+    # simulate computes the autocorrelation diagnostic with the chain on or off
+    if d.autocorr_max_lag < 1 or d.autocorr_samples <= 10 * d.autocorr_max_lag:
+        raise ConfigError("dsp.autocorr_samples must exceed 10 * autocorr_max_lag")
     if d.enabled:
         if d.oversample < 1:
             raise ConfigError("dsp.oversample must be >= 1")
         input_rate = d.oversample * det.pulse_rate
-        if not d.lowpass_cutoff < input_rate / 2.0:
+        if not 0.0 < d.lowpass_cutoff < input_rate / 2.0:
             raise ConfigError(
-                f"dsp.lowpass_cutoff ({d.lowpass_cutoff:g}) must sit below the input "
-                f"Nyquist rate ({input_rate / 2.0:g})")
+                f"dsp.lowpass_cutoff ({d.lowpass_cutoff:g}) must be positive and sit "
+                f"below the input Nyquist rate ({input_rate / 2.0:g})")
         if not 0.0 < d.pulse_duty <= 1.0:
             raise ConfigError("dsp.pulse_duty must lie in (0, 1]")
         if not 0.0 <= d.sample_phase < 1.0:
@@ -274,12 +291,12 @@ def _cross_validate(cfg: RunConfig) -> None:
         if any(taps % 2 == 0 or taps < 5 for taps in (d.lowpass_taps, d.notch_taps)):
             raise ConfigError("dsp tap counts must be odd (linear phase) and >= 5")
         if d.notch_enabled:
-            if d.modulation_freq > det.pulse_rate / 2.0:
-                raise ConfigError("dsp.modulation_freq cannot exceed pulse Nyquist")
-            if not d.notch_cutoff < det.pulse_rate / 2.0:
-                raise ConfigError("dsp.notch_cutoff must sit below pulse Nyquist")
-        if d.autocorr_max_lag < 1 or d.autocorr_samples <= 10 * d.autocorr_max_lag:
-            raise ConfigError("dsp.autocorr_samples must exceed 10 * autocorr_max_lag")
+            if not 0.0 < d.modulation_freq <= det.pulse_rate / 2.0:
+                raise ConfigError("dsp.modulation_freq must be positive and cannot "
+                                  "exceed pulse Nyquist")
+            if not 0.0 < d.notch_cutoff < det.pulse_rate / 2.0:
+                raise ConfigError("dsp.notch_cutoff must be positive and sit below "
+                                  "pulse Nyquist")
     if cfg.simulate.pulses < 1 or cfg.simulate.blocks < 1:
         raise ConfigError("simulate.pulses and simulate.blocks must be >= 1")
     if cfg.run.threads < 1:

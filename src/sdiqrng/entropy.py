@@ -83,7 +83,7 @@ def sdi_bound_check(state_list, delta: float, *, nodes: int = 80) -> BoundCheckR
     margin beyond numerical tolerance raises SecurityModelViolation: it
     would mean the certificate's core inequality failed.
     """
-    bound = math.erf(delta / 2.0)
+    bound = vacuum_min_entropy(delta).guessing_probability
     state_list = list(state_list)
     for st in state_list:
         if not isinstance(st, (states.Vacuum, states.Fock, states.Mixture)):

@@ -10,7 +10,9 @@ class CalibrationError(RuntimeError):
 
 
 class StaleCalibrationError(CalibrationError):
-    """Scheduler demands recalibration or raised an alarm; extraction refused."""
+    """No logged calibration certifies this extraction (exit code 3): none was
+    made at the detector's ADC step and LO power, the newest is past the
+    recalibration interval, or the two newest raise a drift alarm."""
 
 
 class InfeasiblePlanError(ValueError):

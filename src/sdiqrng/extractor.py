@@ -29,6 +29,9 @@ counts are integers, so float64 rounding must leave each within 0.25 of
 one; every call checks that residual and raises SecurityModelViolation
 past it.
 
+The extractor only hashes: the plan's ``h_min_per_sample`` arrives already
+certified (``calibration.current_calibration`` picks the fit behind it).
+
 Sample serialization: each ADC code contributes ``bits_per_sample`` bits of
 its two's complement representation, most significant bit first; output
 bits pack MSB-first into bytes.
@@ -46,8 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .entropy import equivalent_bit_rate
-from .exceptions import (InfeasiblePlanError, SecurityModelViolation,
-                         StaleCalibrationError)
+from .exceptions import InfeasiblePlanError, SecurityModelViolation
 
 # blocks hashed per batch: eight m-bit outputs always fill whole bytes
 _BATCH_BLOCKS = 8
@@ -318,7 +320,6 @@ class AccountingReport:
 
 
 def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
-                   scheduler_decision: str = "keep",
                    threads: int = 1) -> tuple[np.ndarray, AccountingReport]:
     """Hash a sequence of raw sample blocks into near-uniform output bits.
 
@@ -328,17 +329,10 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
     concatenated in input order.  Returns (packed bytes as uint8 array,
     report).
 
-    Extraction refuses to run when the recalibration scheduler demanded
-    attention: ``scheduler_decision`` of "recalibrate" or "alarm" raises
-    StaleCalibrationError.  Blocks are hashed eight per ``toeplitz_hash``
-    call, spread over ``threads`` workers; a batch whose FFT rounding
-    residual exceeds 0.25 raises SecurityModelViolation naming the batch.
+    Blocks are hashed eight per ``toeplitz_hash`` call, spread over
+    ``threads`` workers; a batch whose FFT rounding residual exceeds 0.25
+    raises SecurityModelViolation naming the batch.
     """
-    if scheduler_decision not in ("keep", "recalibrate", "alarm"):
-        raise ValueError(f"unknown scheduler decision {scheduler_decision!r}")
-    if scheduler_decision != "keep":
-        raise StaleCalibrationError(
-            f"calibration scheduler said {scheduler_decision!r}; refusing to extract")
     if len(seed) != plan.seed_bits:
         raise ValueError(f"seed has {len(seed)} bits, plan needs {plan.seed_bits}")
     if threads < 1:

@@ -7,6 +7,7 @@ ground-truth gain and electronic noise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from sdiqrng.calibration import (
     CalibrationResult,
     RecalibrationPolicy,
     append_log,
+    current_calibration,
     fit_calibration,
     read_log,
-    recalibration_decision,
 )
 from sdiqrng.detector import FixedPhase, MeasurementConfig, measure_pulses, quantize
-from sdiqrng.exceptions import CalibrationError
+from sdiqrng.exceptions import CalibrationError, StaleCalibrationError
 from sdiqrng.states import Vacuum
 
 
@@ -165,30 +166,60 @@ def test_operating_power_override_and_conservatism():
     assert strict.h_min_bits < plain.h_min_bits
 
 
+# the default detector: adc_step 0.625 and lo_power 1.0, as in _result
+DETECTOR = MeasurementConfig()
+
+
 def test_recalibration_decision_matrix():
     policy = RecalibrationPolicy()
-    assert recalibration_decision([], 0.0, policy) == "recalibrate"
-    # 5.53 -> 5.50 is a 0.5% drift: keep running
+    with pytest.raises(StaleCalibrationError, match="no calibration"):
+        current_calibration([], 0.0, policy, DETECTOR)
+    # 5.53 -> 5.50 is a 0.5% drift: keep running on the newest entry
     hist = [_result(5.53, 0.0), _result(5.50, 100.0)]
-    assert recalibration_decision(hist, 200.0, policy) == "keep"
+    assert current_calibration(hist, 200.0, policy, DETECTOR) == hist[1]
     # 5.53 -> 5.30 is a 4.2% drop: alarm, even before the interval
     drop = [_result(5.53, 0.0), _result(5.30, 100.0)]
-    assert recalibration_decision(drop, 101.0, policy) == "alarm"
+    with pytest.raises(StaleCalibrationError, match="alarm"):
+        current_calibration(drop, 101.0, policy, DETECTOR)
     # alarm dominates staleness
-    assert recalibration_decision(drop, 1e9, policy) == "alarm"
+    with pytest.raises(StaleCalibrationError, match="alarm"):
+        current_calibration(drop, 1e9, policy, DETECTOR)
     single = [_result(5.53, 0.0)]
-    assert recalibration_decision(single, 599.9, policy) == "keep"
-    assert recalibration_decision(single, 600.0, policy) == "recalibrate"
+    assert current_calibration(single, 599.9, policy, DETECTOR) == single[0]
+    with pytest.raises(StaleCalibrationError, match="recalibration interval"):
+        current_calibration(single, 600.0, policy, DETECTOR)
     # history order must not matter
-    assert recalibration_decision(list(reversed(drop)), 101.0,
-                                  policy) == "alarm"
-    with pytest.raises(ValueError):
-        recalibration_decision(single, -1.0, policy)
+    with pytest.raises(StaleCalibrationError, match="alarm"):
+        current_calibration(list(reversed(drop)), 101.0, policy, DETECTOR)
+    # the newest by timestamp certifies, not the last logged, stale one
+    newest, older = _result(5.4569, 1000.0), _result(5.4488, 500.0)
+    assert current_calibration([newest, older], 1100.0, policy, DETECTOR) is newest
+    # an instant before the newest calibration is clock skew, not staleness
+    with pytest.raises(CalibrationError, match="precedes") as skew:
+        current_calibration(single, -1.0, policy, DETECTOR)
+    assert not isinstance(skew.value, StaleCalibrationError)
+
+
+def test_only_entries_for_this_adc_step_and_lo_power_count():
+    policy = RecalibrationPolicy()
+    narrow = _result(5.4569, 0.0)                                 # 160 full scale
+    wide = replace(_result(4.1354, 100.0), adc_step=400.0 / 256)  # 400 full scale
+    # two ADC ranges, 24% apart in H_min: no drift alarm against either one
+    assert current_calibration([narrow, wide], 200.0, policy, DETECTOR) is narrow
+    wide_detector = MeasurementConfig(adc_full_scale=400.0)
+    assert current_calibration([narrow, wide], 200.0, policy, wide_detector) is wide
+    with pytest.raises(StaleCalibrationError, match="no calibration at adc_step"):
+        current_calibration([narrow], 200.0, policy, wide_detector)
+    # a fit made at another LO power certifies nothing at this one
+    with pytest.raises(StaleCalibrationError, match="lo_power 2.0"):
+        current_calibration([narrow], 200.0, policy, MeasurementConfig(lo_power=2.0))
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
         RecalibrationPolicy(interval_seconds=0.0)
+    with pytest.raises(ValueError):
+        RecalibrationPolicy(interval_seconds=float("nan"))
     with pytest.raises(ValueError):
         RecalibrationPolicy(drift_threshold=0.0)
     with pytest.raises(ValueError):
@@ -203,29 +234,55 @@ def test_log_roundtrip(tmp_path):
     append_log(log, res)
     append_log(log, res)
     lines = log.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("2026-08-15T00:00:00Z,")
+    assert len(lines) == 3
+    assert lines[0] == (
+        "# sdiqrng calibration log v2: time,gradient,intercept,gradient_stderr,"
+        "intercept_stderr,r_squared,operating_power,adc_step,delta,"
+        "delta_conservative,h_min_bits,timestamp")
+    assert lines[1].startswith("2026-08-15T00:00:00Z,")
     back = read_log(log)
     assert len(back) == 2
-    for field in ("gradient", "intercept", "gradient_stderr", "delta",
-                  "delta_conservative", "h_min_bits", "operating_power",
-                  "adc_step", "timestamp"):
+    for field in ("gradient", "intercept", "gradient_stderr", "intercept_stderr",
+                  "r_squared", "delta", "delta_conservative", "h_min_bits",
+                  "operating_power", "adc_step", "timestamp"):
         assert getattr(back[0], field) == getattr(res, field)
+    assert back == [res, res]
     assert not back[0].intercept_suspicious
-    assert math.isnan(back[0].r_squared)
 
-    log.write_text("# comment\n\nnot,a,valid,line\n")
-    with pytest.raises(CalibrationError, match="malformed"):
-        read_log(log)
-    # the right field count with one field not a number
-    fields = lines[0].split(",")
-    fields[3] = "banana"
-    log.write_text(lines[0] + "\n" + ",".join(fields) + "\n")
+    header = lines[0] + "\n"
+    log.write_text(header + "not,a,valid,line\n")
     with pytest.raises(CalibrationError, match=r"calibration\.log:2: malformed"):
         read_log(log)
-    log.write_bytes(lines[0].encode() + b"\n\xff\xfe\n")
+    # the right field count with one field not a number, or not finite
+    for bad in ("banana", "nan", "inf"):
+        fields = lines[1].split(",")
+        fields[3] = bad
+        log.write_text(header + lines[1] + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(CalibrationError, match=r"calibration\.log:3: malformed"):
+            read_log(log)
+    log.write_bytes(header.encode() + b"\xff\xfe\n")
     with pytest.raises(CalibrationError, match="not UTF-8"):
         read_log(log)
+    with pytest.raises(CalibrationError, match="cannot read calibration log"):
+        read_log(tmp_path / "missing.log")
+
+
+def test_unversioned_log_is_rejected_and_not_appended_to(tmp_path):
+    res = _result(5.53, 1000.0)
+    # a version-1 line: ISO time, seven fit fields, power, step, timestamp
+    v1 = ",".join(["1970-01-01T00:16:40Z"] + [repr(getattr(res, f)) for f in (
+        "gradient", "intercept", "gradient_stderr", "intercept_stderr", "delta",
+        "delta_conservative", "h_min_bits", "operating_power", "adc_step",
+        "timestamp")]) + "\n"
+    log = tmp_path / "calibration.csv"
+    for text in (v1, "", "\n" + v1):
+        log.write_text(text)
+        with pytest.raises(CalibrationError, match=r"calibration\.csv:1: not a version-2"):
+            read_log(log)
+    log.write_text(v1)
+    with pytest.raises(CalibrationError, match=r"calibration\.csv:1: not a version-2"):
+        append_log(log, res)
+    assert log.read_text() == v1
 
 
 def test_calibration_point_validation():

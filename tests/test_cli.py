@@ -2,12 +2,13 @@
 
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sdiqrng import detector
-from sdiqrng.calibration import read_log
+from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
 
@@ -291,11 +292,133 @@ def test_malformed_calibration_log_exits_3(pipeline, tmp_path, capsys):
     bad_dir = tmp_path / "badlog"
     bad_dir.mkdir()
     shutil.copytree(out / "blocks", bad_dir / "blocks")
-    fields = (out / "calibration.csv").read_text().rstrip("\n").split(",")
+    version, row = (out / "calibration.csv").read_text().splitlines()
+    fields = row.split(",")
     fields[1] = "1.2.3"
-    (bad_dir / "calibration.csv").write_text(",".join(fields) + "\n")
+    (bad_dir / "calibration.csv").write_text(version + "\n" + ",".join(fields) + "\n")
     assert main(["extract", "--config", cfg_path, "--out", str(bad_dir)]) == 3
-    assert "calibration.csv:1: malformed log line" in capsys.readouterr().err
+    assert "calibration.csv:2: malformed log line" in capsys.readouterr().err
+
+
+def test_unversioned_calibration_log_exits_3(pipeline, tmp_path, capsys):
+    root, cfg_path, out = pipeline
+    old_dir = tmp_path / "v1log"
+    old_dir.mkdir()
+    shutil.copytree(out / "blocks", old_dir / "blocks")
+    (entry,) = read_log(out / "calibration.csv")
+    # the version-1 layout: no version line, no r_squared
+    v1 = ",".join(["2026-08-15T00:00:00Z"] + [repr(getattr(entry, f)) for f in (
+        "gradient", "intercept", "gradient_stderr", "intercept_stderr", "delta",
+        "delta_conservative", "h_min_bits", "operating_power", "adc_step",
+        "timestamp")]) + "\n"
+    (old_dir / "calibration.csv").write_text(v1)
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path, "--out", str(old_dir)]) == 3
+    assert "calibration.csv:1: not a version-2 calibration log" in capsys.readouterr().err
+    assert not (old_dir / "output.bits").exists()
+    # calibrate refuses to append a version-2 row below version-1 rows
+    assert main(["calibrate", "--config", cfg_path, "--out", str(old_dir)]) == 3
+    assert (old_dir / "calibration.csv").read_text() == v1
+
+
+def test_drift_alarm_exits_3(pipeline, tmp_path, capsys):
+    root, cfg_path, out = pipeline
+    alarm_dir = tmp_path / "alarm"
+    alarm_dir.mkdir()
+    shutil.copytree(out / "blocks", alarm_dir / "blocks")
+    shutil.copy(out / "calibration.csv", alarm_dir / "calibration.csv")
+    (entry,) = read_log(out / "calibration.csv")
+    # an earlier fit whose h_min is 10% lower: the two newest fits disagree
+    append_log(alarm_dir / "calibration.csv",
+               replace(entry, h_min_bits=0.9 * entry.h_min_bits,
+                       timestamp=entry.timestamp - 1.0))
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path, "--out", str(alarm_dir)]) == 3
+    assert "alarm" in capsys.readouterr().err
+    assert not (alarm_dir / "output.bits").exists()
+
+
+HANDOFF_CONFIG = """\
+[run]
+timestamp = {timestamp}
+
+[detector]
+adc_full_scale = {full_scale}
+
+[dsp]
+enabled = false
+
+[simulate]
+pulses = 20000
+
+[calibration]
+samples_per_point = 20000
+
+[extractor]
+target_bits_per_sample = {target}
+"""
+
+
+def handoff_cfg(dirpath, timestamp, full_scale=160, target=5.4):
+    path = dirpath / f"t{timestamp}_fs{full_scale}.cfg"
+    path.write_text(HANDOFF_CONFIG.format(timestamp=timestamp, full_scale=full_scale,
+                                          target=target))
+    return str(path)
+
+
+def accounting_h_min(out):
+    text = (out / "accounting.txt").read_text()
+    return float(re.search(r"^h_min_per_sample: (.*)$", text, re.M).group(1))
+
+
+def test_out_of_order_log_certifies_with_the_newest_entry(tmp_path):
+    out = tmp_path / "o"
+    run_pipeline(handoff_cfg(tmp_path, 1000), out, ("simulate", "calibrate"))
+    assert main(["calibrate", "--config", handoff_cfg(tmp_path, 500), "--out", str(out),
+                 "--rng-seed", "99"]) == 0
+    entries = read_log(out / "calibration.csv")
+    assert [e.timestamp for e in entries] == [1000.0, 500.0]
+    assert entries[0].h_min_bits != entries[1].h_min_bits
+    # the t=500 entry, last in the file, is 600 s old at t=1100: it must not
+    # certify; the t=1000 entry is the newest and is fresh
+    run_pipeline(handoff_cfg(tmp_path, 1100), out, ("extract",))
+    assert accounting_h_min(out) == entries[0].h_min_bits
+
+
+def test_extract_before_the_calibration_time_exits_3(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_pipeline(handoff_cfg(tmp_path, 1000), out, ("simulate", "calibrate"))
+    capsys.readouterr()
+    assert main(["extract", "--config", handoff_cfg(tmp_path, 500), "--out", str(out)]) == 3
+    assert "precedes the calibration" in capsys.readouterr().err
+    assert not (out / "output.bits").exists()
+
+
+def test_calibration_from_another_adc_range_does_not_certify(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_pipeline(handoff_cfg(tmp_path, 1000), out, ("calibrate",))
+    wide = handoff_cfg(tmp_path, 1100, full_scale=400, target=4.0)
+    run_pipeline(wide, out, ("simulate",))
+    capsys.readouterr()
+    assert main(["extract", "--config", wide, "--out", str(out)]) == 3
+    assert "no calibration at adc_step 1.5625" in capsys.readouterr().err
+    assert not (out / "output.bits").exists()
+    # once calibrated at 400, that entry certifies, and the 160 entry's
+    # higher h_min raises no drift alarm against it
+    run_pipeline(wide, out, ("calibrate", "extract"))
+    narrow, wide_entry = read_log(out / "calibration.csv")
+    assert narrow.h_min_bits > wide_entry.h_min_bits + 1.0
+    assert accounting_h_min(out) == wide_entry.h_min_bits
+
+
+def test_unusable_artifact_directory_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for out in (not_a_dir, not_a_dir / "sub"):
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"artifact directory {out}" in capsys.readouterr().err
 
 
 def test_infeasible_plan_exits_4(pipeline, tmp_path):

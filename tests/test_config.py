@@ -213,10 +213,32 @@ def test_detector_policies_and_validation(tmp_path):
     ("[calibration]\nrecalibration_interval = 0", "interval_seconds must be positive"),
     ("[verify]\nequivalence_dim_max = 17", "equivalence_dim_max"),
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
+    ("[calibration]\npowers = 0.25 0.5 nan 2", "calibration.powers: expected"),
+    ("[run]\ntimestamp = 1e20", "run.timestamp"),
+    ("[run]\ntimestamp = -1e20", "run.timestamp"),
+    ("[dsp]\nlowpass_cutoff = 0", "lowpass_cutoff"),
+    ("[dsp]\nnotch_cutoff = -1e6", "notch_cutoff"),
+    ("[dsp]\nmodulation_freq = 0", "modulation_freq"),
+    # simulate computes the autocorrelation with the chain off too
+    ("[dsp]\nenabled = false\nautocorr_max_lag = 0", "autocorr"),
+    ("[dsp]\nenabled = false\nautocorr_samples = -5", "autocorr"),
 ])
 def test_cross_validation_rejections(tmp_path, body, match):
     with pytest.raises(ConfigError, match=match):
         load_config(write_cfg(tmp_path, body + "\n"))
+
+
+FLOAT_KEYS = [f"{section}.{field.name}"
+              for section, cls in config._SECTIONS.items()
+              for field in dataclasses.fields(cls)
+              if field.type in ("float", "float | None", "tuple[float, ...]")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_numbers_rejected(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: expected")):
+        load_config(None, overrides={key: value})
 
 
 def test_disabled_dsp_skips_chain_checks(tmp_path):

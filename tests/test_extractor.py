@@ -14,8 +14,7 @@ import pytest
 
 from sdiqrng.detector import MeasurementConfig, RawSampleBlock
 from sdiqrng import extractor
-from sdiqrng.exceptions import (InfeasiblePlanError, SecurityModelViolation,
-                                StaleCalibrationError)
+from sdiqrng.exceptions import InfeasiblePlanError, SecurityModelViolation
 from sdiqrng.extractor import (
     AccountingReport,
     ExtractionPlan,
@@ -405,11 +404,6 @@ def test_extract_stream_refusals():
     rng = np.random.default_rng(43)
     blocks = _code_blocks(rng, [200])
     seed = prng_seed(plan.seed_bits, 47)
-    for decision in ("recalibrate", "alarm"):
-        with pytest.raises(StaleCalibrationError):
-            extract_stream(blocks, plan, seed, scheduler_decision=decision)
-    with pytest.raises(ValueError):
-        extract_stream(blocks, plan, seed, scheduler_decision="banana")
     with pytest.raises(ValueError, match="seed"):
         extract_stream(blocks, plan, prng_seed(plan.seed_bits - 1, 1))
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
-"""Byte-exact layouts of the two text artifact writers."""
+"""Byte-exact layouts of the two text artifact writers and the log append."""
 
-from sdiqrng._io import write_csv, write_report
+import pytest
+
+from sdiqrng._io import append_line, write_csv, write_report
 
 
 def test_report_layout(tmp_path):
@@ -21,3 +23,17 @@ def test_csv_layout(tmp_path):
                                  b"0,1.0\n1,-0.0625\n")
     write_csv(path, [], ["name", "p", "passed"], [("runs", 1e-05, 1)])
     assert path.read_bytes() == b"name,p,passed\nruns,1e-05,1\n"
+
+
+def test_append_line_writes_the_header_once_and_checks_it(tmp_path):
+    path = tmp_path / "log.csv"
+    append_line(path, "1,2", header="# v2: a,b")
+    append_line(path, "3,4\n", header="# v2: a,b")
+    assert path.read_bytes() == b"# v2: a,b\n1,2\n3,4\n"
+    path.write_bytes(b"")
+    append_line(path, "5,6", header="# v2: a,b")
+    assert path.read_bytes() == b"# v2: a,b\n5,6\n"
+    path.write_bytes(b"1,2\n")
+    with pytest.raises(ValueError, match="first line"):
+        append_line(path, "3,4", header="# v2: a,b")
+    assert path.read_bytes() == b"1,2\n"
