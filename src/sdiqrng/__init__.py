@@ -7,17 +7,12 @@ filtering (``dsp``), variance-vs-power calibration (``calibration``), the
 min-entropy certificate (``entropy``), Toeplitz randomness extraction
 (``extractor``), an adversarial sanity lab (``attacklab``), a statistical
 test battery (``stats``) and the command-line interface (``cli``).
-"""
 
-from . import (  # noqa: F401
-    attacklab,
-    calibration,
-    detector,
-    dsp,
-    entropy,
-    extractor,
-    states,
-    stats,
-)
+Importing the package loads none of them: import the submodule you use, so
+that each stage loads only what it runs.  numpy is the one FFT engine and
+``math.erf`` the one erf on the path of simulate, calibrate, extract and
+verify; scipy loads only in ``stats`` (``scipy.special``, for ``test``) and
+inside ``attacklab.run_attack`` (``scipy.special`` and ``scipy.stats``).
+"""
 
 __version__ = "0.1.0"

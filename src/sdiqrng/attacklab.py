@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .entropy import vacuum_min_entropy
 from .states import _fock_psi, _gl_nodes, bin_index
@@ -263,10 +262,12 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     Eve's guess each round is the bin holding her displacement; the guess
     succeeds when the measured outcome lands in that bin.  The mimicry
     p-value is a KS test of the outcomes against the exact vacuum CDF
-    (1 + erf(q)) / 2.  ``scipy.stats`` is imported here, not at module
-    scope, so that only the attack stage pays for loading it.
+    (1 + erf(q)) / 2.  ``scipy.stats`` and ``scipy.special`` are imported
+    here, not at module scope, so that only the attack stage pays for
+    loading them.
     """
     from scipy import stats
+    from scipy.special import erf
 
     n = scenario.n_rounds
     r = scenario.r
@@ -288,7 +289,7 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     guesses = bin_index(d, scenario.delta)
     outcomes = bin_index(q, scenario.delta)
     guess_rate = float(np.mean(guesses == outcomes))
-    ks = stats.kstest(q, lambda v: 0.5 * (1.0 + _erf(v)))
+    ks = stats.kstest(q, lambda v: 0.5 * (1.0 + erf(v)))
     return AttackReport(
         scenario=scenario,
         measured_variance=float(np.var(q)),

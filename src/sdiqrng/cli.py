@@ -27,10 +27,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from . import __version__, attacklab, calibration, detector, dsp, entropy, extractor, states
-from . import stats as battery
 from ._io import iso_utc, write_bytes_atomic, write_csv, write_report, write_text_atomic
 from .config import RunConfig, load_config, substream
 from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
@@ -39,13 +37,21 @@ from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
 __all__ = ["main", "build_parser"]
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.run.out_dir)
+def _make_dir(path: Path) -> Path:
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"artifact directory {out}: {exc.strerror}") from None
-    return out
+        raise ConfigError(f"artifact directory {path}: {exc.strerror}") from None
+    return path
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    return _make_dir(Path(cfg.run.out_dir))
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` elementwise: the one erf the certificate uses."""
+    return np.fromiter(map(math.erf, x.tolist()), dtype=float, count=x.size)
 
 
 def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> None:
@@ -63,7 +69,7 @@ def _write_histogram_csv(path: Path, codes: np.ndarray,
     sigma_codes = float(np.std(codes.astype(float)))
     edges = np.arange(config.code_min, config.code_max + 2) - 0.5
     if sigma_codes > 0:
-        cdf = 0.5 * (1.0 + erf(edges / (sigma_codes * math.sqrt(2.0))))
+        cdf = 0.5 * (1.0 + _erf(edges / (sigma_codes * math.sqrt(2.0))))
         reference = codes.size * np.diff(cdf)
     else:
         reference = np.zeros(counts.size)
@@ -76,8 +82,7 @@ def _write_histogram_csv(path: Path, codes: np.ndarray,
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    blocks_dir = out / "blocks"
-    blocks_dir.mkdir(exist_ok=True)
+    blocks_dir = _make_dir(out / "blocks")
     det = cfg.detector
     ts = iso_utc(cfg.run.timestamp)
     run_id = f"{cfg.run.rng_seed:016x}"
@@ -252,6 +257,9 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 
 def cmd_test(cfg: RunConfig) -> int:
+    # stats loads scipy.special; imported here so that no other stage pays for it
+    from . import stats as battery
+
     out = _out_dir(cfg)
     bits_path = out / "output.bits"
     if not bits_path.exists():
@@ -299,7 +307,7 @@ def cmd_attack(cfg: RunConfig) -> int:
     lo, hi = int(bins.min()), int(bins.max())
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     k = np.arange(lo, hi + 1)
-    vacuum = 0.5 * (erf((k + 0.5) * a.delta) - erf((k - 0.5) * a.delta))
+    vacuum = 0.5 * (_erf((k + 0.5) * a.delta) - _erf((k - 0.5) * a.delta))
     write_csv(out / "attack_histogram.csv",
               ["attack outcome histogram against the exact vacuum bin masses",
                f"lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}"],

@@ -9,17 +9,19 @@ half-amplitude (-6 dB) point at the design frequency, so ``design_lowpass``
 bisects the design frequency until the realized response crosses -3 dB at
 the requested cutoff.
 
-``lowpass`` is the one filter engine: FFT convolution on ``scipy.fft`` of
+``lowpass`` is the one filter engine: FFT convolution on ``numpy.fft`` of
 the reflect-padded input, group delay compensated, so no stage has to import
-``scipy.signal``.  Without decimation it is a single transform at the size
-and slice of ``scipy.signal.fftconvolve(..., mode="valid")``, bitwise equal
-to it, and returns a sequence of the input length.  With ``decimate = D`` it
-keeps one output per D inputs (one per pulse period, at ``sample_phase``
-within the period) and runs overlap-save over fixed cache-sized blocks: only
-the edge blocks are reflect padded, and neither the full-rate output nor a
-padded copy of the input is ever built.  The first and last ``taps // 2``
-full-rate outputs are contaminated by the padding and must be excluded from
-entropy accounting.
+scipy.  Transform sizes come from ``next_fast_len``, the smallest 5-smooth
+length, the same choice as scipy's ``next_fast_len(n, real=True)``.
+Without decimation it is a single transform at the size and slice of
+``scipy.signal.fftconvolve(..., mode="valid")``, bitwise equal to it, and
+returns a sequence of the input length.  With ``decimate = D`` it keeps one
+output per D inputs (one per pulse period, at ``sample_phase`` within the
+period) and runs overlap-save over fixed cache-sized blocks: only the edge
+blocks are reflect padded, and neither the full-rate output nor a padded
+copy of the input is ever built.  The first and last ``taps // 2`` full-rate
+outputs are contaminated by the padding and must be excluded from entropy
+accounting.
 
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 __all__ = [
     "design_lowpass",
@@ -53,7 +55,28 @@ __all__ = [
     "remove_low_frequency",
     "autocorrelation",
     "AutocorrelationReport",
+    "next_fast_len",
 ]
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= ``n``: a length ``rfft`` transforms fast.
+
+    Equals scipy's ``next_fast_len(n, real=True)``.
+    """
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n}")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            candidate = p35 << (-(-n // p35) - 1).bit_length()
+            best = min(best, candidate)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _validate_filter_args(rate: float, cutoff: float, taps: int) -> None:
@@ -127,7 +150,7 @@ def _block_size(taps: int, decimate: int) -> int:
     fast as 2**16 over 8M samples); each block yields
     ``(size - taps + 1) // decimate`` kept outputs.
     """
-    return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate), True)
+    return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate))
 
 
 def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
@@ -157,7 +180,7 @@ def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
     count = x.size // decimate
     if decimate == 1:
         # one transform over the whole padded input: bitwise fftconvolve
-        size = next_fast_len(x.size + 2 * (taps - 1), True)
+        size = next_fast_len(x.size + 2 * (taps - 1))
     else:
         size = _block_size(taps, decimate)
     per_block = (size - taps + 1) // decimate
@@ -229,8 +252,8 @@ def autocorrelation(samples, max_lag: int = 400) -> AutocorrelationReport:
     if not np.any(v):
         raise ValueError("autocorrelation of a constant sequence is undefined")
     size = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(v, size)
-    acf = np.fft.irfft(spec * np.conj(spec), size)[:max_lag + 1]
+    spec = rfft(v, size)
+    acf = irfft(spec * np.conj(spec), size)[:max_lag + 1]
     r = acf / acf[0]
     r[0] = 1.0
     ci = 1.96 / math.sqrt(n)

@@ -17,11 +17,12 @@ and required to agree bit for bit.  The oracle is a GF(2) row-times-vector
 product (AND then XOR-reduce, no floating point).  The FFT route reads
 every output parity off an integer count: ``(T x)[i]`` is coefficient
 ``n - 1 + i`` of the linear convolution of the seed with ``x``.  The seed's
-spectrum ``rfft(seed, L)`` is computed once per seed, at
-``L = next_fast_len(n + m - 1)``, and every block is hashed against it.  A
-circular convolution of length ``L >= n + m - 1`` is enough: its
-wrap-around only adds linear coefficients at index ``L`` and above (at most
-``2n + m - 3``) onto indices below ``n - 1``, which are discarded.
+spectrum ``rfft(seed, L)`` (``numpy.fft``, as in ``dsp``) is computed once
+per seed, at the 5-smooth ``L = dsp.next_fast_len(n + m - 1)``, and every
+block is hashed against it.  A circular convolution of length
+``L >= n + m - 1`` is enough: its wrap-around only adds linear coefficients
+at index ``L`` and above (at most ``2n + m - 3``) onto indices below
+``n - 1``, which are discarded.
 ``extract_stream`` hashes blocks in batches of eight with one batched
 ``rfft``/``irfft``; eight m-bit outputs always end on a byte boundary, so
 each batch packs straight into its own slice of the output buffer.  The
@@ -45,9 +46,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 
+from .dsp import next_fast_len
 from .entropy import equivalent_bit_rate
 from .exceptions import InfeasiblePlanError, SecurityModelViolation
 
@@ -228,7 +230,7 @@ def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
 
 
 def _seed_spectrum(seed: np.ndarray) -> np.ndarray:
-    spectrum = rfft(seed.astype(np.float64), next_fast_len(seed.size, real=True))
+    spectrum = rfft(seed.astype(np.float64), next_fast_len(seed.size))
     spectrum.flags.writeable = False
     return spectrum
 
@@ -242,8 +244,9 @@ def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray,
     SecurityModelViolation when that residual exceeds 0.25.
     """
     n = blocks.shape[1]
-    size = next_fast_len(n + m - 1, real=True)
-    # zero-padded by hand: rfft's own padding path takes about twice as long
+    size = next_fast_len(n + m - 1)
+    # zero-padded by hand: rfft's own padding path (same spectrum) was no
+    # faster at the 17280 and 18000 points of perfbench's golden and stream
     padded = np.zeros((blocks.shape[0], size))
     padded[:, :n] = blocks
     counts = irfft(rfft(padded, axis=1) * spectrum, size, axis=1)[:, n - 1:n - 1 + m]

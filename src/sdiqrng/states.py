@@ -40,7 +40,6 @@ __all__ = [
     "validate_state",
     "quadrature_pdf",
     "sample_quadrature",
-    "max_bin_probability",
     "max_bin_probabilities",
     "bin_index",
     "search_halfwidth",
@@ -393,7 +392,3 @@ def max_bin_probabilities(state_list, delta: float, *, theta: float = 0.0,
             out.append(_gaussian_max_bin(*_gaussian_moments(st, theta), delta))
     return out
 
-
-def max_bin_probability(state, theta: float, delta: float, *, nodes: int = 80) -> float:
-    """``max_bin_probabilities`` for one state at LO phase ``theta``."""
-    return max_bin_probabilities([state], delta, theta=theta, nodes=nodes)[0]

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import math
 import re
 import shutil
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,6 +61,19 @@ def run_pipeline(cfg_path, out_dir, commands=("simulate", "calibrate", "extract"
         assert code == 0, f"{command} exited {code}"
 
 
+def assert_reference_column(rows, total, cdf):
+    """Third CSV column, ``total`` times the mass of each unit bin under
+    ``cdf``, against an mpmath oracle: 1e-12 relative, except in the far
+    tails, where a difference of two CDF values near 0 or 1 carries a few
+    ulps of ``total`` whatever erf computes it."""
+    with mpmath.workdps(40):
+        for row in rows:
+            k = int(row[0])
+            exact = total * (cdf(k + mpmath.mpf(0.5)) - cdf(k - mpmath.mpf(0.5)))
+            assert math.isclose(float(row[2]), float(exact), rel_tol=1e-12,
+                                abs_tol=1e-15 * total), row
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full simulate/calibrate/extract/test/attack/verify run."""
@@ -109,6 +124,9 @@ def test_simulate_artifacts(pipeline):
     assert len(rows) == 256
     assert int(rows[0][0]) == -128 and int(rows[-1][0]) == 127
     assert sum(int(r[1]) for r in rows) == 2 * 20000
+    sigma = float(hist[1].split("sigma_codes=")[1])
+    assert_reference_column(rows, 2 * 20000,
+                            lambda x: mpmath.erf(x / (mpmath.sqrt(2) * sigma)) / 2)
 
 
 def test_calibrate_artifacts(pipeline):
@@ -161,8 +179,10 @@ def test_attack_artifacts(pipeline):
         assert key in report
     hist = (out / "attack_histogram.csv").read_text().splitlines()
     assert hist[2] == "bin,count,vacuum_expected"
-    counts = [int(line.split(",")[1]) for line in hist[3:]]
-    assert sum(counts) == 20000
+    rows = [line.split(",") for line in hist[3:]]
+    assert sum(int(r[1]) for r in rows) == 20000
+    delta = float(re.search(r"delta=(\S+)", hist[1]).group(1))
+    assert_reference_column(rows, 20000, lambda x: mpmath.erf(x * delta) / 2)
 
 
 def test_verify_artifacts(pipeline):
@@ -419,6 +439,15 @@ def test_unusable_artifact_directory_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
         assert f"artifact directory {out}" in capsys.readouterr().err
+
+
+def test_blocks_path_taken_by_a_file_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "blocks").touch()
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"artifact directory {out / 'blocks'}" in capsys.readouterr().err
 
 
 def test_infeasible_plan_exits_4(pipeline, tmp_path):

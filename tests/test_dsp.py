@@ -4,7 +4,8 @@ Frequency-domain expectations are computed in the test from the definitional
 DFT of the designed taps (and cross-checked against scipy.signal.freqz), so
 the time-domain measurements have an independent oracle.  scipy.signal is a
 test-only oracle: the numpy design must equal ``firwin`` and ``lowpass`` must
-equal ``fftconvolve`` bit for bit.  The decimating ``lowpass`` is checked
+equal ``fftconvolve`` bit for bit, and ``scipy.fft`` is the oracle for
+``next_fast_len``.  The decimating ``lowpass`` is checked
 against the full-rate output strided by hand.
 """
 
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import signal as ssig
 
 from sdiqrng import dsp
@@ -20,6 +22,7 @@ from sdiqrng.dsp import (
     autocorrelation,
     design_lowpass,
     lowpass,
+    next_fast_len,
     remove_low_frequency,
 )
 
@@ -139,6 +142,19 @@ def test_lowpass_equals_scipy_fftconvolve(n, rate, cutoff, taps):
     padded = np.pad(x, taps // 2, mode="reflect")
     ref = ssig.fftconvolve(padded, design_lowpass(rate, cutoff, taps), mode="valid")
     assert np.array_equal(lowpass(x, rate, cutoff, taps), ref)
+
+
+def test_next_fast_len_equals_scipy():
+    # every length up to 2**16, then both sides of every 5-smooth length up
+    # to 2**27: the answer only steps there, and the transforms the code
+    # requests (blocks of samples, padded seeds) lie in that range
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(28) for b in range(17)
+                    for c in range(12) if 2 ** a * 3 ** b * 5 ** c <= 2 ** 27)
+    lengths = set(range(1, 2 ** 16)) | {s + d for s in smooth for d in (-1, 0, 1)}
+    for n in sorted(lengths - {0}):
+        assert next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
+    with pytest.raises(ValueError):
+        next_fast_len(0)
 
 
 def test_lowpass_linearity():

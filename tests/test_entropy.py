@@ -119,7 +119,7 @@ def test_bound_property_over_state_grid():
     for delta in (0.05, 0.3, 1.0):
         h_vac = vacuum_min_entropy(delta).h_min_bits
         for st in grid:
-            p_max = states.max_bin_probability(st, 0.0, delta)
+            p_max = states.max_bin_probabilities([st], delta, theta=0.0)[0]
             assert -math.log2(p_max) >= h_vac - 1e-12
 
 

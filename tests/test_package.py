@@ -1,7 +1,9 @@
 """Package-level checks: every exported name exists, and a stage's import
-path stays free of the slow scipy subpackages."""
+path stays free of scipy: none for simulate, extract and verify, only
+``scipy.special`` for test."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -24,17 +26,29 @@ def test_module_all_names_resolve(name):
 
 
 STAGE_RUN = """\
+import json
 import sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+if sys.argv[1:] == ["scipy.special"]:
+    import scipy.special
+    print(json.dumps(scipy_modules()))
+    sys.exit()
+
 from sdiqrng.cli import main
 
+loaded = {"import": scipy_modules()}
 cfg, out = sys.argv[1:]
-for stage in ("simulate", "extract", "test", "verify"):
+for stage in ("simulate", "extract", "verify", "test"):
     code = main([stage, "--config", cfg, "--out", out])
     # the battery verdict on a few dozen strings is not what is checked here
     assert code == 0 or (stage, code) == ("test", 5), f"{stage} exited {code}"
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"]))
-print("loaded:", *loaded)
+    loaded[stage] = scipy_modules()
+print(json.dumps(loaded))
 """
 
 TINY_CHAIN_CONFIG = """\
@@ -64,12 +78,24 @@ equivalence_dim_max = 5
 
 
 def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
-    # a fresh interpreter: pytest's own test modules import both subpackages;
-    # only the attack stage loads scipy.stats, inside run_attack
+    # fresh interpreters: pytest's own test modules import scipy throughout;
+    # only test loads scipy.special, and only attack loads scipy.stats
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CHAIN_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(Path(sdiqrng.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", STAGE_RUN, str(cfg), str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", STAGE_RUN, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    special = set(run("scipy.special"))
+    loaded = run(str(cfg), str(tmp_path / "out"))
+    for step in ("import", "simulate", "extract", "verify"):
+        assert loaded[step] == [], f"after {step}: {loaded[step]}"
+    assert "scipy.special" in loaded["test"]
+    assert set(loaded["test"]) <= special
+    assert not [m for m in loaded["test"]
+                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"],
+                                        ["scipy", "fft"])]

@@ -22,7 +22,6 @@ from sdiqrng.states import (
     Vacuum,
     bin_index,
     max_bin_probabilities,
-    max_bin_probability,
     quadrature_pdf,
     sample_quadrature,
     search_halfwidth,
@@ -193,22 +192,22 @@ def test_sampler_histogram_chi2_against_oracle_pdf(model):
 
 
 def test_max_bin_probability_vacuum_closed_form():
-    assert max_bin_probability(Vacuum(), 0.0, 0.5) == pytest.approx(
+    assert max_bin_probabilities([Vacuum()], 0.5, theta=0.0)[0] == pytest.approx(
         ERF_QUARTER, rel=1e-13)
     for delta in (0.05, 0.2, 1.0):
-        assert max_bin_probability(Vacuum(), 0.7, delta) == pytest.approx(
+        assert max_bin_probabilities([Vacuum()], delta, theta=0.7)[0] == pytest.approx(
             math.erf(delta / 2.0), rel=1e-13)
 
 
 def test_single_photon_max_bin_strictly_below_vacuum():
-    assert max_bin_probability(Fock(1), 0.0, 0.5) < ERF_QUARTER
+    assert max_bin_probabilities([Fock(1)], 0.5, theta=0.0)[0] < ERF_QUARTER
 
 
 def test_vacuum_maximal_over_fock_grid():
     for delta in (0.05, 0.5, 1.0):
-        vac = max_bin_probability(Vacuum(), 0.0, delta)
+        vac = max_bin_probabilities([Vacuum()], delta, theta=0.0)[0]
         for n in range(21):
-            val = max_bin_probability(Fock(n), 0.0, delta, nodes=120)
+            val = max_bin_probabilities([Fock(n)], delta, theta=0.0, nodes=120)[0]
             if n == 0:
                 assert val == pytest.approx(vac, rel=1e-10)
             else:
@@ -221,7 +220,7 @@ def test_max_bin_matches_quadrature_oracle(n, delta):
     masses = [oracle_bin_mass(n, k * delta - delta / 2.0,
                               k * delta + delta / 2.0)
               for k in range(-k_max, k_max + 1)]
-    got = max_bin_probability(Fock(n), 0.0, delta, nodes=200)
+    got = max_bin_probabilities([Fock(n)], delta, theta=0.0, nodes=200)[0]
     assert got == pytest.approx(max(masses), abs=1e-11)
 
 
@@ -232,7 +231,8 @@ def test_shared_fock_table_matches_one_state_calls():
              Thermal(0.4), DisplacedSqueezed(0.3, 0.2, 0.5 + 0.1j), Fock(3)]
     for delta in (0.05, 0.3, 1.0):
         for theta in (0.0, 1.1):
-            alone = [max_bin_probability(st, theta, delta, nodes=60) for st in batch]
+            alone = [max_bin_probabilities([st], delta, theta=theta, nodes=60)[0]
+                     for st in batch]
             assert max_bin_probabilities(batch, delta, theta=theta, nodes=60) == alone
     assert max_bin_probabilities([], 0.1) == []
 
@@ -276,9 +276,9 @@ def test_bad_query_arguments_rejected():
     with pytest.raises(ValueError):
         quadrature_pdf(Vacuum(), float("inf"), 0.0)
     with pytest.raises(ValueError):
-        max_bin_probability(Vacuum(), 0.0, 0.0)
+        max_bin_probabilities([Vacuum()], 0.0, theta=0.0)[0]
     with pytest.raises(ValueError):
-        max_bin_probability(Vacuum(), 0.0, -1.0)
+        max_bin_probabilities([Vacuum()], -1.0, theta=0.0)[0]
     with pytest.raises(ValueError):
         bin_index(0.3, 0.0)
     with pytest.raises(ValueError):
