@@ -12,35 +12,72 @@ claimed entropy:
     delta              = adc_step / sqrt(2 * m * operating_power)
     delta_conservative = adc_step / sqrt(2 * (m - k * se_m) * operating_power)
 
-Fits append to a CSV log whose version line names ``time`` and every
-``CalibrationResult`` field.  ``current_calibration`` alone decides which
-logged fit certifies an extraction; it reads explicit timestamps, never the
-wall clock, so runs replay deterministically.
+``CalibrationSettings`` is the ``[calibration]`` config section.  Fits
+append to a CSV log whose version line names ``time`` and every
+``CalibrationResult`` field, the ``fingerprint`` of the settings behind the
+fit included.  ``current_calibration`` alone decides which logged fit
+certifies an extraction; it reads explicit timestamps, never the wall
+clock, so runs replay deterministically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._io import append_line, iso_utc
-from .detector import MeasurementConfig, vacuum_unit_resolution
+from .detector import ChainSettings, MeasurementConfig, vacuum_unit_resolution
 from .entropy import vacuum_min_entropy
 from .exceptions import CalibrationError, StaleCalibrationError
 
 __all__ = [
+    "CalibrationSettings",
     "CalibrationPoint",
     "CalibrationResult",
     "fit_calibration",
-    "RecalibrationPolicy",
+    "fingerprint",
     "current_calibration",
     "append_log",
     "read_log",
 ]
 
 MIN_SAMPLES_PER_POINT = 10_000
+
+
+@dataclass(frozen=True)
+class CalibrationSettings:
+    """The power sweep and fit; a fit certifies for ``recalibration_interval``
+    seconds, and an H_min drift above ``drift_threshold`` raises an alarm."""
+
+    powers: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
+    samples_per_point: int = 200000
+    min_points: int = 5
+    conservatism: float = 2.0
+    recalibration_interval: float = 600.0
+    drift_threshold: float = 0.02
+
+    def __post_init__(self):
+        if self.samples_per_point < MIN_SAMPLES_PER_POINT:
+            raise ValueError(f"samples_per_point must be >= {MIN_SAMPLES_PER_POINT}")
+        if self.min_points < 3:
+            raise ValueError("min_points must be >= 3")
+        distinct = sorted(set(self.powers))
+        if not distinct or not all(0.0 < p < math.inf for p in distinct):
+            raise ValueError("powers must be non-empty, positive and finite")
+        if distinct[-1] / distinct[0] < 2.0:
+            raise ValueError("powers must span at least 2x (max/min)")
+        if self.min_points > len(distinct):
+            raise ValueError(f"min_points ({self.min_points}) exceeds the "
+                             f"{len(distinct)} distinct powers")
+        if self.conservatism < 0:
+            raise ValueError("conservatism must be non-negative")
+        if not self.recalibration_interval > 0:  # written so that NaN fails too
+            raise ValueError("recalibration_interval must be positive")
+        if not 0.0 < self.drift_threshold < 1.0:
+            raise ValueError("drift_threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -79,6 +116,7 @@ class CalibrationResult:
     delta_conservative: float
     h_min_bits: float
     timestamp: float
+    fingerprint: str = ""
 
     @property
     def intercept_suspicious(self) -> bool:
@@ -161,67 +199,77 @@ def fit_calibration(points, adc_step: float, *, operating_power: float | None = 
         timestamp=float(timestamp))
 
 
-@dataclass(frozen=True)
-class RecalibrationPolicy:
-    """Recalibrate after ``interval_seconds``; alarm on relative H_min drift."""
-
-    interval_seconds: float = 600.0
-    drift_threshold: float = 0.02
-
-    def __post_init__(self):
-        if not self.interval_seconds > 0:  # written so that NaN fails too
-            raise ValueError("interval_seconds must be positive")
-        if not 0.0 < self.drift_threshold < 1.0:
-            raise ValueError("drift_threshold must lie in (0, 1)")
+# settings that cannot change the fitted line or the bound derived from it
+_NOT_FINGERPRINTED = {"autocorr_max_lag", "autocorr_samples",
+                      "recalibration_interval", "drift_threshold"}
 
 
-def current_calibration(history, now: float, policy: RecalibrationPolicy,
-                        detector: MeasurementConfig) -> CalibrationResult:
-    """The newest logged fit at the detector's ADC step and LO power, the two
-    settings in delta = adc_step / sqrt(2 * m * lo_power).  StaleCalibrationError
-    when none matches, when the two newest differ in H_min beyond the drift
-    threshold (checked first) or when the newest is ``interval_seconds`` old;
-    CalibrationError when ``now`` precedes it."""
-    matching = sorted((r for r in history if r.adc_step == detector.adc_step
-                       and r.operating_power == detector.lo_power),
+def fingerprint(detector: MeasurementConfig, chain: ChainSettings,
+                settings: CalibrationSettings) -> str:
+    """sha256 (hex) over every setting that shapes a fit and the bin width
+    derived from it: each ``[detector]`` field (operating ``lo_power`` and,
+    through ``adc_bits`` and ``adc_full_scale``, ``adc_step`` included), each
+    ``[dsp]`` field but the autocorrelation diagnostic's, and the sweep and
+    conservatism of ``[calibration]``."""
+    items = [(type(section).__name__, f.name, getattr(section, f.name))
+             for section in (detector, chain, settings) for f in fields(section)
+             if f.name not in _NOT_FINGERPRINTED]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def current_calibration(history, now: float, detector: MeasurementConfig,
+                        chain: ChainSettings,
+                        settings: CalibrationSettings) -> CalibrationResult:
+    """The newest logged fit whose fingerprint is that of these settings.
+    StaleCalibrationError when none matches, when the two newest differ in
+    H_min beyond ``settings.drift_threshold`` (checked first) or when the
+    newest is ``settings.recalibration_interval`` old; CalibrationError when
+    ``now`` precedes it."""
+    wanted = fingerprint(detector, chain, settings)
+    matching = sorted((r for r in history if r.fingerprint == wanted),
                       key=lambda r: r.timestamp)
     if not matching:
-        raise StaleCalibrationError(f"no calibration at adc_step {detector.adc_step!r} "
-                                    f"and lo_power {detector.lo_power!r}")
+        raise StaleCalibrationError(
+            f"no calibration at adc_step {detector.adc_step!r} and lo_power "
+            f"{detector.lo_power!r} with these settings (fingerprint {wanted})")
     last = matching[-1]
     prev = matching[-2] if len(matching) > 1 else last
     drift = abs(last.h_min_bits - prev.h_min_bits) / prev.h_min_bits
-    if drift > policy.drift_threshold:
+    if drift > settings.drift_threshold:
         raise StaleCalibrationError(f"alarm: h_min drifted {drift:.2%} between the "
                                     "two newest calibrations")
     age = now - last.timestamp
-    if age >= policy.interval_seconds:
-        raise StaleCalibrationError(f"calibration is {age!r} s old, past the "
-                                    f"{policy.interval_seconds!r} s recalibration interval")
+    if age >= settings.recalibration_interval:
+        raise StaleCalibrationError(
+            f"calibration is {age!r} s old, past the "
+            f"{settings.recalibration_interval!r} s recalibration interval")
     if age < 0:
         raise CalibrationError(f"time {now!r} precedes the calibration at {last.timestamp!r}")
     return last
 
 
-_LOG_VERSION_LINE = "# sdiqrng calibration log v2: " + ",".join(
-    ["time"] + [f.name for f in fields(CalibrationResult)])
+_NUMBERS = [f.name for f in fields(CalibrationResult) if f.name != "fingerprint"]
+_LOG_VERSION_LINE = "# sdiqrng calibration log v3: " + ",".join(
+    ["time"] + _NUMBERS + ["fingerprint"])
 
 
 def append_log(path, result: CalibrationResult) -> None:
-    """Append one fit as a CSV row, ISO time then every field by ``repr``,
-    below the version line; a log without that line raises CalibrationError."""
+    """Append one fit as a CSV row below the version line: ISO time, every
+    number by ``repr``, then the fingerprint.  A log without that line raises
+    CalibrationError."""
     row = ",".join([iso_utc(result.timestamp)]
-                   + [repr(getattr(result, f.name)) for f in fields(result)])
+                   + [repr(getattr(result, name)) for name in _NUMBERS]
+                   + [result.fingerprint])
     try:
         append_line(path, row, header=_LOG_VERSION_LINE)
     except ValueError:
-        raise CalibrationError(f"{path}:1: not a version-2 calibration log") from None
+        raise CalibrationError(f"{path}:1: not a version-3 calibration log") from None
 
 
 def read_log(path) -> list[CalibrationResult]:
     """Parse the calibration log back into results, in file order.  An
-    unreadable or non-UTF-8 file, a missing version line, or a row without a
-    finite number per field raises CalibrationError naming path and line."""
+    unreadable or non-UTF-8 file, a missing version-3 line, or a row without
+    a finite number per number field raises CalibrationError naming path and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -231,15 +279,16 @@ def read_log(path) -> list[CalibrationResult]:
         raise CalibrationError(f"cannot read calibration log {path}: {exc.strerror}; "
                                "run calibrate first") from None
     if not lines or lines[0] != _LOG_VERSION_LINE:
-        raise CalibrationError(f"{path}:1: not a version-2 calibration log")
-    names = [f.name for f in fields(CalibrationResult)]
+        raise CalibrationError(f"{path}:1: not a version-3 calibration log")
     out = []
     for line_no, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
         try:
-            numbers = [float(cell) for cell in line.split(",")[1:]]
+            numbers = [float(cell) for cell in cells[1:-1]]
         except ValueError:
             numbers = []
-        if len(numbers) != len(names) or not all(map(math.isfinite, numbers)):
+        if len(numbers) != len(_NUMBERS) or not all(map(math.isfinite, numbers)):
             raise CalibrationError(f"{path}:{line_no}: malformed log line")
-        out.append(CalibrationResult(**dict(zip(names, numbers))))
+        out.append(CalibrationResult(**dict(zip(_NUMBERS, numbers)),
+                                     fingerprint=cells[-1]))
     return out

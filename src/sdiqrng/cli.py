@@ -147,6 +147,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         points, det.adc_step, operating_power=det.lo_power,
         min_points=cs.min_points, conservatism=cs.conservatism,
         timestamp=cfg.run.timestamp)
+    result = replace(result, fingerprint=calibration.fingerprint(det, cfg.dsp, cs))
     calibration.append_log(out / "calibration.csv", result)
 
     bound = entropy.vacuum_min_entropy(result.delta_conservative)
@@ -184,7 +185,6 @@ def cmd_extract(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     det = cfg.detector
     es = cfg.extractor
-    cs = cfg.calibration
     blocks_dir = out / "blocks"
     paths = sorted(blocks_dir.glob("filtered_*.bin")) or sorted(
         blocks_dir.glob("raw_*.bin"))
@@ -196,13 +196,13 @@ def cmd_extract(cfg: RunConfig) -> int:
         raise ConfigError(f"sample block {exc}") from None
 
     if es.h_min_override is not None:
-        h_min = es.h_min_override
+        h_min, certified_by = es.h_min_override, "h_min_override"
     else:
-        policy = calibration.RecalibrationPolicy(cs.recalibration_interval,
-                                                 cs.drift_threshold)
-        h_min = calibration.current_calibration(
+        fit = calibration.current_calibration(
             calibration.read_log(out / "calibration.csv"), cfg.run.timestamp,
-            policy, det).h_min_bits
+            det, cfg.dsp, cfg.calibration)
+        h_min = fit.h_min_bits
+        certified_by = f"calibration {iso_utc(fit.timestamp)} {fit.fingerprint}"
 
     epsilon = 2.0 ** es.epsilon_log2
     try:
@@ -228,7 +228,7 @@ def cmd_extract(cfg: RunConfig) -> int:
                                               threads=cfg.run.threads)
     write_bytes_atomic(out / "output.bits", packed.tobytes())
     write_report(out / "accounting.txt", [
-        ("scheduler_decision", "keep"),
+        ("certified_by", certified_by),
         ("samples_per_block", plan.samples_per_block),
         ("input_bits_per_block", plan.input_bits),
         ("output_bits_per_block", plan.output_bits),

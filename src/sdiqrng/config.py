@@ -11,11 +11,13 @@ Grammar (INI subset, parsed with :mod:`configparser`):
   are accepted too;
 * every number read as a float must be finite: nan and +-inf are rejected.
 
-The settings dataclasses below are the schema: one frozen class per
-section, one field per key carrying its type and default.  ``load_config``
-parses each given value with the parser chosen by the field's annotation.
-``[source]`` and ``[detector]`` are then built into the state model and the
-``MeasurementConfig``.
+The settings dataclasses are the schema: one frozen class per section, one
+field per key carrying its type and default, each checking its own section
+in ``__post_init__``.  ``[detector]``, ``[dsp]`` and ``[calibration]`` are the
+library's own ``MeasurementConfig``, ``ChainSettings`` and
+``CalibrationSettings``.  ``load_config`` parses each value by its field's
+annotation and builds every section (a ``ValueError`` becomes a
+``ConfigError`` naming it); ``[source]`` is then built into the state model.
 
 All randomness used by commands descends from ``run.rng_seed`` through
 named substreams, and ``run.timestamp`` is the fixed reference time stamped
@@ -32,10 +34,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import calibration, states
+from . import states
 from ._io import iso_utc
-from .detector import (FixedPhase, MeasurementConfig, UniformRandomPhase,
-                       WrappedGaussianPhase)
+from .calibration import CalibrationSettings
+from .detector import ChainSettings, MeasurementConfig
 from .exceptions import ConfigError
 
 __all__ = ["RunConfig", "load_config", "substream"]
@@ -47,6 +49,17 @@ class RunSettings:
     rng_seed: int = 20260815
     threads: int = 1
     timestamp: float = 0.0
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if not 0 <= self.rng_seed < 2 ** 64:
+            raise ValueError("rng_seed must be a nonnegative integer below 2**64")
+        try:
+            iso_utc(self.timestamp)
+        except (ValueError, OverflowError, OSError):
+            raise ValueError(f"timestamp {self.timestamp!r} is not a representable "
+                             "UTC time (run.timestamp is in Unix seconds)") from None
 
 
 @dataclass(frozen=True)
@@ -62,50 +75,13 @@ class SourceSettings:
 
 
 @dataclass(frozen=True)
-class DetectorSettings:
-    lo_phase_policy: str = "uniform"   # fixed | uniform | wrapped
-    lo_phase: float = 0.0
-    lo_phase_width: float = 0.1
-    lo_power: float = 1.0
-    pulse_rate: float = 50e6
-    adc_bits: int = 8
-    adc_full_scale: float = 160.0
-    electronic_noise_var: float = 2.0
-    excess_noise_var: float = 0.0
-    excess_noise_tracks_power: bool = False
-    conversion_gain: float = 122.0
-
-
-@dataclass(frozen=True)
-class ChainSettings:
-    enabled: bool = True
-    oversample: int = 8
-    pulse_duty: float = 0.5
-    lowpass_cutoff: float = 140e6
-    lowpass_taps: int = 257
-    sample_phase: float = 0.5
-    notch_enabled: bool = True
-    modulation_freq: float = 25e6
-    notch_cutoff: float = 24.995e6
-    notch_taps: int = 16001
-    autocorr_max_lag: int = 400
-    autocorr_samples: int = 1000000
-
-
-@dataclass(frozen=True)
 class SimulateSettings:
     pulses: int = 1000000
     blocks: int = 1
 
-
-@dataclass(frozen=True)
-class CalibrationSettings:
-    powers: tuple[float, ...] = (0.25, 0.5, 1.0, 1.5, 2.0)
-    samples_per_point: int = 200000
-    min_points: int = 5
-    conservatism: float = 2.0
-    recalibration_interval: float = 600.0
-    drift_threshold: float = 0.02
+    def __post_init__(self):
+        if self.pulses < 1 or self.blocks < 1:
+            raise ValueError("pulses and blocks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,11 +91,23 @@ class ExtractorSettings:
     h_min_override: float | None = None
     seed_file: str | None = None
 
+    def __post_init__(self):
+        if self.epsilon_log2 >= 0:
+            raise ValueError("epsilon_log2 must be negative")
+        if self.target_bits_per_sample <= 0:
+            raise ValueError("target_bits_per_sample must be positive")
+
 
 @dataclass(frozen=True)
 class StatsSettings:
     string_bits: int = 100000
     alpha: float = 0.01
+
+    def __post_init__(self):
+        if self.string_bits < 100:
+            raise ValueError("string_bits must be >= 100")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError("alpha must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -138,6 +126,14 @@ class VerifySettings:
     equivalence_states: int = 100
     equivalence_dim_max: int = 8
 
+    def __post_init__(self):
+        if self.fock_n_max < 1 or self.equivalence_states < 1:
+            raise ValueError("fock_n_max and equivalence_states must be >= 1")
+        if not 2 <= self.equivalence_dim_max <= 16:
+            raise ValueError("equivalence_dim_max must lie in [2, 16]")
+        if not self.deltas or any(dl <= 0 for dl in self.deltas):
+            raise ValueError("deltas must be non-empty and all positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -153,12 +149,12 @@ class RunConfig:
     verify: VerifySettings
 
 
-# every section and its schema; [source] and [detector] hold raw keys that
-# _build_source and _build_detector turn into the state and detector models
+# every section and its schema; [source] holds raw keys that _build_source
+# turns into the state model
 _SECTIONS = {
     "run": RunSettings,
     "source": SourceSettings,
-    "detector": DetectorSettings,
+    "detector": MeasurementConfig,
     "dsp": ChainSettings,
     "simulate": SimulateSettings,
     "calibration": CalibrationSettings,
@@ -242,105 +238,25 @@ def _build_source(s: SourceSettings) -> states.QuantumStateModel:
     raise ConfigError(f"source.kind: unknown state kind {kind!r}")
 
 
-def _build_detector(s: DetectorSettings) -> MeasurementConfig:
-    policy_name = s.lo_phase_policy.lower()
-    if policy_name == "fixed":
-        policy = FixedPhase(s.lo_phase)
-    elif policy_name == "uniform":
-        policy = UniformRandomPhase()
-    elif policy_name == "wrapped":
-        policy = WrappedGaussianPhase(s.lo_phase, s.lo_phase_width)
-    else:
-        raise ConfigError(
-            f"detector.lo_phase_policy: expected fixed|uniform|wrapped, got {policy_name!r}")
-    try:
-        return MeasurementConfig(
-            lo_phase_policy=policy, lo_power=s.lo_power, pulse_rate=s.pulse_rate,
-            adc_bits=s.adc_bits, adc_full_scale=s.adc_full_scale,
-            electronic_noise_var=s.electronic_noise_var,
-            excess_noise_var=s.excess_noise_var,
-            excess_noise_tracks_power=s.excess_noise_tracks_power,
-            conversion_gain=s.conversion_gain)
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from None
-
-
 def _cross_validate(cfg: RunConfig) -> None:
+    """The checks that span sections: the [dsp] frequencies against the
+    [detector] pulse rate."""
     d = cfg.dsp
-    det = cfg.detector
-    try:
-        iso_utc(cfg.run.timestamp)
-    except (ValueError, OverflowError, OSError):
-        raise ConfigError(f"run.timestamp {cfg.run.timestamp!r} is not a "
-                          "representable UTC time") from None
-    # simulate computes the autocorrelation diagnostic with the chain on or off
-    if d.autocorr_max_lag < 1 or d.autocorr_samples <= 10 * d.autocorr_max_lag:
-        raise ConfigError("dsp.autocorr_samples must exceed 10 * autocorr_max_lag")
-    if d.enabled:
-        if d.oversample < 1:
-            raise ConfigError("dsp.oversample must be >= 1")
-        input_rate = d.oversample * det.pulse_rate
-        if not 0.0 < d.lowpass_cutoff < input_rate / 2.0:
-            raise ConfigError(
-                f"dsp.lowpass_cutoff ({d.lowpass_cutoff:g}) must be positive and sit "
-                f"below the input Nyquist rate ({input_rate / 2.0:g})")
-        if not 0.0 < d.pulse_duty <= 1.0:
-            raise ConfigError("dsp.pulse_duty must lie in (0, 1]")
-        if not 0.0 <= d.sample_phase < 1.0:
-            raise ConfigError("dsp.sample_phase must lie in [0, 1)")
-        if any(taps % 2 == 0 or taps < 5 for taps in (d.lowpass_taps, d.notch_taps)):
-            raise ConfigError("dsp tap counts must be odd (linear phase) and >= 5")
-        if d.notch_enabled:
-            if not 0.0 < d.modulation_freq <= det.pulse_rate / 2.0:
-                raise ConfigError("dsp.modulation_freq must be positive and cannot "
-                                  "exceed pulse Nyquist")
-            if not 0.0 < d.notch_cutoff < det.pulse_rate / 2.0:
-                raise ConfigError("dsp.notch_cutoff must be positive and sit below "
-                                  "pulse Nyquist")
-    if cfg.simulate.pulses < 1 or cfg.simulate.blocks < 1:
-        raise ConfigError("simulate.pulses and simulate.blocks must be >= 1")
-    if cfg.run.threads < 1:
-        raise ConfigError("run.threads must be >= 1")
-    if not 0 <= cfg.run.rng_seed < 2 ** 64:
-        raise ConfigError("run.rng_seed must be a nonnegative integer below 2**64")
-    if cfg.extractor.epsilon_log2 >= 0:
-        raise ConfigError("extractor.epsilon_log2 must be negative")
-    if cfg.extractor.target_bits_per_sample <= 0:
-        raise ConfigError("extractor.target_bits_per_sample must be positive")
-    if cfg.stats.string_bits < 100:
-        raise ConfigError("stats.string_bits must be >= 100")
-    if not 0.0 < cfg.stats.alpha < 0.5:
-        raise ConfigError("stats.alpha must lie in (0, 0.5)")
-    cal = cfg.calibration
-    if cal.samples_per_point < calibration.MIN_SAMPLES_PER_POINT:
-        raise ConfigError("calibration.samples_per_point must be >= "
-                          f"{calibration.MIN_SAMPLES_PER_POINT}")
-    if not cal.powers:
-        raise ConfigError("calibration.powers cannot be empty")
-    if cal.min_points < 3:
-        raise ConfigError("calibration.min_points must be >= 3")
-    distinct = sorted(set(cal.powers))
-    if not all(0.0 < p < math.inf for p in distinct):
-        raise ConfigError("calibration.powers must be positive and finite")
-    if distinct[-1] / distinct[0] < 2.0:
-        raise ConfigError("calibration.powers must span at least 2x (max/min)")
-    if cal.min_points > len(distinct):
-        raise ConfigError(f"calibration.min_points ({cal.min_points}) exceeds the "
-                          f"{len(distinct)} distinct calibration.powers")
-    if cal.conservatism < 0:
-        raise ConfigError("calibration.conservatism must be non-negative")
-    try:
-        calibration.RecalibrationPolicy(interval_seconds=cal.recalibration_interval,
-                                        drift_threshold=cal.drift_threshold)
-    except ValueError as exc:
-        raise ConfigError("calibration.recalibration_interval/drift_threshold: "
-                          f"{exc}") from None
-    if cfg.verify.fock_n_max < 1 or cfg.verify.equivalence_states < 1:
-        raise ConfigError("verify counts must be >= 1")
-    if not 2 <= cfg.verify.equivalence_dim_max <= 16:
-        raise ConfigError("verify.equivalence_dim_max must lie in [2, 16]")
-    if any(dl <= 0 for dl in cfg.verify.deltas):
-        raise ConfigError("verify.deltas must all be positive")
+    pulse_rate = cfg.detector.pulse_rate
+    if not d.enabled:
+        return
+    input_rate = d.oversample * pulse_rate
+    if not 0.0 < d.lowpass_cutoff < input_rate / 2.0:
+        raise ConfigError(
+            f"dsp.lowpass_cutoff ({d.lowpass_cutoff:g}) must be positive and sit "
+            f"below the input Nyquist rate ({input_rate / 2.0:g})")
+    if d.notch_enabled:
+        if not 0.0 < d.modulation_freq <= pulse_rate / 2.0:
+            raise ConfigError("dsp.modulation_freq must be positive and cannot "
+                              "exceed pulse Nyquist")
+        if not 0.0 < d.notch_cutoff < pulse_rate / 2.0:
+            raise ConfigError("dsp.notch_cutoff must be positive and sit below "
+                              "pulse Nyquist")
 
 
 def load_config(path: str | None = None, *, overrides: dict | None = None) -> RunConfig:
@@ -374,15 +290,18 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         for key in values:
             if key not in kinds:
                 raise ConfigError(f"unknown config key {section}.{key}")
-        settings[section] = _SECTIONS[section](**{
-            key: _parse(section, key, kinds[key], raw) for key, raw in values.items()})
+        parsed = {key: _parse(section, key, kinds[key], raw)
+                  for key, raw in values.items()}
+        try:
+            settings[section] = _SECTIONS[section](**parsed)
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from None
 
     try:
         source = _build_source(settings.pop("source"))
     except ValueError as exc:
         raise ConfigError(f"source: {exc}") from None
-    cfg = RunConfig(source=source,
-                    detector=_build_detector(settings.pop("detector")), **settings)
+    cfg = RunConfig(source=source, **settings)
     try:
         states.validate_state(cfg.source)
     except ValueError as exc:

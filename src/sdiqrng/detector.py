@@ -1,5 +1,8 @@
 """Pulsed homodyne detector and ADC model.
 
+``MeasurementConfig`` is the ``[detector]`` config section and
+``ChainSettings`` the ``[dsp]`` section, as ``config.load_config`` builds them.
+
 One sample per local-oscillator pulse: the quadrature outcome ``q`` (vacuum
 units) is scaled to the analog front-end as
 
@@ -30,29 +33,24 @@ itself is held at the input rate.
 
 Raw blocks serialize to a little-endian binary format with a fixed 9-line
 ASCII header (magic, version, bits, count, clipped count, config hash, run
-id, timestamp, terminator).
+id, timestamp, terminator); the config hash covers every
+``MeasurementConfig`` field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsp, states
 from .states import QuantumStateModel
 
-if TYPE_CHECKING:
-    from .config import ChainSettings
-
 __all__ = [
-    "FixedPhase",
-    "UniformRandomPhase",
-    "WrappedGaussianPhase",
     "MeasurementConfig",
+    "ChainSettings",
     "RawSampleBlock",
     "draw_phases",
     "measure_pulses",
@@ -67,45 +65,36 @@ _VERSION = "2"
 
 
 @dataclass(frozen=True)
-class FixedPhase:
-    theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class UniformRandomPhase:
-    """Fresh uniform LO phase on [0, 2*pi) for every pulse."""
-
-
-@dataclass(frozen=True)
-class WrappedGaussianPhase:
-    """Imperfect randomization: wrapped normal around ``center`` with ``width`` sd."""
-
-    center: float = 0.0
-    width: float = 0.1
-
-
-PhasePolicy = FixedPhase | UniformRandomPhase | WrappedGaussianPhase
-
-
-@dataclass(frozen=True)
 class MeasurementConfig:
     """Static description of one measurement run.
 
+    The LO phase is ``fixed`` at ``lo_phase``, ``uniform`` on [0, 2*pi), or
+    ``wrapped`` normal around ``lo_phase`` with ``lo_phase_width`` sd
+    (imperfect randomization); the policy name is stored in lower case.
     lo_power is in the calibration's power units (typically W); the pulse
     rate only enters rate bookkeeping, never the per-sample statistics.
     """
 
-    lo_phase_policy: PhasePolicy = field(default_factory=UniformRandomPhase)
+    lo_phase_policy: str = "uniform"
+    lo_phase: float = 0.0
+    lo_phase_width: float = 0.1
     lo_power: float = 1.0
     pulse_rate: float = 50e6
     adc_bits: int = 8
     adc_full_scale: float = 160.0
-    electronic_noise_var: float = 0.0
+    electronic_noise_var: float = 2.0
     excess_noise_var: float = 0.0
     excess_noise_tracks_power: bool = False
-    conversion_gain: float = 136.0
+    conversion_gain: float = 122.0
 
     def __post_init__(self):
+        policy = self.lo_phase_policy.lower()
+        if policy not in ("fixed", "uniform", "wrapped"):
+            raise ValueError(f"lo_phase_policy: expected fixed|uniform|wrapped, "
+                             f"got {policy!r}")
+        object.__setattr__(self, "lo_phase_policy", policy)
+        if not self.lo_phase_width >= 0:  # written so that NaN fails too
+            raise ValueError("lo_phase_width cannot be negative")
         if self.lo_power <= 0 or not math.isfinite(self.lo_power):
             raise ValueError("lo_power must be positive and finite")
         if self.pulse_rate <= 0:
@@ -171,18 +160,51 @@ def quantize(analog: np.ndarray, config: MeasurementConfig) -> tuple[np.ndarray,
     return codes.astype(np.int16), clipped
 
 
-def draw_phases(policy: PhasePolicy, count: int,
+def draw_phases(config: MeasurementConfig, count: int,
                 rng: np.random.Generator) -> np.ndarray:
     """One LO phase per pulse according to the configured policy."""
-    match policy:
-        case FixedPhase(theta=th):
-            return np.full(count, th % (2 * math.pi))
-        case UniformRandomPhase():
+    match config.lo_phase_policy:
+        case "fixed":
+            return np.full(count, config.lo_phase % (2 * math.pi))
+        case "uniform":
             return rng.uniform(0.0, 2.0 * math.pi, count)
-        case WrappedGaussianPhase(center=c, width=w):
-            return rng.normal(c, w, count) % (2.0 * math.pi)
-        case _:
-            raise ValueError(f"unknown phase policy {policy!r}")
+        case "wrapped":
+            return rng.normal(config.lo_phase, config.lo_phase_width,
+                              count) % (2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class ChainSettings:
+    """The ``[dsp]`` section: the analog filter chain ``measure_pulses`` runs
+    when ``enabled``, and the autocorrelation diagnostic of ``simulate``."""
+
+    enabled: bool = True
+    oversample: int = 8
+    pulse_duty: float = 0.5
+    lowpass_cutoff: float = 140e6
+    lowpass_taps: int = 257
+    sample_phase: float = 0.5
+    notch_enabled: bool = True
+    modulation_freq: float = 25e6
+    notch_cutoff: float = 24.995e6
+    notch_taps: int = 16001
+    autocorr_max_lag: int = 400
+    autocorr_samples: int = 1000000
+
+    def __post_init__(self):
+        # simulate computes the autocorrelation diagnostic with the chain on or off
+        if self.autocorr_max_lag < 1 or self.autocorr_samples <= 10 * self.autocorr_max_lag:
+            raise ValueError("autocorr_samples must exceed 10 * autocorr_max_lag")
+        if not self.enabled:
+            return
+        if self.oversample < 1:
+            raise ValueError("oversample must be >= 1")
+        if not 0.0 < self.pulse_duty <= 1.0:
+            raise ValueError("pulse_duty must lie in (0, 1]")
+        if not 0.0 <= self.sample_phase < 1.0:
+            raise ValueError("sample_phase must lie in [0, 1)")
+        if any(taps % 2 == 0 or taps < 5 for taps in (self.lowpass_taps, self.notch_taps)):
+            raise ValueError("tap counts must be odd (linear phase) and >= 5")
 
 
 def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: int,
@@ -211,7 +233,7 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     pad_notch = chain.notch_taps // 2 if filtering and chain.notch_enabled else 0
     n_sim = count + 2 * (pad_lp + pad_notch)
 
-    theta = draw_phases(config.lo_phase_policy, n_sim, rng)
+    theta = draw_phases(config, n_sim, rng)
     q = states.sample_quadrature(state, theta, rng, size=n_sim)
     wave = q * math.sqrt(2.0 * config.conversion_gain * config.lo_power)
     electronic = config.electronic_noise_var

@@ -10,8 +10,8 @@ class CalibrationError(RuntimeError):
 
 
 class StaleCalibrationError(CalibrationError):
-    """No logged calibration certifies this extraction (exit code 3): none was
-    made at the detector's ADC step and LO power, the newest is past the
+    """No logged calibration certifies this extraction (exit code 3): none
+    carries the fingerprint of this run's settings, the newest is past the
     recalibration interval, or the two newest raise a drift alarm."""
 
 

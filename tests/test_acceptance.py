@@ -171,7 +171,7 @@ def test_acceptance_6_calibration_recovery(capsys):
     gain = 50.0
     intercept = 3.0
     config = detector.MeasurementConfig(
-        lo_phase_policy=detector.UniformRandomPhase(), lo_power=1.0,
+        lo_phase_policy="uniform", lo_power=1.0,
         pulse_rate=50e6, adc_bits=8, adc_full_scale=160.0,
         electronic_noise_var=intercept, excess_noise_var=0.0,
         excess_noise_tracks_power=False, conversion_gain=gain)

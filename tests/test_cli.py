@@ -148,7 +148,9 @@ def test_extract_artifacts(pipeline):
     assert (out / "output.bits").stat().st_size > 0
     assert (out / "toeplitz.seed").stat().st_size > 0
     acc = (out / "accounting.txt").read_text()
-    assert "scheduler_decision: keep" in acc
+    (entry,) = read_log(out / "calibration.csv")
+    assert (f"certified_by: calibration 2026-08-15T00:00:00Z {entry.fingerprint}\n"
+            in acc)
     assert "seed_provenance: test-prng-insecure" in acc
     assert "clipped_samples: " in acc
     effective = float(acc.split("bits_per_sample_effective: ")[1].splitlines()[0])
@@ -334,11 +336,20 @@ def test_unversioned_calibration_log_exits_3(pipeline, tmp_path, capsys):
     (old_dir / "calibration.csv").write_text(v1)
     capsys.readouterr()
     assert main(["extract", "--config", cfg_path, "--out", str(old_dir)]) == 3
-    assert "calibration.csv:1: not a version-2 calibration log" in capsys.readouterr().err
+    assert "calibration.csv:1: not a version-3 calibration log" in capsys.readouterr().err
     assert not (old_dir / "output.bits").exists()
-    # calibrate refuses to append a version-2 row below version-1 rows
+    # calibrate refuses to append a version-3 row below version-1 rows
     assert main(["calibrate", "--config", cfg_path, "--out", str(old_dir)]) == 3
     assert (old_dir / "calibration.csv").read_text() == v1
+    # a version-2 log names no settings fingerprint: it certifies nothing either
+    version, row = (out / "calibration.csv").read_text().splitlines()
+    v2 = (version.replace(" v3: ", " v2: ").removesuffix(",fingerprint") + "\n"
+          + row.rsplit(",", 1)[0] + "\n")
+    (old_dir / "calibration.csv").write_text(v2)
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path, "--out", str(old_dir)]) == 3
+    assert "calibration.csv:1: not a version-3 calibration log" in capsys.readouterr().err
+    assert not (old_dir / "output.bits").exists()
 
 
 def test_drift_alarm_exits_3(pipeline, tmp_path, capsys):
@@ -429,6 +440,31 @@ def test_calibration_from_another_adc_range_does_not_certify(tmp_path, capsys):
     narrow, wide_entry = read_log(out / "calibration.csv")
     assert narrow.h_min_bits > wide_entry.h_min_bits + 1.0
     assert accounting_h_min(out) == wide_entry.h_min_bits
+
+
+@pytest.mark.parametrize("change", [
+    lambda text: text + "\n[detector]\nconversion_gain = 30\n",
+    lambda text: text.replace("[dsp]\n", "[dsp]\nlowpass_cutoff = 40e6\n"),
+], ids=["conversion_gain", "lowpass_cutoff"])
+def test_calibration_at_other_settings_does_not_certify(tmp_path, capsys, change):
+    # a fit at the default gain and cutoff certifies more entropy than a fit
+    # at gain 30 or a 40 MHz cutoff would: it must not certify such a run
+    out = tmp_path / "o"
+    run_pipeline(write_cfg(tmp_path), out, ("calibrate",))
+    other = tmp_path / "other.cfg"
+    other.write_text(change(CFG_TEMPLATE.format(seed=SEED)))
+    run_pipeline(str(other), out, ("simulate",))
+    capsys.readouterr()
+    assert main(["extract", "--config", str(other), "--out", str(out)]) == 3
+    assert "no calibration at adc_step 0.625" in capsys.readouterr().err
+    assert not (out / "output.bits").exists()
+
+
+def test_negative_phase_width_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, extra=(
+        "\n[detector]\nlo_phase_policy = wrapped\nlo_phase_width = -0.1\n"))
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "detector: lo_phase_width cannot be negative" in capsys.readouterr().err
 
 
 def test_unusable_artifact_directory_exits_2(tmp_path, capsys):

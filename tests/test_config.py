@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdiqrng import config, states
+from sdiqrng import calibration, config, detector, states
 from sdiqrng.config import load_config, substream
-from sdiqrng.detector import FixedPhase, UniformRandomPhase, WrappedGaussianPhase
 from sdiqrng.exceptions import ConfigError
 
 
@@ -24,7 +23,7 @@ def test_defaults_load_without_a_file():
     assert cfg.run.rng_seed == 20260815
     assert cfg.run.threads == 1
     assert isinstance(cfg.source, states.Vacuum)
-    assert isinstance(cfg.detector.lo_phase_policy, UniformRandomPhase)
+    assert cfg.detector.lo_phase_policy == "uniform"
     assert cfg.detector.adc_bits == 8
     assert cfg.detector.adc_full_scale == 160.0
     assert cfg.detector.adc_step == pytest.approx(0.625, rel=1e-15)
@@ -61,8 +60,8 @@ h_min_override = 5.53
     assert cfg.run.threads == 3
     assert cfg.source == states.Fock(2)
     assert cfg.detector.adc_bits == 12
-    assert isinstance(cfg.detector.lo_phase_policy, FixedPhase)
-    assert cfg.detector.lo_phase_policy.theta == 0.25
+    assert cfg.detector.lo_phase_policy == "fixed"
+    assert cfg.detector.lo_phase == 0.25
     assert cfg.extractor.h_min_override == 5.53
     # untouched keys keep their defaults
     assert cfg.dsp.oversample == 8
@@ -126,6 +125,13 @@ def test_integers_parse_exactly():
         load_config(None, overrides={"simulate.pulses": "inf"})
 
 
+def test_library_objects_are_the_config_schema():
+    assert config._SECTIONS["detector"] is detector.MeasurementConfig
+    assert config._SECTIONS["dsp"] is detector.ChainSettings
+    assert config._SECTIONS["calibration"] is calibration.CalibrationSettings
+    assert load_config(None).detector == detector.MeasurementConfig()
+
+
 def test_every_settings_field_has_a_parser():
     for section, cls in config._SECTIONS.items():
         for field in dataclasses.fields(cls):
@@ -174,9 +180,12 @@ def test_detector_policies_and_validation(tmp_path):
         tmp_path,
         "[detector]\nlo_phase_policy = wrapped\nlo_phase = 1.0\n"
         "lo_phase_width = 0.2\n", "w.cfg"))
-    pol = cfg.detector.lo_phase_policy
-    assert isinstance(pol, WrappedGaussianPhase)
-    assert pol.center == 1.0 and pol.width == 0.2
+    det = cfg.detector
+    assert det.lo_phase_policy == "wrapped"
+    assert det.lo_phase == 1.0 and det.lo_phase_width == 0.2
+    # policy names are case-insensitive
+    assert load_config(None, overrides={"detector.lo_phase_policy": "Fixed"}
+                       ).detector.lo_phase_policy == "fixed"
     with pytest.raises(ConfigError, match="fixed|uniform|wrapped"):
         load_config(write_cfg(tmp_path, "[detector]\nlo_phase_policy = chaotic\n",
                               "bad.cfg"))
@@ -210,9 +219,10 @@ def test_detector_policies_and_validation(tmp_path):
     ("[calibration]\npowers = 0 1 2", "positive and finite"),
     ("[calibration]\nconservatism = -1", "conservatism"),
     ("[calibration]\ndrift_threshold = 1.5", "drift_threshold must lie in"),
-    ("[calibration]\nrecalibration_interval = 0", "interval_seconds must be positive"),
+    ("[calibration]\nrecalibration_interval = 0", "recalibration_interval must be positive"),
     ("[verify]\nequivalence_dim_max = 17", "equivalence_dim_max"),
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
+    ("[verify]\ndeltas =", "deltas"),
     ("[calibration]\npowers = 0.25 0.5 nan 2", "calibration.powers: expected"),
     ("[run]\ntimestamp = 1e20", "run.timestamp"),
     ("[run]\ntimestamp = -1e20", "run.timestamp"),

@@ -14,11 +14,8 @@ import pytest
 from scipy import stats as sps
 
 from sdiqrng.detector import (
-    FixedPhase,
     MeasurementConfig,
     RawSampleBlock,
-    UniformRandomPhase,
-    WrappedGaussianPhase,
     block_to_bytes,
     draw_phases,
     measure_pulses,
@@ -96,7 +93,8 @@ def measured_codes(state, cfg, count, seed):
 
 
 def test_measure_block_vacuum_code_variance():
-    cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
+    cfg = MeasurementConfig(lo_phase_policy="fixed", conversion_gain=136.0,
+                            electronic_noise_var=0.0)
     codes, clipped = measured_codes(Vacuum(), cfg, 1_000_000, 3)
     sigma_codes = math.sqrt(cfg.conversion_gain * cfg.lo_power) / cfg.adc_step
     want = oracle_quantized_gaussian_var(sigma_codes, cfg.adc_bits)
@@ -108,7 +106,7 @@ def test_measure_block_vacuum_code_variance():
 
 
 def test_electronic_noise_adds_to_analog_variance():
-    cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0),
+    cfg = MeasurementConfig(lo_phase_policy="fixed", conversion_gain=136.0,
                             electronic_noise_var=50.0)
     codes, _ = measured_codes(Vacuum(), cfg, 500_000, 13)
     sigma_codes = math.sqrt(cfg.conversion_gain + 50.0) / cfg.adc_step
@@ -117,9 +115,9 @@ def test_electronic_noise_adds_to_analog_variance():
 
 
 def test_excess_noise_power_tracking_flag():
-    base = dict(lo_phase_policy=FixedPhase(0.0), lo_power=4.0,
+    base = dict(lo_phase_policy="fixed", lo_power=4.0,
                 adc_bits=12, adc_full_scale=640.0, conversion_gain=136.0,
-                excess_noise_var=10.0)
+                electronic_noise_var=0.0, excess_noise_var=10.0)
     tracking = MeasurementConfig(excess_noise_tracks_power=True, **base)
     static = MeasurementConfig(excess_noise_tracks_power=False, **base)
     var_vac = 2.0 * 136.0 * 4.0 * 0.5
@@ -144,7 +142,8 @@ def test_vacuum_unit_resolution_formula():
 
 def test_vacuum_codes_follow_analytic_bin_masses():
     """Dual route: histogram of measured codes vs erf-difference bin masses."""
-    cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
+    cfg = MeasurementConfig(lo_phase_policy="fixed", conversion_gain=136.0,
+                            electronic_noise_var=0.0)
     codes, _ = measured_codes(Vacuum(), cfg, 200_000, 23)
     delta = vacuum_unit_resolution(cfg.adc_step, cfg.conversion_gain,
                                    cfg.lo_power)
@@ -166,12 +165,14 @@ def test_vacuum_codes_follow_analytic_bin_masses():
 
 def test_draw_phases_policies():
     rng = np.random.default_rng(29)
-    assert np.all(draw_phases(FixedPhase(0.7), 100, rng) == 0.7)
-    uni = draw_phases(UniformRandomPhase(), 100_000,
+    assert np.all(draw_phases(MeasurementConfig(lo_phase_policy="fixed", lo_phase=0.7),
+                              100, rng) == 0.7)
+    uni = draw_phases(MeasurementConfig(lo_phase_policy="uniform"), 100_000,
                       np.random.default_rng(31))
     assert uni.min() >= 0.0 and uni.max() < 2.0 * math.pi
     assert sps.kstest(uni, sps.uniform(0, 2 * math.pi).cdf).pvalue > 0.001
-    wrapped = draw_phases(WrappedGaussianPhase(center=1.0, width=0.3),
+    wrapped = draw_phases(MeasurementConfig(lo_phase_policy="wrapped", lo_phase=1.0,
+                                            lo_phase_width=0.3),
                           100_000, np.random.default_rng(37))
     assert wrapped.min() >= 0.0 and wrapped.max() < 2.0 * math.pi
     z = np.exp(1j * wrapped).mean()
@@ -220,7 +221,7 @@ def _full_rate_chain(cfg, count, rng, chain):
     pad_lp = -(-(chain.lowpass_taps // 2) // ratio)
     pad_notch = chain.notch_taps // 2
     n_sim = count + 2 * (pad_lp + pad_notch)
-    theta = draw_phases(cfg.lo_phase_policy, n_sim, rng)
+    theta = draw_phases(cfg, n_sim, rng)
     q = states.sample_quadrature(Vacuum(), theta, rng, size=n_sim)
     wave = q * math.sqrt(2.0 * cfg.conversion_gain * cfg.lo_power)
     width = max(1, int(round(ratio * chain.pulse_duty)))
@@ -268,7 +269,7 @@ def test_measure_pulses_peak_memory_stays_near_the_oversampled_wave():
 
 
 def test_block_serialization_roundtrip(tmp_path):
-    cfg = MeasurementConfig(lo_phase_policy=FixedPhase(0.0))
+    cfg = MeasurementConfig(lo_phase_policy="fixed")
     codes, clipped = measured_codes(Vacuum(), cfg, 1000, 41)
     block = RawSampleBlock(codes=codes, config=cfg, run_id="unit",
                            timestamp="2026-08-15T00:00:00Z", clipped=clipped)
@@ -279,8 +280,7 @@ def test_block_serialization_roundtrip(tmp_path):
     assert back.run_id == "unit"
     assert back.timestamp == "2026-08-15T00:00:00Z"
 
-    other = MeasurementConfig(lo_phase_policy=FixedPhase(0.0),
-                              adc_full_scale=200.0)
+    other = MeasurementConfig(lo_phase_policy="fixed", adc_full_scale=200.0)
     with pytest.raises(ValueError, match="hash"):
         read_block(path, other)
 
@@ -345,12 +345,13 @@ def test_config_validation_and_hash():
     for kwargs in (dict(lo_power=0.0), dict(pulse_rate=-1.0),
                    dict(adc_bits=1), dict(adc_bits=17),
                    dict(adc_full_scale=0.0), dict(electronic_noise_var=-1.0),
-                   dict(conversion_gain=0.0)):
+                   dict(conversion_gain=0.0), dict(lo_phase_policy="chaotic"),
+                   dict(lo_phase_policy="wrapped", lo_phase_width=-0.1)):
         with pytest.raises(ValueError):
             MeasurementConfig(**kwargs)
     a = MeasurementConfig()
     b = MeasurementConfig()
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != MeasurementConfig(lo_power=2.0).content_hash()
-    assert (MeasurementConfig(lo_phase_policy=FixedPhase(0.0)).content_hash()
+    assert (MeasurementConfig(lo_phase_policy="fixed").content_hash()
             != a.content_hash())
