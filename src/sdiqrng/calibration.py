@@ -125,46 +125,43 @@ class CalibrationResult:
 
 
 def fit_calibration(points, adc_step: float, *, operating_power: float | None = None,
-                    min_points: int = 5, conservatism: float = 2.0,
+                    settings: CalibrationSettings = CalibrationSettings(),
                     timestamp: float = 0.0) -> CalibrationResult:
     """OLS fit of variance against power; derives the certified bin width.
 
     Parameters
     ----------
     points : sequence of CalibrationPoint
-        At least ``min_points`` distinct powers whose span (max/min) is at
-        least 2; equal per-point sample counts are enforced so the
-        unweighted fit is valid.
+        At least ``settings.min_points`` distinct powers whose span
+        (max/min) is at least 2; equal per-point sample counts are enforced
+        so the unweighted fit is valid.
     adc_step : float
         Digitizer step in raw analog units.
     operating_power : float, optional
         Power at which extraction will run; defaults to the largest swept
         power.
-    conservatism : float
-        Number of gradient standard errors subtracted before converting to
-        a bin width (default 2).
+    settings : CalibrationSettings
+        Its ``min_points`` and ``conservatism``, the number of gradient
+        standard errors subtracted before converting to a bin width, are
+        read (defaults 5 and 2).
 
     Raises CalibrationError when the sweep is degenerate or when the
     conservative gradient is not positive.
     """
     points = list(points)
-    if min_points < 3:
-        raise ValueError("min_points must be at least 3")
     powers = np.array([p.power for p in points])
     variances = np.array([p.variance for p in points])
     if len({p.n_samples for p in points}) > 1:
         raise CalibrationError("per-point sample counts must be equal for the OLS fit")
     distinct = np.unique(powers)
-    if distinct.size < min_points:
+    if distinct.size < settings.min_points:
         raise CalibrationError(
-            f"need {min_points} distinct powers, got {distinct.size}")
+            f"need {settings.min_points} distinct powers, got {distinct.size}")
     if distinct.max() / distinct.min() < 2.0:
         raise CalibrationError(
             f"power span {distinct.max() / distinct.min():.3f}x is below the required 2x")
     if adc_step <= 0:
         raise ValueError("adc_step must be positive")
-    if conservatism < 0:
-        raise ValueError("conservatism must be non-negative")
 
     n = powers.size
     x_mean = powers.mean()
@@ -182,7 +179,7 @@ def fit_calibration(points, adc_step: float, *, operating_power: float | None = 
     intercept_stderr = math.sqrt(s2 * (1.0 / n + x_mean ** 2 / sxx))
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
 
-    conservative_gradient = gradient - conservatism * gradient_stderr
+    conservative_gradient = gradient - settings.conservatism * gradient_stderr
     if conservative_gradient <= 0.0:
         raise CalibrationError(
             f"conservative gradient {conservative_gradient} <= 0: sweep does not "

@@ -144,8 +144,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             power=power, variance=variance, n_samples=cs.samples_per_point))
 
     result = calibration.fit_calibration(
-        points, det.adc_step, operating_power=det.lo_power,
-        min_points=cs.min_points, conservatism=cs.conservatism,
+        points, det.adc_step, operating_power=det.lo_power, settings=cs,
         timestamp=cfg.run.timestamp)
     result = replace(result, fingerprint=calibration.fingerprint(det, cfg.dsp, cs))
     calibration.append_log(out / "calibration.csv", result)

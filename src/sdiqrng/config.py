@@ -297,11 +297,7 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
-    try:
-        source = _build_source(settings.pop("source"))
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from None
-    cfg = RunConfig(source=source, **settings)
+    cfg = RunConfig(source=_build_source(settings.pop("source")), **settings)
     try:
         states.validate_state(cfg.source)
     except ValueError as exc:

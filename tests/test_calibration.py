@@ -115,7 +115,8 @@ def test_degenerate_sweeps_rejected():
         fit_calibration(pts, adc_step=0.625)
     with pytest.raises(ValueError):
         ps = [0.2, 0.4, 0.6, 0.8, 1.0]
-        fit_calibration(_points(ps, line(ps)), adc_step=0.625, min_points=2)
+        fit_calibration(_points(ps, line(ps)), adc_step=0.625,
+                        settings=CalibrationSettings(min_points=2))
     with pytest.raises(ValueError):
         ps = [0.2, 0.4, 0.6, 0.8, 1.0]
         fit_calibration(_points(ps, line(ps)), adc_step=0.0)
@@ -165,10 +166,10 @@ def test_operating_power_override_and_conservatism():
     rng = np.random.default_rng(13)
     noisy = [v + e for v, e in zip(variances, rng.normal(0, 0.2, 5))]
     plain = fit_calibration(_points(powers, noisy), adc_step=0.625,
-                            conservatism=0.0)
+                            settings=CalibrationSettings(conservatism=0.0))
     assert plain.delta_conservative == plain.delta
     strict = fit_calibration(_points(powers, noisy), adc_step=0.625,
-                             conservatism=3.0)
+                             settings=CalibrationSettings(conservatism=3.0))
     assert strict.delta_conservative > strict.delta
     assert strict.h_min_bits < plain.h_min_bits
 

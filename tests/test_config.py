@@ -159,9 +159,9 @@ def test_source_kinds(tmp_path):
     for i, (body, expect) in enumerate(cases.items()):
         cfg = load_config(write_cfg(tmp_path, f"[source]\n{body}\n", f"s{i}.cfg"))
         assert cfg.source == expect
-    with pytest.raises(ConfigError, match="unknown state kind"):
+    with pytest.raises(ConfigError, match=r"^source\.kind: unknown state kind"):
         load_config(write_cfg(tmp_path, "[source]\nkind = banana\n", "bad1.cfg"))
-    with pytest.raises(ConfigError, match="weight:fock_n"):
+    with pytest.raises(ConfigError, match=r"^source\.mixture: expected weight:fock_n"):
         load_config(write_cfg(tmp_path,
                               "[source]\nkind = mixture\nmixture = 0.5-0\n",
                               "bad2.cfg"))

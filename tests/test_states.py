@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate, special
 from scipy import stats as sps
 
+from sdiqrng import states
 from sdiqrng.states import (
     DisplacedSqueezed,
     Fock,
@@ -189,6 +190,56 @@ def test_sampler_histogram_chi2_against_oracle_pdf(model):
     expected = np.full(100, x.size / 100.0)
     p = sps.chisquare(observed, expected).pvalue
     assert p > 0.001
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 200, 4096])
+def test_fock_quantile_equals_interp_oracle(n):
+    cdf, grid, guide = states._fock_inverse_cdf(n)
+    buckets = states._GUIDE_BUCKETS
+    # uniforms, every node and both its neighbours, every guide bucket edge
+    u = np.concatenate([
+        np.random.default_rng(n).random(1_000_000),
+        cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+        np.arange(buckets + 1) / buckets, [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u <= 1.0)]
+    assert np.array_equal(states._fock_quantile(n, u), np.interp(u, cdf, grid))
+
+    # the inputs reach the binary search: nodes more than _GUIDE_STEPS past
+    # the start of their bucket
+    j = np.searchsorted(cdf, u, side="right") - 1
+    start = guide[(u * buckets).astype(np.intp)]
+    assert np.any(j - start > states._GUIDE_STEPS)
+    # and nodes where the interpolation formula is NaN (an infinite slope
+    # below a subnormal cdf gap, or 0/0 past the last node), which np.interp
+    # answers with the node's own q
+    nxt = np.minimum(j + 1, cdf.size - 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        formula = (grid[nxt] - grid[j]) / (cdf[nxt] - cdf[j]) * (u - cdf[j])
+    assert np.any(np.isnan(formula))
+    if n == 200:
+        assert np.any(np.isnan(formula) & (j < cdf.size - 1))
+
+
+def test_fock_and_mixture_draws_match_interp_reference():
+    seed, size = 20240611, 200_000
+    for state in (Fock(3), Mixture(((0.2, 0), (0.5, 1), (0.3, 4)))):
+        got = sample_quadrature(state, 0.0, np.random.default_rng(seed), size=size)
+
+        # the draw order: component picks, then one uniform block per
+        # component in order, each mapped through np.interp
+        rng = np.random.default_rng(seed)
+        if isinstance(state, Fock):
+            cdf, grid, _ = states._fock_inverse_cdf(state.n)
+            want = np.interp(rng.random(size), cdf, grid)
+        else:
+            weights = np.array([w for w, _ in state.components])
+            picks = rng.choice(len(weights), size=size, p=weights / weights.sum())
+            want = np.empty(size)
+            for i, (_, n) in enumerate(state.components):
+                mask = picks == i
+                cdf, grid, _ = states._fock_inverse_cdf(n)
+                want[mask] = np.interp(rng.random(int(mask.sum())), cdf, grid)
+        assert np.array_equal(got, want)
 
 
 def test_max_bin_probability_vacuum_closed_form():
