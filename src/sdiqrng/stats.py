@@ -14,6 +14,15 @@ when (a) the fraction of strings with p >= alpha stays above the
 three-sigma binomial bound (1-alpha) - 3*sqrt(alpha*(1-alpha)/n_strings)
 and (b) the p-values are uniform over ten bins at significance 1e-4 by a
 chi-square test.
+
+Every statistic works on a ``uint8`` 0/1 array: the input is checked once,
+and rejected unless every value is exactly 0 or 1 (``run_battery`` checks
+the whole stream once, so each string is a ``uint8`` view whose per-test
+check is a single ``max() <= 1`` pass).  Each statistic makes one pass of
+its kernel per string, in the narrowest integer type that holds it:
+``uint16`` pattern codes and run lengths, an ``int32`` random walk.  The
+serial and approximate-entropy tests count patterns once, at their largest
+order, and fold the table down to the lower orders.
 """
 
 from __future__ import annotations
@@ -50,15 +59,28 @@ UNIMPLEMENTED_TESTS = (
 )
 
 
-def _check_bits(bits: np.ndarray, minimum: int, name: str) -> np.ndarray:
+def _check_bits(bits, minimum: int, name: str) -> np.ndarray:
+    """``bits`` as a one-dimensional ``uint8`` array of at least ``minimum`` bits.
+
+    Raises ValueError unless every value is exactly 0 or 1.  ``bool`` and
+    ``uint8`` input is returned without a copy after one ``max() <= 1``
+    pass; any other dtype (floats, NaN, signed integers) is compared
+    against 0 and 1 exactly.
+    """
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError(f"{name}: bits must be one-dimensional")
     if bits.size < minimum:
         raise ValueError(f"{name}: need at least {minimum} bits, got {bits.size}")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
+    if bits.dtype == np.bool_ or bits.dtype == np.uint8:
+        bits = bits.view(np.uint8)
+        if bits.size and bits.max() > 1:
+            raise ValueError(f"{name}: bits must be 0 or 1")
+        return bits
+    ones = bits == 1
+    if np.count_nonzero(ones | (bits == 0)) != bits.size:
         raise ValueError(f"{name}: bits must be 0 or 1")
-    return bits.astype(np.int64)
+    return ones.view(np.uint8)
 
 
 def frequency_test(bits) -> float:
@@ -70,7 +92,7 @@ def frequency_test(bits) -> float:
     """
     bits = _check_bits(bits, 2, "frequency")
     n = bits.size
-    s = abs(int(2 * bits.sum() - n))
+    s = abs(2 * int(np.count_nonzero(bits)) - n)
     return float(erfc(s / math.sqrt(2.0 * n)))
 
 
@@ -81,7 +103,7 @@ def block_frequency_test(bits, block_size: int = 128) -> float:
         raise ValueError("block_size must be >= 2")
     bits = _check_bits(bits, m, "block-frequency")
     n_blocks = bits.size // m
-    pi = bits[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
+    pi = bits[: n_blocks * m].reshape(n_blocks, m).sum(axis=1) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     return float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
 
@@ -90,7 +112,7 @@ def runs_test(bits) -> float:
     """Total number of runs against its expectation under i.i.d. bits."""
     bits = _check_bits(bits, 2, "runs")
     n = bits.size
-    pi = bits.mean()
+    pi = int(np.count_nonzero(bits)) / n
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return 0.0  # monobit prerequisite failed: runs count is meaningless
     v = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
@@ -111,11 +133,15 @@ _LONGEST_RUN_TABLES = (
 
 
 def _max_run_per_row(rows: np.ndarray) -> np.ndarray:
-    """Longest run of ones in each row of a 0/1 matrix, vectorized."""
-    c = np.cumsum(rows, axis=1)
-    reset = np.where(rows == 0, c, 0)
-    run = c - np.maximum.accumulate(reset, axis=1)
-    return run.max(axis=1)
+    """Longest run of ones in each row of a 0/1 matrix, vectorized.
+
+    Counts in ``uint16``: the longest row, 10,000 bits, stays below 2**16.
+    """
+    c = np.cumsum(rows, axis=1, dtype=np.uint16)
+    reset = c * (rows ^ 1)   # c at the zeros, 0 at the ones
+    np.maximum.accumulate(reset, axis=1, out=reset)
+    c -= reset
+    return c.max(axis=1)
 
 
 def longest_run_test(bits) -> float:
@@ -155,13 +181,28 @@ def _cusum_pvalue(n: int, z: int) -> float:
     return float(np.clip(1.0 - term1 + term2, 0.0, 1.0))
 
 
+def _walk_excursions(bits: np.ndarray) -> tuple[int, int]:
+    """Maximum |partial sum| of the +-1 walk, forward and backward.
+
+    One walk ``S`` serves both directions: the backward walk's partial sums
+    are ``S[-1] - s`` for ``s`` in ``{0} U S[:-1]``, so its excursion is
+    ``max(S[-1] - lo, hi - S[-1])`` over that set's extremes.
+    """
+    n = bits.size
+    walk = np.multiply(bits, 2, dtype=np.int32 if n < 2**31 else np.int64)
+    walk -= 1
+    np.cumsum(walk, out=walk)
+    last = int(walk[-1])
+    lo = min(0, int(walk[:-1].min()))
+    hi = max(0, int(walk[:-1].max()))
+    return max(hi, -lo, abs(last)), max(last - lo, hi - last)
+
+
 def cumulative_sums_test(bits) -> tuple[float, float]:
     """Maximum excursion of the +-1 random walk, forward and backward."""
     bits = _check_bits(bits, 2, "cumulative-sums")
-    x = 2 * bits - 1
+    z_fwd, z_bwd = _walk_excursions(bits)
     n = bits.size
-    z_fwd = int(np.max(np.abs(np.cumsum(x))))
-    z_bwd = int(np.max(np.abs(np.cumsum(x[::-1]))))
     return _cusum_pvalue(n, max(z_fwd, 1)), _cusum_pvalue(n, max(z_bwd, 1))
 
 
@@ -179,17 +220,32 @@ def spectral_test(bits) -> float:
 
 
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns with wraparound, length 2^m."""
+    """Counts of all overlapping m-bit patterns with wraparound, length 2^m.
+
+    One shift-or pass builds every window's code, first bit most
+    significant, in ``uint16`` for m <= 16, ``int32`` for m <= 30 and
+    ``int64`` above.  The lower orders need no pass of their own: see
+    ``_fold``.
+    """
     if m == 0:
         return np.array([bits.size], dtype=np.int64)
-    # first bit most significant; int32 holds every code below 2**31
-    dtype = np.int32 if m < 31 else np.int64
-    padded = np.concatenate([bits, bits[: m - 1]]).astype(dtype)
-    codes = np.zeros(bits.size, dtype=dtype)
-    for i in range(m):
+    dtype = np.uint16 if m <= 16 else np.int32 if m <= 30 else np.int64
+    n = bits.size
+    wrapped = np.resize(bits, n + m - 1).astype(dtype)  # cyclic, also for m - 1 > n
+    codes = wrapped[:n].copy()
+    for i in range(1, m):
         codes <<= 1
-        codes |= padded[i:i + bits.size]
+        codes |= wrapped[i:i + n]
     return np.bincount(codes, minlength=1 << m)
+
+
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """Pattern counts one order lower, exactly.
+
+    Dropping the last bit of every cyclic m-bit window gives every cyclic
+    (m-1)-bit window once, so patterns ``2c`` and ``2c + 1`` sum to ``c``.
+    """
+    return counts.reshape(-1, 2).sum(axis=1)
 
 
 def approximate_entropy_test(bits, block_size: int | None = None) -> float:
@@ -198,7 +254,8 @@ def approximate_entropy_test(bits, block_size: int | None = None) -> float:
     With ``block_size=None`` the block length is min(10, floor(log2 n) - 6)
     so pattern counts stay dense enough for the chi-square approximation.
     An explicit ``block_size`` is honored as given, which keeps the short
-    published worked-example vectors reproducible.
+    published worked-example vectors reproducible.  One pattern pass at
+    m+1; the m-bit counts are its fold.
     """
     bits = _check_bits(bits, 4, "approximate-entropy")
     n = bits.size
@@ -207,13 +264,14 @@ def approximate_entropy_test(bits, block_size: int | None = None) -> float:
     if m < 1 or m + 1 >= n:
         raise ValueError("approximate-entropy: sequence too short for the block size")
 
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(bits, mm)
+    def phi(counts: np.ndarray) -> float:
         nz = counts[counts > 0].astype(float)
         p = nz / n
         return float(np.sum(p * np.log(p)))
 
-    apen = phi(m) - phi(m + 1)
+    counts = _pattern_counts(bits, m + 1)
+    phi_m1 = phi(counts)
+    apen = phi(_fold(counts)) - phi_m1
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     return float(gammaincc(2.0 ** (m - 1), chi2 / 2.0))
 
@@ -222,7 +280,8 @@ def serial_test(bits, block_size: int | None = None) -> tuple[float, float]:
     """First and second differences of the overlapping-pattern statistic.
 
     With ``block_size=None`` the block length is min(16, floor(log2 n) - 3);
-    an explicit ``block_size`` is honored as given.
+    an explicit ``block_size`` is honored as given.  One pattern pass at m;
+    the (m-1)- and (m-2)-bit counts are its folds.
     """
     bits = _check_bits(bits, 4, "serial")
     n = bits.size
@@ -231,13 +290,16 @@ def serial_test(bits, block_size: int | None = None) -> tuple[float, float]:
     if m < 2 or m >= n:
         raise ValueError("serial: sequence too short for the block size")
 
-    def psi_sq(mm: int) -> float:
-        if mm == 0:
+    def psi_sq(counts: np.ndarray) -> float:
+        if counts.size == 1:
             return 0.0
-        counts = _pattern_counts(bits, mm).astype(float)
-        return float((1 << mm) / n * np.sum(counts ** 2) - n)
+        return float(counts.size / n * np.sum(counts.astype(float) ** 2) - n)
 
-    p_m, p_m1, p_m2 = psi_sq(m), psi_sq(m - 1), psi_sq(m - 2)
+    counts = _pattern_counts(bits, m)
+    p_m = psi_sq(counts)
+    counts = _fold(counts)
+    p_m1 = psi_sq(counts)
+    p_m2 = psi_sq(_fold(counts))
     d1 = p_m - p_m1
     d2 = p_m - 2.0 * p_m1 + p_m2
     pv1 = float(gammaincc(2.0 ** (m - 2), d1 / 2.0))
@@ -311,10 +373,11 @@ def _uniformity_p(p_values: np.ndarray) -> float:
 
 
 def run_battery(bits, string_bits: int, *, alpha: float = 0.01) -> BatteryReport:
-    """Split ``bits`` into strings and apply every implemented statistic."""
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
+    """Split ``bits`` into strings and apply every implemented statistic.
+
+    ``bits`` is checked once, whole; each string is then a ``uint8`` view.
+    """
+    bits = _check_bits(bits, 0, "battery")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
     if string_bits < 100:

@@ -15,8 +15,12 @@ from scipy.special import erfc, gammaincc
 from scipy.stats import norm
 
 from sdiqrng.stats import (
+    _LONGEST_RUN_TABLES,
     UNIMPLEMENTED_TESTS,
+    _cusum_pvalue,
+    _fold,
     _pattern_counts,
+    _walk_excursions,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -104,6 +108,23 @@ def test_cusum_oracle_and_direction_identity():
     assert bwd == pytest.approx(rfwd, rel=1e-13)
 
 
+def test_backward_excursion_identity():
+    rng = np.random.default_rng(52)
+    inputs = (
+        bitvec("10"),
+        bitvec("01"),
+        np.ones(1000, dtype=np.uint8),
+        np.zeros(1000, dtype=np.uint8),
+        np.resize(bitvec("01"), 1001),
+        rng.integers(0, 2, 100_000).astype(np.uint8),
+    )
+    for bits in inputs:
+        x = 2 * bits.astype(np.int64) - 1
+        z_fwd, z_bwd = _walk_excursions(bits)
+        assert z_fwd == np.max(np.abs(np.cumsum(x)))
+        assert z_bwd == np.max(np.abs(np.cumsum(x[::-1])))
+
+
 def oracle_psi_sq(bits, m):
     """Pattern chi-square statistic via dict counting with wraparound."""
     if m == 0:
@@ -172,6 +193,15 @@ def test_pattern_counts_match_window_matmul_oracle():
             assert np.array_equal(_pattern_counts(bits, m), expected), (n, m)
 
 
+def test_folded_pattern_counts_equal_the_lower_order_pass():
+    rng = np.random.default_rng(53)
+    for n in (7, 100_000):
+        bits = rng.integers(0, 2, n).astype(np.uint8)
+        for m in range(2, 18):
+            assert np.array_equal(_fold(_pattern_counts(bits, m)),
+                                  _pattern_counts(bits, m - 1)), (n, m)
+
+
 def oracle_longest_run_128(bits):
     """Longest-run chi-square for the n=128 regime (M=8, categories
     <=1, 2, 3, >=4) using the published category probabilities."""
@@ -198,6 +228,13 @@ def test_longest_run_matches_blockwise_oracle():
     )
 
 
+def test_longest_run_at_the_largest_block_equals_the_int64_formulation():
+    rng = np.random.default_rng(54)
+    bits = rng.integers(0, 2, 750_000).astype(np.uint8)
+    bits[20_000:30_000] = 1   # a whole 10,000-bit block of ones
+    assert longest_run_test(bits) == parent_longest_run(bits)
+
+
 def test_auto_block_sizes_match_explicit():
     rng = np.random.default_rng(46)
     bits = rng.integers(0, 2, 4096).astype(np.uint8)
@@ -209,6 +246,14 @@ def test_auto_block_sizes_match_explicit():
 def test_runs_prerequisite_failure_gives_zero():
     assert runs_test(np.ones(100, dtype=np.uint8)) == 0.0
     assert runs_test(np.zeros(100, dtype=np.uint8)) == 0.0
+
+
+NOT_BITS = (
+    np.array([0.5] * 50 + [1.0] * 50),
+    np.array([np.nan] + [1.0] * 999),
+    np.array([0, 1, 2] * 400),
+    np.array([0, 1, -1] * 400, dtype=np.int8),
+)
 
 
 def test_per_test_input_validation():
@@ -224,6 +269,18 @@ def test_per_test_input_validation():
         longest_run_test(np.zeros(100, dtype=np.uint8))
     with pytest.raises(ValueError):
         serial_test(bitvec("0101010101"), 1)
+    # every value must be exactly 0 or 1, whatever the dtype
+    tests = (frequency_test, block_frequency_test, runs_test, longest_run_test,
+             cumulative_sums_test, spectral_test, approximate_entropy_test,
+             serial_test)
+    for bad in NOT_BITS:
+        for test in tests:
+            with pytest.raises(ValueError, match="0 or 1"):
+                test(np.resize(bad, 1000))
+    assert frequency_test(bitvec("1011010101").astype(bool)) == pytest.approx(
+        FREQ_P, rel=1e-12)
+    assert frequency_test(bitvec("1011010101").astype(float)) == pytest.approx(
+        FREQ_P, rel=1e-12)
 
 
 def test_battery_input_validation():
@@ -239,6 +296,17 @@ def test_battery_input_validation():
         run_battery(bits, 1000)  # only 2 strings
     with pytest.raises(ValueError):
         run_battery(np.zeros((10, 100), dtype=np.uint8), 100)
+    with pytest.raises(ValueError, match="0 or 1"):
+        run_battery(np.full(1000, 0.5), 100)
+    for bad in NOT_BITS:
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_battery(np.resize(bad, 1000), 100)
+    expect = run_battery(bits, 200)
+    for same in (bits.astype(bool), bits.astype(np.int64), bits.astype(float)):
+        got = run_battery(same, 200)
+        assert got.to_text() == expect.to_text()
+        for r, e in zip(got.results, expect.results):
+            assert np.array_equal(r.p_values, e.p_values)
 
 
 def test_battery_skip_table():
@@ -332,3 +400,147 @@ def test_unimplemented_list_is_stable():
         "random-excursions",
         "random-excursions-variant",
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference formulations: each statistic on int64 copies of the string, one
+# shift-or pattern pass per order, the reversed walk for the backward
+# cumulative sum and an int64 longest-run scan.  The battery's narrower,
+# folded kernels must reproduce their p-values bit for bit.
+
+
+def parent_pattern_counts(bits, m):
+    if m == 0:
+        return np.array([bits.size], dtype=np.int64)
+    padded = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
+    codes = np.zeros(bits.size, dtype=np.int64)
+    for i in range(m):
+        codes <<= 1
+        codes |= padded[i:i + bits.size]
+    return np.bincount(codes, minlength=1 << m)
+
+
+def parent_frequency(bits):
+    bits = bits.astype(np.int64)
+    n = bits.size
+    return float(erfc(abs(int(2 * bits.sum() - n)) / math.sqrt(2.0 * n)))
+
+
+def parent_block_frequency(bits, m=128):
+    bits = bits.astype(np.int64)
+    n_blocks = bits.size // m
+    pi = bits[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
+    chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
+    return float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+
+
+def parent_runs(bits):
+    bits = bits.astype(np.int64)
+    n = bits.size
+    pi = bits.mean()
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+        return 0.0
+    v = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+    num = abs(v - 2.0 * n * pi * (1.0 - pi))
+    den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
+    return float(erfc(num / den))
+
+
+def parent_longest_run(bits):
+    bits = bits.astype(np.int64)
+    n = bits.size
+    for min_n, m, edges, probs in _LONGEST_RUN_TABLES:
+        if n >= min_n:
+            break
+    n_blocks = n // m
+    rows = bits[: n_blocks * m].reshape(n_blocks, m)
+    c = np.cumsum(rows, axis=1)
+    runs = (c - np.maximum.accumulate(np.where(rows == 0, c, 0), axis=1)).max(axis=1)
+    lo, hi = edges[0], edges[-1] + 1
+    counts = np.bincount(np.clip(runs, lo, hi) - lo, minlength=hi - lo + 1)
+    expected = n_blocks * np.asarray(probs)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return float(gammaincc((len(probs) - 1) / 2.0, chi2 / 2.0))
+
+
+def parent_cumulative_sums(bits):
+    x = 2 * bits.astype(np.int64) - 1
+    z_fwd = int(np.max(np.abs(np.cumsum(x))))
+    z_bwd = int(np.max(np.abs(np.cumsum(x[::-1]))))
+    return _cusum_pvalue(x.size, z_fwd), _cusum_pvalue(x.size, z_bwd)
+
+
+def parent_spectral(bits):
+    n = bits.size
+    mags = np.abs(np.fft.rfft(2.0 * bits.astype(np.int64) - 1.0))[: n // 2]
+    n1 = int(np.count_nonzero(mags < math.sqrt(math.log(1.0 / 0.05) * n)))
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return float(erfc(abs(d) / math.sqrt(2.0)))
+
+
+def parent_approximate_entropy(bits):
+    bits = bits.astype(np.int64)
+    n = bits.size
+    m = min(10, int(math.floor(math.log2(n))) - 6)
+
+    def phi(mm):
+        counts = parent_pattern_counts(bits, mm)
+        p = counts[counts > 0].astype(float) / n
+        return float(np.sum(p * np.log(p)))
+
+    chi2 = 2.0 * n * (math.log(2.0) - (phi(m) - phi(m + 1)))
+    return float(gammaincc(2.0 ** (m - 1), chi2 / 2.0))
+
+
+def parent_serial(bits):
+    bits = bits.astype(np.int64)
+    n = bits.size
+    m = min(16, int(math.floor(math.log2(n))) - 3)
+
+    def psi_sq(mm):
+        if mm == 0:
+            return 0.0
+        counts = parent_pattern_counts(bits, mm).astype(float)
+        return float((1 << mm) / n * np.sum(counts ** 2) - n)
+
+    p_m, p_m1, p_m2 = psi_sq(m), psi_sq(m - 1), psi_sq(m - 2)
+    return (float(gammaincc(2.0 ** (m - 2), (p_m - p_m1) / 2.0)),
+            float(gammaincc(2.0 ** (m - 3), (p_m - 2.0 * p_m1 + p_m2) / 2.0)))
+
+
+PARENT = {
+    "frequency": parent_frequency,
+    "block-frequency": parent_block_frequency,
+    "runs": parent_runs,
+    "longest-run": parent_longest_run,
+    "spectral": parent_spectral,
+    "approximate-entropy": parent_approximate_entropy,
+    "cumulative-sums-forward": lambda b: parent_cumulative_sums(b)[0],
+    "cumulative-sums-backward": lambda b: parent_cumulative_sums(b)[1],
+    "serial-1": lambda b: parent_serial(b)[0],
+    "serial-2": lambda b: parent_serial(b)[1],
+}
+
+
+def test_battery_p_values_equal_parent_formulations():
+    rng = np.random.default_rng(55)
+    skewed = np.concatenate([
+        np.ones((3, 1000)), np.zeros((3, 1000)),
+        rng.random((6, 1000)) < 0.6]).astype(np.uint8)
+    cases = (
+        (rng.integers(0, 2, (20, 100_000)).astype(np.uint8), 10),
+        (rng.integers(0, 2, (12, 2000)).astype(np.uint8), 10),
+        (rng.integers(0, 2, (10, 100)).astype(np.uint8), 6),
+        (skewed, 10),
+    )
+    for strings, n_results in cases:
+        report = run_battery(strings.ravel(), strings.shape[1])
+        assert len(report.results) == n_results
+        for r in report.results:
+            expect = [PARENT[r.name](row) for row in strings]
+            assert np.array_equal(r.p_values, expect), (strings.shape, r.name)
+    # the skewed strings take the runs prerequisite and the z = n walks
+    by_name = {r.name: r.p_values for r in run_battery(skewed.ravel(), 1000).results}
+    assert np.all(by_name["runs"][:6] == 0.0)
+    assert _walk_excursions(skewed[0]) == (1000, 1000)
+    assert _walk_excursions(skewed[3]) == (1000, 1000)
