@@ -1,6 +1,7 @@
 """Atomic file writes (temp file in the target directory, then rename), the
 append-only log line, the artifacts' UTC timestamp format, and the two text
-artifact layouts: "key: value" reports and commented CSVs."""
+artifact layouts: "key: value" reports (written and read back) and commented
+CSVs."""
 
 from __future__ import annotations
 
@@ -56,6 +57,21 @@ def write_report(path, fields) -> None:
     form, the same as its ``repr``.
     """
     write_text_atomic(path, "".join(f"{key}: {value}\n" for key, value in fields))
+
+
+def read_report(path) -> dict[str, str]:
+    """Read a ``write_report`` file back into ``{key: value}`` strings.
+
+    Raises ValueError on a line that is not "key: value" or repeats a key.
+    """
+    fields = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            key, sep, value = line.rstrip("\n").partition(": ")
+            if not sep or key in fields:
+                raise ValueError(f"line {number} is not a new 'key: value' pair")
+            fields[key] = value
+    return fields
 
 
 def write_csv(path, comments, header, rows) -> None:

@@ -23,12 +23,24 @@ block is hashed against it.  A circular convolution of length
 ``L >= n + m - 1`` is enough: its wrap-around only adds linear coefficients
 at index ``L`` and above (at most ``2n + m - 3``) onto indices below
 ``n - 1``, which are discarded.
-``extract_stream`` hashes blocks in batches of eight with one batched
-``rfft``/``irfft``; eight m-bit outputs always end on a byte boundary, so
-each batch packs straight into its own slice of the output buffer.  The
-counts are integers, so float64 rounding must leave each within 0.25 of
-one; every call checks that residual and raises SecurityModelViolation
-past it.
+``extract_stream`` hashes blocks in batches of eight; eight m-bit outputs
+always end on a byte boundary, so each batch packs straight into its own
+slice of the output buffer.
+
+Two blocks share one float64 transform row (the digit packing of Percival,
+"Rapid multiplication modulo the sum and difference of highly composite
+numbers", Math. Comp. 2003): row j holds ``block_j + 2**s * block_{j+h}``
+with ``s = n.bit_length()``.  Every count is at most n < 2**s, so the
+convolution of a row is the packed count ``c_j + 2**s * c_{j+h}``, and
+both parities read off its rounded value as ``c & 1`` and
+``(c >> s) & 1``.  Packed counts stay below 2**36 while n < 2**18; from
+there on each block takes a row of its own, on the same code path.  The
+transform input, spectrum, inverse and rounding buffers are one worker's
+workspace, reused batch after batch through numpy.fft's ``out=`` and
+in-place ufuncs.  The counts are integers, so float64 rounding must leave
+each packed count within 0.25 of one; every call checks that residual and
+raises SecurityModelViolation past it.  The residual scales with the
+packing weight 2**s: about 1e-8 at the default block sizes.
 
 The extractor only hashes: the plan's ``h_min_per_sample`` arrives already
 certified (``calibration.current_calibration`` picks the fit behind it).
@@ -41,6 +53,7 @@ bits pack MSB-first into bytes.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +70,8 @@ from .exceptions import InfeasiblePlanError, SecurityModelViolation
 _BATCH_BLOCKS = 8
 # float64 counts further than this from an integer are not trusted
 _MAX_ROUNDING_RESIDUAL = 0.25
+# blocks shorter than this pack two to a transform row (counts below 2**36)
+_PACK_TWO_BELOW = 1 << 18
 # memory for one chunk of explicit Toeplitz rows in the naive route
 _NAIVE_CHUNK_BYTES = 64 << 20
 
@@ -153,8 +168,7 @@ class ToeplitzSeed:
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("seed bits must be a non-empty 1-d array")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("seed bits must be 0/1")
+        _check_bits("seed", bits)
 
     def __len__(self):
         return self.bits.size
@@ -194,21 +208,25 @@ def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:
     return ToeplitzSeed(bits=bits, provenance=f"file:{path}")
 
 
-def _check_hash_args(x: np.ndarray, seed: np.ndarray, m: int) -> int:
-    """Validate the arguments; return the block length n = len(seed) - m + 1."""
+def _check_hash_args(x: np.ndarray, seed_bits: int, m: int) -> int:
+    """Validate the shapes and the input bits; return the block length
+    n = seed_bits - m + 1."""
     if x.ndim != 1 or x.size == 0:
         raise ValueError("input bits must be a non-empty 1-d array")
     if m < 1:
         raise ValueError("output length m must be >= 1")
-    n = seed.size - m + 1
+    n = seed_bits - m + 1
     if n < 1 or x.size % n:
         raise ValueError(
             f"input of {x.size} bits is not a whole number of blocks of "
             f"n = len(seed) - m + 1 = {n} bits")
-    for name, arr in (("input", x), ("seed", seed)):
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError(f"{name} bits must be 0/1")
+    _check_bits("input", x)
     return n
+
+
+def _check_bits(name: str, bits: np.ndarray) -> None:
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError(f"{name} bits must be 0/1")
 
 
 def _naive_chunk_rows(n: int) -> int:
@@ -235,53 +253,106 @@ def _seed_spectrum(seed: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray,
-                  m: int) -> tuple[np.ndarray, float]:
-    """Hash each row of ``blocks`` (k, n) against one seed spectrum.
+class _Workspace:
+    """One thread's transform buffers for hashing n-bit blocks down to m
+    bits, up to ``blocks`` blocks per pass, reused from pass to pass.
 
-    Returns the k m-bit outputs concatenated and the rounding residual
-    ``max|c - rint(c)|`` of the float64 counts.  Raises
-    SecurityModelViolation when that residual exceeds 0.25.
+    Blocks shorter than ``_PACK_TWO_BELOW`` bits travel two to a float64
+    row, the second weighted by ``2**shift`` where ``shift =
+    n.bit_length()``: every count is at most n < 2**shift, so both counts
+    read back off the one packed integer.  Longer blocks take a row each.
     """
-    n = blocks.shape[1]
-    size = next_fast_len(n + m - 1)
-    # zero-padded by hand: rfft's own padding path (same spectrum) was no
-    # faster at the 17280 and 18000 points of perfbench's golden and stream
-    padded = np.zeros((blocks.shape[0], size))
-    padded[:, :n] = blocks
-    counts = irfft(rfft(padded, axis=1) * spectrum, size, axis=1)[:, n - 1:n - 1 + m]
-    rounded = np.rint(counts)
-    residual = float(np.max(np.abs(counts - rounded)))
+
+    def __init__(self, n: int, m: int, blocks: int = _BATCH_BLOCKS):
+        self.n, self.m = n, m
+        self.size = next_fast_len(n + m - 1)
+        self.shift = n.bit_length()
+        self.pack = 2 if n < _PACK_TWO_BELOW else 1
+        self.blocks = blocks
+        rows = -(-blocks // self.pack)
+        self.packed = np.zeros((rows, self.size))  # columns n.. stay zero
+        self.spectra = np.empty((rows, self.size // 2 + 1), dtype=np.complex128)
+        self.counts = np.empty((rows, self.size))
+        self.rounded = np.empty((rows, m))
+        self.whole = np.empty((rows, m), dtype=np.int64)
+
+
+def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray, ws: _Workspace,
+                  out: np.ndarray) -> float:
+    """Hash each row of ``blocks`` (k, n), k <= ``ws.blocks``, against one
+    seed spectrum into the rows of ``out`` (k, m).
+
+    Returns the rounding residual ``max|c - rint(c)|`` of the packed float64
+    counts.  Raises SecurityModelViolation when it exceeds 0.25.
+    """
+    k, n = blocks.shape
+    rows = -(-k // ws.pack)   # row j carries block j and, weighted, block j + rows
+    high = k - rows           # rows that carry a weighted block; 0 unpacked
+    packed = ws.packed[:rows]
+    np.copyto(packed[:high, :n], blocks[rows:])
+    packed[:high, :n] *= float(1 << ws.shift)
+    packed[:high, :n] += blocks[:high]
+    np.copyto(packed[high:, :n], blocks[high:rows])
+    spectra = rfft(packed, axis=1, out=ws.spectra[:rows])
+    spectra *= spectrum
+    counts = irfft(spectra, ws.size, axis=1,
+                   out=ws.counts[:rows])[:, n - 1:n - 1 + ws.m]
+    rounded = np.rint(counts, out=ws.rounded[:rows])
+    counts -= rounded
+    residual = float(np.abs(counts, out=counts).max())
     if not residual <= _MAX_ROUNDING_RESIDUAL:  # written so that NaN fails too
         raise SecurityModelViolation(
             f"FFT rounding residual {residual:.3g} exceeds "
             f"{_MAX_ROUNDING_RESIDUAL}; Toeplitz parities are not exact")
-    return (rounded.astype(np.int64) & 1).astype(np.uint8).ravel(), residual
+    whole = ws.whole[:rows]
+    np.copyto(whole, rounded, casting="unsafe")
+    np.bitwise_and(whole, 1, out=out[:rows], casting="unsafe")
+    np.right_shift(whole[:high], ws.shift, out=whole[:high])
+    np.bitwise_and(whole[:high], 1, out=out[rows:], casting="unsafe")
+    return residual
 
 
 def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
-                  residual: np.ndarray | None = None) -> np.ndarray:
+                  residual: np.ndarray | None = None,
+                  workspace: _Workspace | None = None) -> np.ndarray:
     """GF(2) Toeplitz hash of ``input_bits`` down to ``m`` bits per block.
 
     The input holds one or more back-to-back blocks of
     ``n = len(seed) - m + 1`` bits; each is hashed with the same seed and
-    the m-bit outputs are returned concatenated.  Input of any other length
-    is an error.
+    the m-bit outputs are returned concatenated, in a new array.  Input of
+    any other length is an error.
 
     Hashing runs on the FFT route; tests hold it bit-identical to the
     ``_toeplitz_naive`` oracle across sizes.  A ``ToeplitzSeed`` carries
-    its FFT spectrum across calls; a bare array seed is transformed on every
-    call.  When ``residual`` is given, a one-element float array, the
-    rounding residual ``max|c - rint(c)|`` is stored there.
+    its FFT spectrum across calls and had its bits checked when it was
+    made; a bare array seed is checked and transformed on every call.  When
+    ``residual`` is given, a one-element float array, the worst rounding
+    residual ``max|c - rint(c)|`` is stored there.  ``workspace`` lends the
+    transform buffers of one thread (``extract_stream`` keeps one per
+    worker); without it the call allocates its own.
     """
     x = np.asarray(input_bits, dtype=np.uint8)
-    s = np.asarray(seed.bits if isinstance(seed, ToeplitzSeed) else seed, dtype=np.uint8)
-    n = _check_hash_args(x, s, m)
-    spectrum = seed.spectrum if isinstance(seed, ToeplitzSeed) else _seed_spectrum(s)
-    out, worst = _fft_parities(x.reshape(-1, n), spectrum, m)
+    if isinstance(seed, ToeplitzSeed):
+        n = _check_hash_args(x, len(seed), m)
+        spectrum = seed.spectrum
+    else:
+        s = np.asarray(seed, dtype=np.uint8)
+        n = _check_hash_args(x, s.size, m)
+        _check_bits("seed", s)
+        spectrum = _seed_spectrum(s)
+    blocks = x.reshape(-1, n)
+    if workspace is None:
+        workspace = _Workspace(n, m, min(len(blocks), _BATCH_BLOCKS))
+    elif (workspace.n, workspace.m) != (n, m):
+        raise ValueError(f"workspace hashes {workspace.n} bits to {workspace.m}, "
+                         f"not {n} to {m}")
+    out = np.empty((len(blocks), m), dtype=np.uint8)
+    step = workspace.blocks
+    worst = max(_fft_parities(blocks[i:i + step], spectrum, workspace, out[i:i + step])
+                for i in range(0, len(blocks), step))
     if residual is not None:
         residual[0] = worst
-    return out
+    return out.ravel()
 
 
 def serialize_samples(codes: np.ndarray, bits_per_sample: int) -> np.ndarray:
@@ -366,13 +437,19 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
     seed.spectrum  # computed here, once, so pool threads only read it
     out = np.empty((n_blocks * m + 7) // 8, dtype=np.uint8)
     residuals = np.zeros(n_batches)
+    workers = threading.local()  # one workspace per pool thread, freed with the call
 
     def hash_batch(batch: int) -> None:
         first = batch * _BATCH_BLOCKS
         stop = min(first + _BATCH_BLOCKS, n_blocks)
         bits = serialize_samples(chunks[first:stop].ravel(), plan.bits_per_sample)
+        ws = getattr(workers, "workspace", None)
+        if ws is None:
+            ws = workers.workspace = _Workspace(plan.input_bits, m,
+                                                min(n_blocks, _BATCH_BLOCKS))
         try:
-            hashed = toeplitz_hash(bits, seed, m, residual=residuals[batch:batch + 1])
+            hashed = toeplitz_hash(bits, seed, m, residual=residuals[batch:batch + 1],
+                                   workspace=ws)
         except SecurityModelViolation as exc:
             raise SecurityModelViolation(
                 f"batch {batch} (blocks {first}..{stop - 1}): {exc}") from None

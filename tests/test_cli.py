@@ -498,8 +498,44 @@ def test_failing_battery_exits_5(tmp_path):
     out = tmp_path / "zeros"
     out.mkdir()
     (out / "output.bits").write_bytes(b"\x00" * 6250)  # 50000 zero bits
+    (out / "accounting.txt").write_text("output_bits: 50000\n")
     assert main(["test", "--config", cfg_path, "--out", str(out)]) == 5
     assert "overall: FAIL" in (out / "battery.txt").read_text()
+
+
+def test_battery_tests_only_the_accounted_bits(tmp_path):
+    # 11 strings of 5000 bits less 3: the zero padding of the last byte
+    # would complete an eleventh string of which three bits are not data
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "short"
+    out.mkdir()
+    n_bits = 11 * 5000 - 3
+    bits = np.random.default_rng(3).integers(0, 2, n_bits, dtype=np.uint8)
+    (out / "output.bits").write_bytes(np.packbits(bits).tobytes())
+    (out / "accounting.txt").write_text(f"blocks: 1\noutput_bits: {n_bits}\n")
+    assert main(["test", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "battery.txt").read_text().startswith("strings: 10 x 5000 bits")
+
+
+@pytest.mark.parametrize("accounting", [
+    None,                                   # missing
+    "output_bits 50000\n",                  # no "key: value" separator
+    "output_bits: 50000\noutput_bits: 50000\n",
+    "blocks: 1\n",                          # no output_bits
+    "output_bits: -8\n",
+    "output_bits: 5e4\n",
+    "output_bits: 49992\n",                 # output.bits holds one byte more
+    "output_bits: 50001\n",                 # output.bits holds one byte less
+])
+def test_test_without_matching_accounting_exits_2(tmp_path, accounting):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "bits"
+    out.mkdir()
+    (out / "output.bits").write_bytes(b"\x5a" * 6250)
+    if accounting is not None:
+        (out / "accounting.txt").write_text(accounting)
+    assert main(["test", "--config", cfg_path, "--out", str(out)]) == 2
+    assert not (out / "battery.txt").exists()
 
 
 def test_chain_disabled_pipeline(tmp_path):
@@ -566,3 +602,18 @@ h_min_override = 5.55
                             printed).group(1))
     assert clipped > 0
     assert f"clipped_samples: {clipped}\n" in (out / "accounting.txt").read_text()
+
+
+def test_extract_prints_measured_throughput_beside_equivalent_rate(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, extra=(
+        "\n[extractor]\nh_min_override = 5.55\n"))
+    out = tmp_path / "rate"
+    run_pipeline(cfg_path, out, ("simulate", "extract"))
+    lines = capsys.readouterr().out.splitlines()
+    rate = next(i for i, line in enumerate(lines)
+                if line.startswith("extract: equivalent rate "))
+    measured = re.fullmatch(r"extract: measured hashing throughput (\d+\.\d\d) Mbit/s "
+                            r"\((\d+\.\d{3}) s on 1 thread\(s\)\)", lines[rate + 1])
+    assert measured and float(measured.group(1)) > 0
+    # a wall-clock figure would break reproducible artifacts
+    assert "throughput" not in (out / "accounting.txt").read_text()

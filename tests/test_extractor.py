@@ -212,21 +212,95 @@ def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
     blocks = _code_blocks(rng, [20 * plan.samples_per_block])
     seed = prng_seed(plan.seed_bits, 61)
     _, report = extract_stream(blocks, plan, seed)
-    assert 0.0 <= report.fft_rounding_residual_max < 1e-9
+    # two blocks share a transform row, the second weighted by 2**s
+    weight = 2 ** plan.input_bits.bit_length()
+    assert 0.0 <= report.fft_rounding_residual_max < 1e-9 * weight
 
     slot = np.zeros(1)
     x = rng.integers(0, 2, plan.input_bits, dtype=np.uint8)
     toeplitz_hash(x, seed, plan.output_bits, residual=slot)
-    assert 0.0 <= slot[0] < 1e-9
+    assert 0.0 <= slot[0] < 1e-9 * weight
 
     exact_irfft = extractor.irfft
-    monkeypatch.setattr(extractor, "irfft",
-                        lambda *a, **kw: exact_irfft(*a, **kw) + 0.3)
+
+    def shifted_irfft(*args, **kwargs):
+        counts = exact_irfft(*args, **kwargs)  # written into kwargs["out"]
+        assert counts is kwargs["out"]
+        counts += 0.3
+        return counts
+
+    monkeypatch.setattr(extractor, "irfft", shifted_irfft)
     with pytest.raises(SecurityModelViolation, match=r"residual 0\.3"):
         toeplitz_hash(x, seed.bits, plan.output_bits)
     with pytest.raises(SecurityModelViolation,
                        match=r"batch 0 \(blocks 0\.\.7\).*residual 0\.3"):
         extract_stream(blocks, plan, seed, threads=2)
+
+
+def naive_blocks(x, seed, m):
+    """The naive route block by block, concatenated."""
+    n = seed.size - m + 1
+    return np.concatenate([extractor._toeplitz_naive(b, seed, m)
+                           for b in x.reshape(-1, n)])
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1023, 1024])
+def test_packed_route_matches_naive_for_every_batch_size(n):
+    # the packing weight 2**n.bit_length() steps up between 255 and 256 and
+    # between 1023 and 1024; odd batch sizes leave a row's weighted half empty
+    rng = np.random.default_rng(n)
+    m = n // 2 + 3
+    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    workspace = extractor._Workspace(n, m)
+    for k in (*range(1, 9), 3, 8, 1, 11, 16, 21):
+        x = rng.integers(0, 2, k * n, dtype=np.uint8)
+        want = naive_blocks(x, seed, m)
+        np.testing.assert_array_equal(toeplitz_hash(x, seed, m), want)
+        # one workspace reused across batch sizes, as a pool thread does
+        got = toeplitz_hash(x, ToeplitzSeed(seed, "t"), m, workspace=workspace)
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="workspace"):
+        toeplitz_hash(x[:n + 1], np.ones(n + m, np.uint8), m, workspace=workspace)
+
+
+@pytest.mark.parametrize("n", [(1 << 18) - 1, 1 << 18])
+def test_packing_cutoff_matches_naive_at_the_largest_counts(n):
+    # all-ones input against an all-ones seed counts n in every position,
+    # the largest packed value; two blocks per row below 2**18 bits, one above
+    m = 24
+    assert extractor._Workspace(n, m).pack == (2 if n < 1 << 18 else 1)
+    rng = np.random.default_rng(n)
+    ones = np.ones(n + m - 1, dtype=np.uint8)
+    for seed, x in ((ones, np.ones(8 * n, np.uint8)),
+                    (rng.integers(0, 2, n + m - 1, dtype=np.uint8),
+                     rng.integers(0, 2, 3 * n, dtype=np.uint8))):
+        slot = np.zeros(1)
+        got = toeplitz_hash(x, ToeplitzSeed(seed, "t"), m, residual=slot)
+        np.testing.assert_array_equal(got, naive_blocks(x, seed, m))
+        assert slot[0] < extractor._MAX_ROUNDING_RESIDUAL / 1000
+
+
+def test_all_ones_at_operating_width_matches_naive():
+    n, m = 12320, 8316
+    ones = np.ones(n + m - 1, dtype=np.uint8)
+    x = np.ones(3 * n, np.uint8)  # one full packed row, one half-empty
+    np.testing.assert_array_equal(toeplitz_hash(x, ones, m), naive_blocks(x, ones, m))
+
+
+def test_toeplitz_seed_bits_are_checked_once(monkeypatch):
+    rng = np.random.default_rng(73)
+    n, m = 64, 40
+    seed = ToeplitzSeed(rng.integers(0, 2, n + m - 1, dtype=np.uint8), "t")
+    x = rng.integers(0, 2, 3 * n, dtype=np.uint8)
+    checked = []
+    exact_check = extractor._check_bits
+    monkeypatch.setattr(extractor, "_check_bits",
+                        lambda name, bits: checked.append(name) or exact_check(name, bits))
+    toeplitz_hash(x, seed, m)
+    assert checked == ["input"]
+    checked.clear()
+    toeplitz_hash(x, seed.bits, m)
+    assert sorted(checked) == ["input", "seed"]
 
 
 def test_naive_chunk_is_capped_by_bytes():
@@ -388,6 +462,8 @@ def test_extract_stream_operating_point_accounting():
     blocks = _code_blocks(rng, [30 * 1540 + 50])
     seed = prng_seed(plan.seed_bits, 41)
     packed, report = extract_stream(blocks, plan, seed)
+    threaded, _ = extract_stream(blocks, plan, seed, threads=2)
+    assert threaded.tobytes() == packed.tobytes()
     assert report.blocks == 30
     assert report.bits_per_sample_effective == pytest.approx(5.4, abs=1e-12)
     assert report.equivalent_rate_bits_per_s == pytest.approx(270e6,
