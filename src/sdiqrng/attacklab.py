@@ -246,7 +246,11 @@ class AttackScenario:
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Monte-Carlo outcome of one scenario."""
+    """Monte-Carlo outcome of one scenario.
+
+    ``samples`` holds the measured quadratures and ``outcomes`` the bin
+    index of each, the digitizer reading Eve tries to guess.
+    """
 
     scenario: AttackScenario
     measured_variance: float
@@ -254,6 +258,7 @@ class AttackReport:
     mimicry_pvalue: float
     vacuum_guess_bound: float
     samples: np.ndarray
+    outcomes: np.ndarray
 
 
 def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackReport:
@@ -261,12 +266,13 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
 
     Eve's guess each round is the bin holding her displacement; the guess
     succeeds when the measured outcome lands in that bin.  The mimicry
-    p-value is a KS test of the outcomes against the exact vacuum CDF
-    (1 + erf(q)) / 2.  ``scipy.stats`` and ``scipy.special`` are imported
-    here, not at module scope, so that only the attack stage pays for
-    loading them.
+    p-value is the two-sided Kolmogorov-Smirnov test of the outcomes
+    against the exact vacuum CDF (1 + erf(q)) / 2, bitwise equal to
+    ``scipy.stats.kstest``.  Of scipy only ``scipy.special`` loads, here and
+    not at module scope, for ``erf`` and, in the KS tail, ``smirnov``.  The
+    KS distribution itself is computed in this module: importing
+    ``scipy.stats`` for it would cost the stage more than all its other work.
     """
-    from scipy import stats
     from scipy.special import erf
 
     n = scenario.n_rounds
@@ -277,23 +283,199 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
          if (scenario.displaced and disp_var > 0) else np.zeros(n))
 
     if scenario.lo_mode == "fixed":
-        mean = d
-        var = np.full(n, sq_var)
+        q = d + rng.normal(0.0, 1.0, n) * math.sqrt(sq_var)
     else:
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         mean = d * np.cos(theta)
         var = (np.exp(-2.0 * r) * np.cos(theta) ** 2
                + np.exp(2.0 * r) * np.sin(theta) ** 2) / 2.0
-    q = mean + rng.normal(0.0, 1.0, n) * np.sqrt(var)
+        q = mean + rng.normal(0.0, 1.0, n) * np.sqrt(var)
 
-    guesses = bin_index(d, scenario.delta)
     outcomes = bin_index(q, scenario.delta)
-    guess_rate = float(np.mean(guesses == outcomes))
-    ks = stats.kstest(q, lambda v: 0.5 * (1.0 + erf(v)))
+    guess_rate = float(np.mean(bin_index(d, scenario.delta) == outcomes))
+    cdf = np.sort(q)  # becomes the vacuum CDF at the sorted outcomes
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return AttackReport(
         scenario=scenario,
         measured_variance=float(np.var(q)),
         eve_guess_rate=guess_rate,
-        mimicry_pvalue=float(ks.pvalue),
+        mimicry_pvalue=_kstwo_sf(_ks_distance(cdf), n),
         vacuum_guess_bound=vacuum_min_entropy(scenario.delta).guessing_probability,
-        samples=q)
+        samples=q,
+        outcomes=outcomes)
+
+
+def _ks_distance(cdf: np.ndarray) -> np.float64:
+    """Two-sided KS statistic max(D+, D-) from the CDF at the sorted sample."""
+    n = cdf.size
+    steps = np.arange(0.0, n + 1) / n
+    d_plus = (steps[1:] - cdf).max()
+    d_minus = (cdf - steps[:-1]).max()
+    return d_plus if d_plus > d_minus else d_minus
+
+
+# _kstwo_sf and its helpers are ported from scipy.stats._ksstats (SciPy 1.17,
+# BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+# Developers; all rights reserved).  They keep only the branches of scipy's
+# _kolmogn(n, x, cdf=False) that n > 140 reaches and repeat its arithmetic in
+# the same order and types -- the long-double scale constants, np.sum and the
+# closing Python sum included -- so the result is bitwise equal to
+# scipy.stats.kstwo.sf(x, n).  Branch choice: Simard & L'Ecuyer, "Computing
+# the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11),
+# 2011.  Durbin matrix: Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's
+# distribution", J. Stat. Softw. 8(18), 2003.  Large n: Pelz & Good, JRSS B
+# 38(2), 1976.  Pomeranz's recursion serves only n <= 140 and is left out.
+
+_EP128 = np.ldexp(np.longdouble(1), 128)
+_EM128 = np.ldexp(np.longdouble(1), -128)
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+# Stirling series coefficients B_2j / (2j (2j - 1)), j = 8..1
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _kstwo_sf(x, n: int) -> float:
+    """P(D_n >= x) for the two-sided KS statistic D_n of n > 140 samples."""
+    if n <= 140:
+        raise ValueError(f"n must exceed 140, got {n}")
+    x = np.asarray(x, dtype=np.float64)  # the 0-d operand scipy's kolmogn passes
+    if x >= 1.0:
+        return 0.0
+    t = n * x
+    if x <= 0.5 / n or t <= 0.5:
+        return 1.0
+    if t <= 1.0:  # Ruben-Gambino: P(D_n <= x) = n!/n^n (2t - 1)^n
+        rn = 1.0 / n
+        log_nfac = (np.log(n) / 2 - n + _LOG_2PI / 2
+                    + rn * np.polyval(_STIRLING_COEFFS, rn / n))
+        prob = np.exp(log_nfac + n * np.log(2 * t - 1))
+        return float(np.clip(1.0 - prob, 0.0, 1.0))
+    if t >= n - 1:  # Ruben-Gambino: P(D_n >= x) = 2 (1 - x)^n
+        return float(np.clip(2 * (1.0 - x) ** n, 0.0, 1.0))
+    nxsquared = t * x
+    if x < 0.5 and nxsquared >= 370.0:
+        return 0.0
+    if x >= 0.5 or nxsquared >= 2.2:
+        from scipy.special import smirnov
+        return float(np.clip(2 * smirnov(n, x), 0.0, 1.0))
+    if n <= 100000 and n * x ** 1.5 <= 1.4:
+        cdf = _kolmogorov_cdf_dmtw(n, x)
+    else:
+        cdf = _kolmogorov_cdf_pelz_good(n, x)
+    return float(np.clip(1.0 - cdf, 0.0, 1.0))
+
+
+def _kolmogorov_cdf_dmtw(n: int, d):
+    """P(D_n <= d) from the Durbin matrix, n/2 < n d < n."""
+    # With d = (k - h)/n, k an integer and 0 <= h < 1, the answer is the
+    # (k, k) entry of n!/n^n H^n for an m x m matrix H, m = 2k - 1; powers
+    # of 2^128 are split off into the exponents as the product grows.
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+    H = np.zeros([m, m])
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h ** m
+    v[-1] = (1.0 + tt) * fac
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(m)
+    nn = n
+    expnt = 0
+    Hexpnt = 0
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += 128
+        nn = nn // 2
+
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if abs(p) < _EM128:
+            p *= _EP128
+            expnt -= 128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return np.clip(p, 0.0, 1.0)
+
+
+def _kolmogorov_cdf_pelz_good(n: int, x):
+    """Pelz-Good approximation to P(D_n <= x), 0 < x < 1."""
+    # The Li-Chien/Korolyuk series K0 + K1/n^0.5 + K2/n + K3/n^1.5 in
+    # z = x sqrt(n), each term transformed by the Jacobi theta functional
+    # equation into a series that converges fast for small z.
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < -708:
+        return 0.0
+    q = np.exp(qlog)
+
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner scheme for sum c_m q^(m^2) over odd m = 2k - 1
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b*msquared,
+                           k2a + k2b*msquared + k2c*mfour,
+                           k3a + k3b*msquared + k3c*mfour + k3d*msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the extra K2 and K3 terms, summed over all integers k
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI/(-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI/(216 * zsix)
+    K0to3[3] += k3extra
+    K0to3 /= np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    return sum(K0to3)

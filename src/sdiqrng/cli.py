@@ -334,7 +334,7 @@ def cmd_attack(cfg: RunConfig) -> int:
         ("vacuum_guess_bound", report.vacuum_guess_bound),
     ])
 
-    bins = states.bin_index(report.samples, a.delta)
+    bins = report.outcomes
     lo, hi = int(bins.min()), int(bins.max())
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     k = np.arange(lo, hi + 1)

@@ -159,7 +159,12 @@ def plan_extraction(bits_per_sample: int, h_min_per_sample: float, epsilon: floa
 
 @dataclass(frozen=True)
 class ToeplitzSeed:
-    """Seed bits plus a provenance tag recorded in the accounting report."""
+    """Seed bits plus a provenance tag recorded in the accounting report.
+
+    ``bits`` may be given as any 0/1 sequence; it is checked once and kept
+    as a private read-only ``uint8`` copy, so the check holds for the
+    seed's lifetime.
+    """
 
     bits: np.ndarray
     provenance: str
@@ -169,6 +174,9 @@ class ToeplitzSeed:
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("seed bits must be a non-empty 1-d array")
         _check_bits("seed", bits)
+        bits = bits.astype(np.uint8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self):
         return self.bits.size
@@ -177,7 +185,7 @@ class ToeplitzSeed:
     def spectrum(self) -> np.ndarray:
         """``rfft`` of the seed bits, computed on first use and then shared
         read-only by every block hashed with this seed."""
-        return _seed_spectrum(np.asarray(self.bits))
+        return _seed_spectrum(self.bits)
 
 
 def test_prng_seed(seed_bits: int, rng_seed: int) -> ToeplitzSeed:
@@ -192,7 +200,7 @@ def test_prng_seed(seed_bits: int, rng_seed: int) -> ToeplitzSeed:
 def write_seed_file(path, seed: ToeplitzSeed) -> None:
     """Write the seed bits packed MSB-first, the final byte zero-padded."""
     from ._io import write_bytes_atomic
-    write_bytes_atomic(path, np.packbits(np.asarray(seed.bits, dtype=np.uint8)).tobytes())
+    write_bytes_atomic(path, np.packbits(seed.bits).tobytes())
 
 
 def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:

@@ -3,8 +3,10 @@
 The two reduction orderings (average-then-project vs project-then-average)
 are compared by trace distance; bin weights are verified against direct
 quadrature of Hermite functions built with scipy, independent of the
-package's recurrence; and the Monte-Carlo attack statistics are checked
-against closed-form Gaussian integrals evaluated in the test.
+package's recurrence; the Monte-Carlo attack statistics are checked
+against closed-form Gaussian integrals evaluated in the test; and the
+package's Kolmogorov-Smirnov p-value is held bitwise equal to
+``scipy.stats``, which only these tests import.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from scipy import integrate, special
 from scipy import stats as sps
 
+from sdiqrng import attacklab
 from sdiqrng.attacklab import (
     AttackReport,
     AttackScenario,
@@ -27,6 +30,7 @@ from sdiqrng.attacklab import (
     trace_distance,
     two_mode_squeezed,
 )
+from sdiqrng.states import bin_index
 
 # closed-form double integral: Eve's per-round guess probability at
 # r = 1.5, delta = 0.1 with the calibrated displacement distribution
@@ -312,3 +316,64 @@ def test_attack_scenario_validation():
                    dict(lo_mode="banana"), dict(n_rounds=9_999)):
         with pytest.raises(ValueError):
             AttackScenario(**kwargs)
+
+
+def ks_branch(n, x):
+    """The branch of kstwo.sf(x, n) that Simard & L'Ecuyer pick for n > 140."""
+    t = n * x
+    if x >= 1.0:
+        return "one"
+    if x <= 0.5 / n or t <= 0.5:
+        return "below-support"
+    if t <= 1.0:
+        return "ruben-gambino-low"
+    if t >= n - 1:
+        return "ruben-gambino-high"
+    if x >= 0.5:
+        return "smirnov-half"
+    if t * x >= 370.0:
+        return "zero"
+    if t * x >= 2.2:
+        return "smirnov"
+    if n <= 100_000 and n * x ** 1.5 <= 1.4:
+        return "durbin-matrix"
+    if -math.pi ** 2 / 8 / (n * x * x) < -708:
+        return "pelz-good-underflow"
+    return "pelz-good"
+
+
+def test_kstwo_sf_is_bitwise_scipy():
+    hit = set()
+    for n in (10_000, 50_000, 100_000, 100_001, 1_000_000, 10_000_000):
+        edges = [0.5 / n, 1.0 / n, 1.0 - 1.0 / n, 0.5, 1.0,
+                 math.sqrt(2.2 / n), math.sqrt(370.0 / n)]
+        grid = np.geomspace(0.3 / n, 0.95, 24).tolist()
+        for x in edges + [np.nextafter(e, side) for e in edges[:2]
+                          for side in (0.0, 1.0)] + grid:
+            branch = ks_branch(n, x)
+            if n == 1_000_000 and branch == "smirnov" and x not in edges:
+                continue  # smirnov(1e6, x) costs 1.5 s a call; the edge covers it
+            hit.add(branch)
+            got = attacklab._kstwo_sf(x, n)
+            want = sps.kstwo.sf(x, n)
+            assert got == want, (n, x, branch, got, want)
+    assert hit == {"one", "below-support", "ruben-gambino-low",
+                   "ruben-gambino-high", "smirnov-half", "zero", "smirnov",
+                   "durbin-matrix", "pelz-good-underflow", "pelz-good"}
+    with pytest.raises(ValueError, match="140"):
+        attacklab._kstwo_sf(0.1, 140)
+
+
+@pytest.mark.parametrize("rounds, lo_mode, r", [
+    *[(rounds, lo_mode, r) for rounds in (10_000, 100_000, 100_001)
+      for lo_mode in ("fixed", "uniform") for r in (0.0, 0.3, 1.5)],
+    (1_000_000, "fixed", 1.5),
+    (1_000_000, "uniform", 0.0),
+])
+def test_mimicry_pvalue_is_bitwise_kstest(rounds, lo_mode, r):
+    scenario = AttackScenario(r=r, delta=0.1, lo_mode=lo_mode, n_rounds=rounds)
+    report = run_attack(scenario, np.random.default_rng(rounds + int(10 * r)))
+    want = sps.kstest(report.samples, lambda v: 0.5 * (1.0 + special.erf(v)))
+    assert report.mimicry_pvalue == want.pvalue
+    np.testing.assert_array_equal(report.outcomes,
+                                  bin_index(report.samples, scenario.delta))

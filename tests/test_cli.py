@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import hashlib
 import math
 import re
 import shutil
@@ -185,6 +186,31 @@ def test_attack_artifacts(pipeline):
     assert sum(int(r[1]) for r in rows) == 20000
     delta = float(re.search(r"delta=(\S+)", hist[1]).group(1))
     assert_reference_column(rows, 20000, lambda x: mpmath.erf(x * delta) / 2)
+
+
+@pytest.mark.parametrize("lo_mode, r, report_sha256, histogram_sha256", [
+    # Kolmogorov-Smirnov p-value from the Pelz-Good branch
+    ("fixed", 1.5,
+     "3c5db28e76ca7413279a5b35f206b82ccffa7b71bbce32ba4b94e6d933644dd0",
+     "f8388670e91f4ef652bd85b231eee495f4be474fe23f311dae96f67685bbfcbf"),
+    # ... and from 2 * smirnov(n, D)
+    ("uniform", 0.3,
+     "1077dd97a6ebfb7ee8741f5c542b314671c1134701e6c40e522efdbc35909915",
+     "65c13ea1d1a6092fe1b6e51e1cad3d8f292dba3f9d64b818fc18bdd7257a0397"),
+])
+def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
+                                           histogram_sha256):
+    # the digests were written by commit b316176, whose p-value came from
+    # scipy.stats.kstest and whose histogram re-binned the samples in the CLI
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text(f"[run]\nrng_seed = 5\n\n[attack]\nrounds = 10000\n"
+                   f"lo_mode = {lo_mode}\nr = {r}\n")
+    out = tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("attack_report.txt", "attack_histogram.csv")}
+    assert digest == {"attack_report.txt": report_sha256,
+                      "attack_histogram.csv": histogram_sha256}
 
 
 def test_verify_artifacts(pipeline):

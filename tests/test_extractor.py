@@ -377,6 +377,26 @@ def test_seed_file_roundtrip(tmp_path):
         prng_seed(0, 1)
 
 
+def test_seed_keeps_a_checked_read_only_copy():
+    # a list seed used to be kept as the list, so len() raised AttributeError
+    seed = ToeplitzSeed([0, 1, 1], "t")
+    assert len(seed) == 3
+    assert seed.bits.dtype == np.uint8
+    assert not seed.bits.flags.writeable
+    np.testing.assert_array_equal(toeplitz_hash([1, 0], seed, 2),
+                                  oracle_toeplitz([1, 0], [0, 1, 1], 2))
+    # the caller's array stays writable and later writes cannot reach the seed
+    bits = np.array([True, False, True, True])
+    seed = ToeplitzSeed(bits, "t")
+    bits[0] = False
+    assert seed.bits.tolist() == [1, 0, 1, 1]
+    assert bits.flags.writeable
+    with pytest.raises(ValueError):
+        seed.bits[0] = 0
+    with pytest.raises(ValueError):
+        ToeplitzSeed([0.5, 1.0], "t")
+
+
 def test_extract_stream_against_full_oracle():
     plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
     assert (plan.samples_per_block, plan.output_bits) == (76, 380)

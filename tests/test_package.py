@@ -1,6 +1,6 @@
 """Package-level checks: every exported name exists, and a stage's import
 path stays free of scipy: none for simulate, extract and verify, only
-``scipy.special`` for test."""
+``scipy.special`` for test and attack."""
 
 import importlib
 import json
@@ -43,7 +43,7 @@ from sdiqrng.cli import main
 
 loaded = {"import": scipy_modules()}
 cfg, out = sys.argv[1:]
-for stage in ("simulate", "extract", "verify", "test"):
+for stage in ("simulate", "extract", "verify", "test", "attack"):
     code = main([stage, "--config", cfg, "--out", out])
     # the battery verdict on a few dozen strings is not what is checked here
     assert code == 0 or (stage, code) == ("test", 5), f"{stage} exited {code}"
@@ -69,6 +69,9 @@ h_min_override = 5.55
 [stats]
 string_bits = 5000
 
+[attack]
+rounds = 10000
+
 [verify]
 fock_n_max = 5
 deltas = 0.1 0.5
@@ -79,7 +82,7 @@ equivalence_dim_max = 5
 
 def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
     # fresh interpreters: pytest's own test modules import scipy throughout;
-    # only test loads scipy.special, and only attack loads scipy.stats
+    # test and attack load scipy.special and nothing of scipy beyond it
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CHAIN_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(Path(sdiqrng.__file__).resolve().parents[1]))
@@ -94,8 +97,9 @@ def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
     loaded = run(str(cfg), str(tmp_path / "out"))
     for step in ("import", "simulate", "extract", "verify"):
         assert loaded[step] == [], f"after {step}: {loaded[step]}"
-    assert "scipy.special" in loaded["test"]
-    assert set(loaded["test"]) <= special
-    assert not [m for m in loaded["test"]
-                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"],
-                                        ["scipy", "fft"])]
+    for step in ("test", "attack"):
+        assert "scipy.special" in loaded[step]
+        assert set(loaded[step]) <= special, f"after {step}: {loaded[step]}"
+        assert not [m for m in loaded[step]
+                    if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"],
+                                            ["scipy", "fft"])]
