@@ -57,18 +57,26 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> None:
-    report = dsp.autocorrelation(codes.astype(float), max_lag)
+    report = dsp.autocorrelation(codes, max_lag)
     write_csv(path, ["autocorrelation of the filtered per-pulse stream",
                      f"n_samples={report.n_samples} ci95={report.ci95!r} "
                      f"fraction_outside_ci={report.fraction_outside_ci!r}"],
               ["lag", "coefficient"], enumerate(report.coefficients.tolist()))
 
 
+_HISTOGRAM_SLICE = 2 ** 16
+
+
 def _write_histogram_csv(path: Path, codes: np.ndarray,
                          config: detector.MeasurementConfig) -> None:
-    counts = np.bincount(codes.astype(np.int64) - config.code_min,
-                         minlength=config.code_max - config.code_min + 1)
-    sigma_codes = float(np.std(codes.astype(float)))
+    # bincount casts its input to intp: count slices, not all the codes at once
+    bins = config.code_max - config.code_min + 1
+    counts = np.zeros(bins, dtype=np.int64)
+    for first in range(0, codes.size, _HISTOGRAM_SLICE):
+        piece = codes[first:first + _HISTOGRAM_SLICE].astype(np.intp)
+        counts += np.bincount(piece - config.code_min, minlength=bins)
+    # integer codes sum exactly, so this equals np.std(codes.astype(float))
+    sigma_codes = float(np.std(codes, dtype=np.float64))
     edges = np.arange(config.code_min, config.code_max + 2) - 0.5
     if sigma_codes > 0:
         cdf = 0.5 * (1.0 + _erf(edges / (sigma_codes * math.sqrt(2.0))))
@@ -109,6 +117,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         codes = raw_codes
         if cfg.dsp.enabled:
             codes, clipped = write("filtered", b, filtered)
+        del raw, filtered   # freed before the next block's chain runs
         total_clipped += clipped
         raw_hist_codes.append(raw_codes)
         if sum(c.size for c in autocorr_codes) < autocorr_needed:

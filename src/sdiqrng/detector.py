@@ -28,8 +28,12 @@ enabled chain), each pulse instead occupies ``oversample`` input samples and
 the noise enters white at that input rate.  One decimating ``dsp.lowpass``
 call then filters the oversampled wave and keeps the sample at
 ``sample_phase`` of every pulse, and the optional drift notch of ``dsp`` runs
-on those per-pulse samples before digitization.  Only the oversampled wave
-itself is held at the input rate.
+on those per-pulse samples before digitization.  The oversampled wave is a
+``dsp.SampleStream``: its noise is drawn and its flat tops are built a chunk
+of pulses at a time as the low-pass blocks read it, so no array at the input
+rate is ever whole.  The per-pulse phases, quadratures and filtered samples
+are whole arrays, as the draw order needs: phases and quadratures of every
+pulse first, then the electronic noise in pulse order.
 
 Raw blocks serialize to a little-endian binary format with a fixed 9-line
 ASCII header (magic, version, bits, count, clipped count, config hash, run
@@ -154,9 +158,15 @@ def quantize(analog: np.ndarray, config: MeasurementConfig) -> tuple[np.ndarray,
     Round half away from zero, then saturate into the edge codes.
     """
     scaled = np.asarray(analog, dtype=float) / config.adc_step
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    # in one buffer: floor(|scaled| + 0.5) given the sign of scaled (where
+    # that is 0 the code is 0 either way)
+    codes = np.abs(scaled)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.copysign(codes, scaled, out=codes)
+    del scaled
     clipped = int(np.count_nonzero((codes < config.code_min) | (codes > config.code_max)))
-    codes = np.clip(codes, config.code_min, config.code_max)
+    np.clip(codes, config.code_min, config.code_max, out=codes)
     return codes.astype(np.int16), clipped
 
 
@@ -222,7 +232,9 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     per period, and the noise enters white at the input rate.  Returns two
     per-pulse analog streams with all filter transients trimmed: the
     low-passed, decimated stream before drift removal, and the final
-    filtered stream.
+    filtered stream.  The oversampled wave is built as the low-pass reads
+    it (``_oversampled_wave``), so it is never whole in memory; the excess
+    noise then comes from a child generator of ``rng``.
     """
     states.validate_state(state)
     if count <= 0:
@@ -234,32 +246,23 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     n_sim = count + 2 * (pad_lp + pad_notch)
 
     theta = draw_phases(config, n_sim, rng)
-    q = states.sample_quadrature(state, theta, rng, size=n_sim)
-    wave = q * math.sqrt(2.0 * config.conversion_gain * config.lo_power)
+    wave = states.sample_quadrature(state, theta, rng, size=n_sim)
+    del theta
+    wave *= math.sqrt(2.0 * config.conversion_gain * config.lo_power)
     electronic = config.electronic_noise_var
-    if filtering:
-        # the flat top is added into the electronic-noise draw (e + s == s + e
-        # exactly), so no pulse matrix of zeros is built when that noise is on
-        shape = (n_sim, ratio)
-        pulses = (rng.normal(0.0, math.sqrt(electronic), shape) if electronic > 0
-                  else np.zeros(shape))
-        width = max(1, int(round(ratio * chain.pulse_duty)))
-        start = (ratio - width) // 2
-        pulses[:, start:start + width] += wave[:, None]
-        wave = pulses.ravel()
-    elif electronic > 0:
-        wave += rng.normal(0.0, math.sqrt(electronic), wave.size)
     excess = config.excess_noise_var * (
         config.lo_power if config.excess_noise_tracks_power else 1.0)
-    if excess > 0:
-        wave += rng.normal(0.0, math.sqrt(excess), wave.size)
     if not filtering:
+        for var in (electronic, excess):
+            if var > 0:
+                wave += rng.normal(0.0, math.sqrt(var), wave.size)
         return wave, wave
 
-    per_pulse = dsp.lowpass(wave, ratio * config.pulse_rate, chain.lowpass_cutoff,
+    per_pulse = dsp.lowpass(_oversampled_wave(wave, chain, electronic, excess, rng),
+                            ratio * config.pulse_rate, chain.lowpass_cutoff,
                             chain.lowpass_taps, decimate=ratio,
                             sample_phase=chain.sample_phase)
-    del pulses, wave   # the notch needs only the per-pulse samples
+    del wave   # the notch needs only the per-pulse samples
     per_pulse = per_pulse[pad_lp:pad_lp + count + 2 * pad_notch]
     raw = per_pulse[pad_notch:pad_notch + count]
     if not chain.notch_enabled:
@@ -268,6 +271,48 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
                                        chain.modulation_freq, chain.notch_cutoff,
                                        chain.notch_taps)
     return raw, notched[pad_notch:pad_notch + count]
+
+
+_WAVE_CHUNK = 2 ** 16   # oversampled samples drawn at a time, rounded to whole pulses
+
+
+def _oversampled_wave(wave: np.ndarray, chain: ChainSettings, electronic: float,
+                      excess: float, rng: np.random.Generator) -> dsp.SampleStream:
+    """The oversampled wave of the per-pulse ``wave``, made as it is read.
+
+    Pulse ``p`` fills samples ``p * oversample`` on: a flat top of
+    ``wave[p]`` over the central ``pulse_duty`` of the period, plus white
+    electronic noise from ``rng`` and excess noise from a child generator
+    of it.  The pulses are made in order, whole chunks at a time, when a
+    read reaches past those made; only the samples from the last ``lo`` on
+    are kept.  The electronic noise of consecutive chunks is the one
+    ``rng.normal`` stream a single call would draw.
+    """
+    ratio = chain.oversample
+    width = max(1, int(round(ratio * chain.pulse_duty)))
+    start = (ratio - width) // 2
+    chunk = max(1, _WAVE_CHUNK // ratio)
+    excess_rng = rng.spawn(1)[0] if excess > 0 else None
+    made = 0                          # pulses made so far
+    held, held_lo = np.empty(0), 0    # samples held_lo .. made * ratio - 1
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        nonlocal made, held, held_lo
+        if hi > made * ratio:
+            stop = min(wave.size, max(-(-hi // ratio), made + chunk))
+            shape = (stop - made, ratio)
+            # the flat top is added into the electronic-noise draw (e + s == s + e
+            # exactly), so no pulse matrix of zeros is built when that noise is on
+            pulses = (rng.normal(0.0, math.sqrt(electronic), shape) if electronic > 0
+                      else np.zeros(shape))
+            pulses[:, start:start + width] += wave[made:stop, None]
+            if excess_rng is not None:
+                pulses += excess_rng.normal(0.0, math.sqrt(excess), shape)
+            held = np.concatenate((held[lo - held_lo:], pulses.ravel()))
+            held_lo, made = lo, stop
+        return held[lo - held_lo:hi - held_lo]
+
+    return dsp.SampleStream(read, wave.size * ratio)
 
 
 def vacuum_unit_resolution(adc_step: float, gradient: float, power: float) -> float:

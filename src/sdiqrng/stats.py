@@ -206,12 +206,25 @@ def cumulative_sums_test(bits) -> tuple[float, float]:
     return _cusum_pvalue(n, max(z_fwd, 1)), _cusum_pvalue(n, max(z_bwd, 1))
 
 
-def spectral_test(bits) -> float:
-    """Count of low DFT peaks of the +-1 sequence against the 95% threshold."""
+def _spectral_work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``work`` buffers of ``spectral_test`` for strings of ``n`` bits."""
+    return np.empty(n), np.empty(n // 2 + 1, dtype=complex)
+
+
+def spectral_test(bits, *, work: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Count of low DFT peaks of the +-1 sequence against the 95% threshold.
+
+    ``work`` is the ``(signs, spectrum)`` pair of ``_spectral_work(len(bits))``
+    that the +-1 sequence and its transform are written into; ``run_battery``
+    passes one pair to every string, so each string reuses the same memory.
+    """
     bits = _check_bits(bits, 8, "spectral")
     n = bits.size
-    x = 2.0 * bits - 1.0
-    mags = np.abs(np.fft.rfft(x))[: n // 2]
+    signs, spectrum = _spectral_work(n) if work is None else work
+    np.multiply(bits, 2.0, out=signs)
+    signs -= 1.0
+    np.fft.rfft(signs, out=spectrum)
+    mags = np.abs(spectrum[: n // 2], out=signs[: n // 2])
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)
     n0 = 0.95 * n / 2.0
     n1 = int(np.count_nonzero(mags < threshold))
@@ -388,12 +401,13 @@ def run_battery(bits, string_bits: int, *, alpha: float = 0.01) -> BatteryReport
             f"need at least 10 strings for proportion statistics, got {n_strings}")
     strings = bits[: n_strings * string_bits].reshape(n_strings, string_bits)
 
+    spectral_work = _spectral_work(int(string_bits))
     single = {
         "frequency": frequency_test,
         "block-frequency": block_frequency_test,
         "runs": runs_test,
         "longest-run": longest_run_test,
-        "spectral": spectral_test,
+        "spectral": lambda row: spectral_test(row, work=spectral_work),
         "approximate-entropy": approximate_entropy_test,
     }
     collected: dict[str, list[float]] = {}

@@ -229,9 +229,11 @@ def _full_rate_chain(cfg, count, rng, chain):
     pulses = np.zeros((n_sim, ratio))
     pulses[:, start:start + width] = wave[:, None]
     wave = pulses.ravel()
-    for var in (cfg.electronic_noise_var, cfg.excess_noise_var):
+    # the excess noise comes from a child generator, drawn after the whole wave
+    for var, noise_rng in ((cfg.electronic_noise_var, rng),
+                           (cfg.excess_noise_var, rng.spawn(1)[0])):
         if var > 0:
-            wave += rng.normal(0.0, math.sqrt(var), wave.size)
+            wave += noise_rng.normal(0.0, math.sqrt(var), wave.size)
     full = dsp.lowpass(wave, ratio * cfg.pulse_rate, chain.lowpass_cutoff,
                        chain.lowpass_taps)
     offset = min(int(round(chain.sample_phase * ratio)), ratio - 1)
@@ -252,6 +254,69 @@ def test_measure_pulses_chain_equals_full_rate_reference(electronic, excess):
     ref = _full_rate_chain(cfg.detector, 5000, np.random.default_rng(41), cfg.dsp)
     for a, b in zip(got, ref):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
+
+
+def _whole_wave_chain(cfg, count, rng, chain):
+    """The chain as one array per step: the whole oversampled wave, one
+    electronic-noise draw for all of it, then the decimating low-pass."""
+    ratio = chain.oversample
+    pad_lp = -(-(chain.lowpass_taps // 2) // ratio)
+    pad_notch = chain.notch_taps // 2 if chain.notch_enabled else 0
+    n_sim = count + 2 * (pad_lp + pad_notch)
+    theta = draw_phases(cfg, n_sim, rng)
+    q = states.sample_quadrature(Vacuum(), theta, rng, size=n_sim)
+    wave = q * math.sqrt(2.0 * cfg.conversion_gain * cfg.lo_power)
+    shape = (n_sim, ratio)
+    pulses = (rng.normal(0.0, math.sqrt(cfg.electronic_noise_var), shape)
+              if cfg.electronic_noise_var > 0 else np.zeros(shape))
+    width = max(1, int(round(ratio * chain.pulse_duty)))
+    start = (ratio - width) // 2
+    pulses[:, start:start + width] += wave[:, None]
+    per_pulse = dsp.lowpass(pulses.ravel(), ratio * cfg.pulse_rate, chain.lowpass_cutoff,
+                            chain.lowpass_taps, decimate=ratio,
+                            sample_phase=chain.sample_phase)
+    per_pulse = per_pulse[pad_lp:pad_lp + count + 2 * pad_notch]
+    raw = per_pulse[pad_notch:pad_notch + count]
+    if not chain.notch_enabled:
+        return raw, raw
+    notched = dsp.remove_low_frequency(per_pulse, cfg.pulse_rate, chain.modulation_freq,
+                                       chain.notch_cutoff, chain.notch_taps)
+    return raw, notched[pad_notch:pad_notch + count]
+
+
+@pytest.mark.parametrize("count", [1, 4001, 20_001])
+@pytest.mark.parametrize("electronic", [2.0, 0.0])
+@pytest.mark.parametrize("sample_phase", [0.0, 0.5])
+@pytest.mark.parametrize("notch", [
+    {"dsp.notch_taps": "801"},                             # at Nyquist
+    {"dsp.notch_taps": "801", "dsp.modulation_freq": "24.5e6",
+     "dsp.notch_cutoff": "24.495e6"},                      # below it
+    {"dsp.notch_enabled": "false"}])
+def test_chunked_measure_pulses_equals_whole_wave_chain(count, electronic,
+                                                        sample_phase, notch):
+    cfg = load_config(None, overrides={
+        "detector.electronic_noise_var": electronic,
+        "dsp.sample_phase": sample_phase, **notch})
+    got = measure_pulses(Vacuum(), cfg.detector, count, np.random.default_rng(count),
+                         cfg.dsp)
+    ref = _whole_wave_chain(cfg.detector, count, np.random.default_rng(count), cfg.dsp)
+    for a, b in zip(got, ref):
+        assert a.shape == (count,)
+        assert np.array_equal(a, b)
+
+
+def test_measure_pulses_never_holds_the_oversampled_wave():
+    cfg = load_config(None)
+    chain, count = cfg.dsp, 1_000_000
+    pads = -(-(chain.lowpass_taps // 2) // chain.oversample) + chain.notch_taps // 2
+    wave_bytes = (count + 2 * pads) * chain.oversample * 8
+    tracemalloc.start()
+    try:
+        measure_pulses(Vacuum(), cfg.detector, count, np.random.default_rng(47), chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < wave_bytes, (peak, wave_bytes)
 
 
 def test_measure_pulses_peak_memory_stays_near_the_oversampled_wave():

@@ -6,7 +6,8 @@ the time-domain measurements have an independent oracle.  scipy.signal is a
 test-only oracle: the numpy design must equal ``firwin`` and ``lowpass`` must
 equal ``fftconvolve`` bit for bit, and ``scipy.fft`` is the oracle for
 ``next_fast_len``.  The decimating ``lowpass`` is checked
-against the full-rate output strided by hand.
+against the full-rate output strided by hand, and the blocked
+``autocorrelation`` against the per-lag sums of its definition.
 """
 
 import math
@@ -128,7 +129,8 @@ def _per_step_probe_design(rate, cutoff, taps):
                                               (400e6, 140e6, 257),
                                               (50e6, 24.5e6, 801),
                                               (50e6, 24.495e6, 16001),
-                                              (50e6, 24.995e6, 16001)])
+                                              (50e6, 24.995e6, 16001),
+                                              (50e6, 24.495e6, 801)])
 def test_design_equals_per_step_probe_bisection(rate, cutoff, taps):
     expected = _per_step_probe_design(rate, cutoff, taps)
     assert np.array_equal(dsp.design_lowpass.__wrapped__(rate, cutoff, taps), expected)
@@ -316,6 +318,37 @@ def test_autocorrelation_ar1_matches_analytic():
     assert rep.coefficients[1] == pytest.approx(0.5, abs=0.01)
     assert rep.coefficients[2] == pytest.approx(0.25, abs=0.015)
     assert rep.coefficients[3] == pytest.approx(0.125, abs=0.02)
+
+
+def _direct_autocorrelation(x, max_lag):
+    v = np.asarray(x, dtype=float) - np.mean(x)
+    acf = np.array([np.dot(v[:v.size - k], v[k:]) for k in range(max_lag + 1)])
+    return acf / acf[0]
+
+
+@pytest.mark.parametrize("n,max_lag", [
+    (5000, 50),                 # shorter than one chunk
+    (2 * 15984, 400),           # two whole chunks of 2**14 - 400 samples
+    (3 * 15984 + 7, 400),       # a tail chunk of 7 samples, fewer than max_lag
+    (2 * 15984 + 9000, 400),    # not a multiple of the chunk step
+    (50_001, 5000),             # max_lag just under n / 10
+])
+def test_blocked_autocorrelation_equals_direct_sums(n, max_lag):
+    rng = np.random.default_rng(n + max_lag)
+    # correlated input, so that the coefficients are not all near zero
+    x = np.convolve(rng.normal(size=n + 3), [1.0, 0.6, -0.3, 0.2], mode="valid") + 4.0
+    rep = autocorrelation(x, max_lag)
+    assert rep.n_samples == n and rep.max_lag == max_lag
+    # coefficients are relative to the lag-0 sum, so 1e-12 is relative to it
+    np.testing.assert_allclose(rep.coefficients, _direct_autocorrelation(x, max_lag),
+                               rtol=0, atol=1e-12)
+
+
+def test_autocorrelation_of_integer_codes_equals_their_float_copy():
+    codes = np.random.default_rng(31).integers(-128, 128, 40_000).astype(np.int16)
+    ints, floats = autocorrelation(codes, 300), autocorrelation(codes.astype(float), 300)
+    assert np.array_equal(ints.coefficients, floats.coefficients)
+    assert ints.fraction_outside_ci == floats.fraction_outside_ci
 
 
 def test_autocorrelation_rejections():

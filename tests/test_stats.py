@@ -544,3 +544,18 @@ def test_battery_p_values_equal_parent_formulations():
     assert np.all(by_name["runs"][:6] == 0.0)
     assert _walk_excursions(skewed[0]) == (1000, 1000)
     assert _walk_excursions(skewed[3]) == (1000, 1000)
+
+
+@pytest.mark.parametrize("string_bits", [1000, 1001, 4097])
+def test_spectral_buffers_reused_across_strings_equal_parent_formula(string_bits):
+    # one work space serves every string of a battery: strings of opposite
+    # content in turn must not see what the previous string left there
+    rng = np.random.default_rng(string_bits)
+    strings = rng.integers(0, 2, (12, string_bits)).astype(np.uint8)
+    strings[1::4] = 1
+    strings[2::4] = rng.random((3, string_bits)) < 0.45
+    report = run_battery(strings.ravel(), string_bits)
+    (spectral,) = [r.p_values for r in report.results if r.name == "spectral"]
+    expect = [parent_spectral(row) for row in strings]
+    assert np.array_equal(spectral, expect)
+    assert [spectral_test(row) for row in strings] == expect
