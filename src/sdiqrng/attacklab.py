@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .entropy import vacuum_min_entropy
-from .states import _fock_psi, _gl_nodes, bin_index
+from .states import _fock_psi, bin_index
 
 __all__ = [
     "BipartiteState",
@@ -153,14 +154,17 @@ def phase_average_A(state: BipartiteState, n_phases: int | None = None) -> Bipar
     return BipartiteState(state.dim_e, state.dim_a, t.reshape(d, d))
 
 
-def bin_projector(dim: int, theta: float, delta: float, k: int, *,
-                  nodes: int = 200) -> np.ndarray:
-    """Matrix of the digitizer-bin projector on A in the truncated Fock basis.
+@lru_cache(maxsize=8)
+def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(order)
+    return x, w
 
-    Element (n, m) is exp(1j*theta*(n-m)) * integral over bin k of
-    psi_n(q) psi_m(q) dq, with bin k = (k*delta - delta/2, k*delta + delta/2].
-    Bins outside the numerically supported window (half-width
-    8 + 4*sqrt(dim)) are rejected.
+
+def _bin_overlap(dim: int, delta: float, k: int, nodes: int) -> np.ndarray:
+    """Real overlap integral over bin k of psi_n(q) psi_m(q), n, m < dim.
+
+    Gauss-Legendre with ``nodes`` points; bins outside the numerically
+    supported window (half-width 8 + 4*sqrt(dim)) are rejected.
     """
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
@@ -175,10 +179,21 @@ def bin_projector(dim: int, theta: float, delta: float, k: int, *,
     psi = np.empty((dim, nodes))
     for j, row in enumerate(_fock_psi(dim - 1, pts)):
         psi[j] = row
-    overlap = (psi * w) @ psi.T * (delta / 2.0)
+    return (psi * w) @ psi.T * (delta / 2.0)
+
+
+def bin_projector(dim: int, theta: float, delta: float, k: int, *,
+                  nodes: int = 200) -> np.ndarray:
+    """Matrix of the digitizer-bin projector on A in the truncated Fock basis.
+
+    Element (n, m) is exp(1j*theta*(n-m)) * integral over bin k of
+    psi_n(q) psi_m(q) dq, with bin k = (k*delta - delta/2, k*delta + delta/2].
+    Bins outside the numerically supported window (half-width
+    8 + 4*sqrt(dim)) are rejected.
+    """
     n = np.arange(dim)
     phase = np.exp(1j * theta * (n[:, None] - n[None, :]))
-    return overlap * phase
+    return _bin_overlap(dim, delta, k, nodes) * phase
 
 
 def _contract_with_projector(state: BipartiteState, proj: np.ndarray) -> np.ndarray:
@@ -196,17 +211,24 @@ def eve_reduced_path_I(state: BipartiteState, theta: float, delta: float, k: int
 
 def eve_reduced_path_II(state: BipartiteState, theta: float, delta: float, k: int, *,
                         n_phases: int | None = None, nodes: int = 200) -> np.ndarray:
-    """Project onto the phase-shifted bin for M uniform phases, then average."""
+    """Project onto the phase-shifted bin for M uniform phases, then average.
+
+    The real bin overlap does not depend on the phase, so it is integrated
+    once; each of the M projectors is that overlap times its own phase
+    matrix, exactly the product ``bin_projector`` returns.
+    """
     m_phases = 4 * state.dim_a if n_phases is None else int(n_phases)
     if m_phases < state.dim_a:
         raise ValueError(
             f"n_phases={m_phases} < dim_a={state.dim_a}: the discrete average "
             "would leave surviving coherences")
+    overlap = _bin_overlap(state.dim_a, delta, k, nodes)
+    n = np.arange(state.dim_a)
+    diff = n[:, None] - n[None, :]
     acc = np.zeros((state.dim_e, state.dim_e), dtype=complex)
     for j in range(m_phases):
         phi = theta + 2.0 * math.pi * j / m_phases
-        acc += _contract_with_projector(
-            state, bin_projector(state.dim_a, phi, delta, k, nodes=nodes))
+        acc += _contract_with_projector(state, overlap * np.exp(1j * phi * diff))
     return acc / m_phases
 
 

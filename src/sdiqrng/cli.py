@@ -371,7 +371,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     fock = [states.Fock(n) for n in range(1, v.fock_n_max + 1)]
     for delta in v.deltas:
         try:
-            rep = entropy.sdi_bound_check(fock, delta, nodes=200)
+            rep = entropy.sdi_bound_check(fock, delta)
             worst = rep.worst_margin
         except SecurityModelViolation as exc:
             failures.append(f"bound-scan delta={delta:g}: {exc}")

@@ -70,28 +70,33 @@ class BoundCheckReport:
         return min(self.margins)
 
 
-def sdi_bound_check(state_list, delta: float, *, nodes: int = 80) -> BoundCheckReport:
+def sdi_bound_check(state_list, delta: float) -> BoundCheckReport:
     """Verify max-bin masses of photon-number-diagonal states against the bound.
 
     Parameters
     ----------
-    state_list : iterable of Fock / Mixture (Vacuum admitted, margin 0)
+    state_list : non-empty iterable of Fock / Mixture (Vacuum admitted,
+        margin 0)
     delta : float
         Bin width in vacuum units.
 
-    Returns a report with one margin per state, in input order.  A negative
-    margin beyond numerical tolerance raises SecurityModelViolation: it
-    would mean the certificate's core inequality failed.
+    Returns a report with one margin per state, in input order.  An empty
+    ``state_list`` raises ValueError: the report would have no worst margin.
+    A negative margin beyond numerical tolerance raises
+    SecurityModelViolation: it would mean the certificate's core inequality
+    failed.
     """
     bound = vacuum_min_entropy(delta).guessing_probability
     state_list = list(state_list)
+    if not state_list:
+        raise ValueError("bound check needs at least one state")
     for st in state_list:
         if not isinstance(st, (states.Vacuum, states.Fock, states.Mixture)):
             raise ValueError(
                 "bound check applies to photon-number-diagonal states "
                 f"(Vacuum, Fock, Mixture), got {type(st).__name__}")
     margins = []
-    p_maxes = states.max_bin_probabilities(state_list, delta, nodes=nodes)
+    p_maxes = states.max_bin_probabilities(state_list, delta)
     for st, p_max in zip(state_list, p_maxes):
         margin = bound - p_max
         if margin < -1e-12:

@@ -372,34 +372,32 @@ def bin_index(q, delta: float):
     return int(k) if np.isscalar(q) else k
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float,
-                            nodes: int) -> np.ndarray:
+def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.ndarray:
     """Bin masses of Fock 0..n_max on the bins covering [-halfwidth, halfwidth].
 
     Returns P of shape (n_max + 1, bins), P[n, j] the probability that
-    Fock n falls in bin j.  Gauss-Legendre with ``nodes`` points per bin;
-    the integrand is analytic so the error is far below 1e-12 for the bin
-    widths used here.  Each entry depends only on n and its bin, not on
-    n_max or the window, so one table serves every state up to n_max.
-    Each row is reduced over the nodes as the recurrence yields it, so the
-    (n_max + 1) x bins x nodes table of |psi_n|^2 is never built.
+    Fock n falls in bin j = [a_j, b_j], in closed form on the shared bin
+    edges.  The vacuum row is P[0, j] = (erf(b_j) - erf(a_j)) / 2 with
+    ``math.erf``.  The ladder identity
+    d/dq (psi_n psi_{n-1}) = sqrt(2n) (psi_{n-1}^2 - psi_n^2) gives
+
+        P[n, j] = P[n-1, j] - [psi_n psi_{n-1}]_{a_j}^{b_j} / sqrt(2n),
+
+    so the wavefunction recurrence runs once over the bins + 1 edges.
+    Each entry depends only on n and its bin, not on n_max or the window,
+    so one table serves every state up to n_max.
     """
     k_max = int(math.ceil((halfwidth + delta) / delta))
-    k_values = np.arange(-k_max, k_max + 1)
-    edges_lo = k_values * delta - delta / 2.0
-    x, w = _gl_nodes(nodes)
-    # map [-1, 1] nodes into every bin at once
-    pts = edges_lo[:, None] + (x[None, :] + 1.0) * (delta / 2.0)
-    out = np.empty((n_max + 1, k_values.size))
-    for n, psi in enumerate(_fock_psi(n_max, pts)):
-        out[n] = (psi * psi) @ w
-    return out * (delta / 2.0)
+    edges = np.arange(-k_max, k_max + 2) * delta - delta / 2.0
+    out = np.empty((n_max + 1, edges.size - 1))
+    erf = np.fromiter(map(math.erf, edges.tolist()), dtype=float, count=edges.size)
+    out[0] = np.diff(erf) / 2.0
+    rows = _fock_psi(n_max, edges)
+    prev = next(rows)
+    for n, psi in enumerate(rows, start=1):
+        out[n] = out[n - 1] - np.diff(psi * prev) / math.sqrt(2.0 * n)
+        prev = psi
+    return out
 
 
 def _gaussian_max_bin(mean: float, var: float, delta: float) -> float:
@@ -418,19 +416,20 @@ def _fock_components(state: Fock | Mixture) -> tuple[tuple[float, int], ...]:
     return ((1.0, state.n),) if isinstance(state, Fock) else state.components
 
 
-def max_bin_probabilities(state_list, delta: float, *, theta: float = 0.0,
-                          nodes: int = 80) -> list[float]:
+def max_bin_probabilities(state_list, delta: float, *,
+                          theta: float = 0.0) -> list[float]:
     """Largest probability any single width-``delta`` bin can capture, per state.
 
     For Gaussian-family states this is a closed-form scan of the bins
     around the mean.  For Fock states and mixtures the bin masses are
-    integrated by per-bin Gauss-Legendre quadrature, and the maximum over
-    bins of the *mixed* distribution is returned, which is what bounds a
-    guesser who sees the mixture, not its parts.  All Fock states and
-    mixtures read one table, built for the highest photon number in
-    ``state_list`` over the widest supported window (half-width
-    8 + 4*sqrt(n+1)); the bins a state gains beyond its own window lie
-    where its mass is negligible, so its maximum does not change.
+    closed forms in erf and the wavefunctions at the bin edges
+    (``_fock_bin_probabilities``), and the maximum over bins of the
+    *mixed* distribution is returned, which is what bounds a guesser who
+    sees the mixture, not its parts.  All Fock states and mixtures read one
+    table, built for the highest photon number in ``state_list`` over the
+    widest supported window (half-width 8 + 4*sqrt(n+1)); the bins a state
+    gains beyond its own window lie where its mass is negligible, so its
+    maximum does not change.
     """
     state_list = list(state_list)
     for st in state_list:
@@ -442,7 +441,7 @@ def max_bin_probabilities(state_list, delta: float, *, theta: float = 0.0,
     if diagonal:
         n_max = max(n for st in diagonal for _, n in _fock_components(st))
         halfwidth = max(search_halfwidth(st) for st in diagonal)
-        probs = _fock_bin_probabilities(n_max, delta, halfwidth, nodes)
+        probs = _fock_bin_probabilities(n_max, delta, halfwidth)
     out = []
     for st in state_list:
         if isinstance(st, (Fock, Mixture)):

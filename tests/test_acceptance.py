@@ -91,13 +91,13 @@ def test_acceptance_3_photon_number_bound_scan(capsys):
     deltas = (0.01, 0.05, 0.1, 0.5, 1.0)
     worst = math.inf
     for delta in deltas:
-        report = entropy.sdi_bound_check(fock, delta, nodes=200)
+        report = entropy.sdi_bound_check(fock, delta)
         worst = min(worst, report.worst_margin)
     # quadrature accuracy spot checks against an independent adaptive oracle
     max_dev = 0.0
     for n, delta in ((1, 0.01), (7, 0.1), (20, 1.0)):
-        package = states.max_bin_probabilities([states.Fock(n)], delta, theta=0.0,
-                                               nodes=200)[0]
+        package = states.max_bin_probabilities([states.Fock(n)], delta,
+                                               theta=0.0)[0]
         max_dev = max(max_dev, abs(package - oracle_fock_max_bin(n, delta)))
     elapsed = time.perf_counter() - t0
     ok = worst > 0.0 and max_dev < 1e-10 and elapsed < 60.0

@@ -186,6 +186,30 @@ def test_path_equivalence_on_random_states():
         eve_reduced_path_II(st, 0.2, 0.5, 1, n_phases=4)
 
 
+def test_path_II_is_bitwise_the_per_phase_projector_average():
+    # path II integrates the bin overlap once per average; each phase must
+    # still see exactly the projector bin_projector builds for it
+    rng = np.random.default_rng(19)
+    for case in range(24):
+        dim_e = int(rng.integers(1, 6))
+        dim_a = int(rng.integers(1, 9))
+        st = random_pure_bipartite(dim_e, dim_a, rng)
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        delta = float(rng.uniform(0.05, 1.0))
+        kmax = max(1, int(2.0 / delta))
+        k = int(rng.integers(-kmax, kmax + 1))
+        n_phases = None if case % 2 else dim_a + int(rng.integers(0, 3 * dim_a))
+        m_phases = 4 * dim_a if n_phases is None else n_phases
+        want = np.zeros((dim_e, dim_e), dtype=complex)
+        for j in range(m_phases):
+            phi = theta + 2.0 * math.pi * j / m_phases
+            want += np.einsum("knlm,mn->kl", st.tensor(),
+                              bin_projector(dim_a, phi, delta, k))
+        want /= m_phases
+        got = eve_reduced_path_II(st, theta, delta, k, n_phases=n_phases)
+        assert np.array_equal(got, want), (case, dim_e, dim_a, n_phases)
+
+
 def test_schmidt_diagonal_state_gives_diagonal_eve_matrix():
     avg = phase_average_A(two_mode_squeezed(0.5, 12, form="correlated"))
     for theta in (0.0, 0.9):

@@ -213,6 +213,24 @@ def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
                       "attack_histogram.csv": histogram_sha256}
 
 
+@pytest.mark.parametrize("config_text, report_sha256", [
+    ("",
+     "165cef1d30d77f19de1448202b011365f734ca3f3569984f757a615ef7649d57"),
+    ("[run]\nrng_seed = 7\n\n[verify]\nfock_n_max = 80\ndeltas = 0.02 0.3 2.0\n",
+     "70a3bdf4beffd90335266a9c63e472de254e15ce6b0cc44c7ced4909705a13b5"),
+])
+def test_verify_report_keeps_its_bytes(tmp_path, config_text, report_sha256):
+    # the digests were written by commit 5482483, whose bound scan integrated
+    # every Fock bin by 200-node Gauss-Legendre quadrature and whose path II
+    # built a full bin projector per phase
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "verify_report.txt").read_bytes()).hexdigest()
+    assert digest == report_sha256
+
+
 def test_verify_artifacts(pipeline):
     root, cfg_path, out = pipeline
     lines = (out / "verify_report.txt").read_text().splitlines()

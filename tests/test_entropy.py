@@ -130,9 +130,16 @@ def test_bound_check_rejects_non_diagonal_states():
         sdi_bound_check([states.DisplacedSqueezed(0.5, 0.0, 1.0)], 0.1)
 
 
+def test_bound_check_rejects_an_empty_state_list():
+    with pytest.raises(ValueError, match="at least one state"):
+        sdi_bound_check([], 0.1)
+    with pytest.raises(ValueError, match="at least one state"):
+        sdi_bound_check(iter(()), 0.1)
+
+
 def test_violation_guard_wiring(monkeypatch):
     monkeypatch.setattr(states, "max_bin_probabilities",
-                        lambda state_list, delta, nodes=80:
+                        lambda state_list, delta:
                         [math.erf(delta / 2.0) + 1e-6 for _ in state_list])
     with pytest.raises(SecurityModelViolation):
         sdi_bound_check([states.Fock(1)], 0.1)

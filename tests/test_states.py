@@ -258,7 +258,7 @@ def test_vacuum_maximal_over_fock_grid():
     for delta in (0.05, 0.5, 1.0):
         vac = max_bin_probabilities([Vacuum()], delta, theta=0.0)[0]
         for n in range(21):
-            val = max_bin_probabilities([Fock(n)], delta, theta=0.0, nodes=120)[0]
+            val = max_bin_probabilities([Fock(n)], delta, theta=0.0)[0]
             if n == 0:
                 assert val == pytest.approx(vac, rel=1e-10)
             else:
@@ -271,7 +271,7 @@ def test_max_bin_matches_quadrature_oracle(n, delta):
     masses = [oracle_bin_mass(n, k * delta - delta / 2.0,
                               k * delta + delta / 2.0)
               for k in range(-k_max, k_max + 1)]
-    got = max_bin_probabilities([Fock(n)], delta, theta=0.0, nodes=200)[0]
+    got = max_bin_probabilities([Fock(n)], delta, theta=0.0)[0]
     assert got == pytest.approx(max(masses), abs=1e-11)
 
 
@@ -282,10 +282,39 @@ def test_shared_fock_table_matches_one_state_calls():
              Thermal(0.4), DisplacedSqueezed(0.3, 0.2, 0.5 + 0.1j), Fock(3)]
     for delta in (0.05, 0.3, 1.0):
         for theta in (0.0, 1.1):
-            alone = [max_bin_probabilities([st], delta, theta=theta, nodes=60)[0]
+            alone = [max_bin_probabilities([st], delta, theta=theta)[0]
                      for st in batch]
-            assert max_bin_probabilities(batch, delta, theta=theta, nodes=60) == alone
+            assert max_bin_probabilities(batch, delta, theta=theta) == alone
     assert max_bin_probabilities([], 0.1) == []
+
+
+def gauss_legendre_bin_table(n_max, delta, halfwidth, nodes=200):
+    """Fock bin masses by per-bin Gauss-Legendre quadrature, as the package
+    computed them before the closed form: ``nodes`` points in every bin of
+    the window, reduced over the nodes one row at a time (in chunks of
+    bins, to keep the node array small)."""
+    k_max = int(math.ceil((halfwidth + delta) / delta))
+    edges_lo = np.arange(-k_max, k_max + 1) * delta - delta / 2.0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    out = np.empty((n_max + 1, edges_lo.size))
+    for start in range(0, edges_lo.size, 1024):
+        lo = edges_lo[start:start + 1024]
+        pts = lo[:, None] + (x[None, :] + 1.0) * (delta / 2.0)
+        for n, psi in enumerate(states._fock_psi(n_max, pts)):
+            out[n, start:start + lo.size] = (psi * psi) @ w
+    return out * (delta / 2.0)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
+def test_closed_form_bin_table_matches_gauss_legendre(delta):
+    rows = list(range(21)) + [100, 200]
+    halfwidth = search_halfwidth(Fock(200))
+    got = states._fock_bin_probabilities(200, delta, halfwidth)
+    want = gauss_legendre_bin_table(200, delta, halfwidth)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got[rows], want[rows], rtol=0.0, atol=5e-14)
+    assert np.max(np.abs(got[rows].sum(axis=1) - 1.0)) <= 1e-15
+    assert got[rows].min() >= -1e-15
 
 
 def test_bin_index_right_closed_convention():
