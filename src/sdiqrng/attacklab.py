@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .entropy import vacuum_min_entropy
-from .states import _fock_psi, bin_index
+from .states import Fock, _fock_psi, bin_index, search_halfwidth
 
 __all__ = [
     "BipartiteState",
@@ -154,46 +154,47 @@ def phase_average_A(state: BipartiteState, n_phases: int | None = None) -> Bipar
     return BipartiteState(state.dim_e, state.dim_a, t.reshape(d, d))
 
 
-@lru_cache(maxsize=8)
+_GL_NODES = 200  # Gauss-Legendre points per bin in the overlap integrals
+
+
+@lru_cache(maxsize=1)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _bin_overlap(dim: int, delta: float, k: int, nodes: int) -> np.ndarray:
+def _bin_overlap(dim: int, delta: float, k: int) -> np.ndarray:
     """Real overlap integral over bin k of psi_n(q) psi_m(q), n, m < dim.
 
-    Gauss-Legendre with ``nodes`` points; bins outside the numerically
-    supported window (half-width 8 + 4*sqrt(dim)) are rejected.
+    Gauss-Legendre with ``_GL_NODES`` points; bins outside the supported
+    window of Fock dim - 1 (``search_halfwidth``) are rejected.
     """
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
-    halfwidth = 8.0 + 4.0 * math.sqrt(dim)
+    halfwidth = search_halfwidth(Fock(dim - 1))
     center = k * delta
     if abs(center) - delta / 2.0 > halfwidth:
         raise ValueError(
             f"bin {k} at |q|~{abs(center):.1f} lies outside the supported window "
             f"+-{halfwidth:.1f} for dim={dim}")
-    x, w = _gl_nodes(nodes)
+    x, w = _gl_nodes(_GL_NODES)
     pts = center - delta / 2.0 + (x + 1.0) * (delta / 2.0)
-    psi = np.empty((dim, nodes))
+    psi = np.empty((dim, _GL_NODES))
     for j, row in enumerate(_fock_psi(dim - 1, pts)):
         psi[j] = row
     return (psi * w) @ psi.T * (delta / 2.0)
 
 
-def bin_projector(dim: int, theta: float, delta: float, k: int, *,
-                  nodes: int = 200) -> np.ndarray:
+def bin_projector(dim: int, theta: float, delta: float, k: int) -> np.ndarray:
     """Matrix of the digitizer-bin projector on A in the truncated Fock basis.
 
     Element (n, m) is exp(1j*theta*(n-m)) * integral over bin k of
     psi_n(q) psi_m(q) dq, with bin k = (k*delta - delta/2, k*delta + delta/2].
-    Bins outside the numerically supported window (half-width
-    8 + 4*sqrt(dim)) are rejected.
+    Bins outside the numerically supported window are rejected, as in
+    ``_bin_overlap``.
     """
     n = np.arange(dim)
     phase = np.exp(1j * theta * (n[:, None] - n[None, :]))
-    return _bin_overlap(dim, delta, k, nodes) * phase
+    return _bin_overlap(dim, delta, k) * phase
 
 
 def _contract_with_projector(state: BipartiteState, proj: np.ndarray) -> np.ndarray:
@@ -201,16 +202,16 @@ def _contract_with_projector(state: BipartiteState, proj: np.ndarray) -> np.ndar
     return np.einsum("knlm,mn->kl", state.tensor(), proj)
 
 
-def eve_reduced_path_I(state: BipartiteState, theta: float, delta: float, k: int, *,
-                       nodes: int = 200) -> np.ndarray:
+def eve_reduced_path_I(state: BipartiteState, theta: float, delta: float,
+                       k: int) -> np.ndarray:
     """Phase-average A first, then project onto bin k at the fixed phase."""
     averaged = phase_average_A(state)
-    proj = bin_projector(state.dim_a, theta, delta, k, nodes=nodes)
+    proj = bin_projector(state.dim_a, theta, delta, k)
     return _contract_with_projector(averaged, proj)
 
 
 def eve_reduced_path_II(state: BipartiteState, theta: float, delta: float, k: int, *,
-                        n_phases: int | None = None, nodes: int = 200) -> np.ndarray:
+                        n_phases: int | None = None) -> np.ndarray:
     """Project onto the phase-shifted bin for M uniform phases, then average.
 
     The real bin overlap does not depend on the phase, so it is integrated
@@ -222,7 +223,7 @@ def eve_reduced_path_II(state: BipartiteState, theta: float, delta: float, k: in
         raise ValueError(
             f"n_phases={m_phases} < dim_a={state.dim_a}: the discrete average "
             "would leave surviving coherences")
-    overlap = _bin_overlap(state.dim_a, delta, k, nodes)
+    overlap = _bin_overlap(state.dim_a, delta, k)
     n = np.arange(state.dim_a)
     diff = n[:, None] - n[None, :]
     acc = np.zeros((state.dim_e, state.dim_e), dtype=complex)

@@ -51,11 +51,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return _make_dir(Path(cfg.run.out_dir))
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    """``math.erf`` elementwise: the one erf the certificate uses."""
-    return np.fromiter(map(math.erf, x.tolist()), dtype=float, count=x.size)
-
-
 def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> None:
     report = dsp.autocorrelation(codes, max_lag)
     write_csv(path, ["autocorrelation of the filtered per-pulse stream",
@@ -79,7 +74,7 @@ def _write_histogram_csv(path: Path, codes: np.ndarray,
     sigma_codes = float(np.std(codes, dtype=np.float64))
     edges = np.arange(config.code_min, config.code_max + 2) - 0.5
     if sigma_codes > 0:
-        cdf = 0.5 * (1.0 + _erf(edges / (sigma_codes * math.sqrt(2.0))))
+        cdf = 0.5 * (1.0 + states._erf(edges / (sigma_codes * math.sqrt(2.0))))
         reference = codes.size * np.diff(cdf)
     else:
         reference = np.zeros(counts.size)
@@ -91,6 +86,7 @@ def _write_histogram_csv(path: Path, codes: np.ndarray,
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    """Generate raw and filtered sample blocks plus diagnostics."""
     out = _out_dir(cfg)
     blocks_dir = _make_dir(out / "blocks")
     det = cfg.detector
@@ -140,6 +136,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
+    """Vacuum power sweep, line fit and entropy bound."""
     out = _out_dir(cfg)
     det = cfg.detector
     cs = cfg.calibration
@@ -192,6 +189,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def cmd_extract(cfg: RunConfig) -> int:
+    """Toeplitz-hash simulated blocks into output bits."""
     out = _out_dir(cfg)
     det = cfg.detector
     es = cfg.extractor
@@ -296,6 +294,7 @@ def _read_output_bits(out: Path) -> np.ndarray:
 
 
 def cmd_test(cfg: RunConfig) -> int:
+    """Randomness battery on the extracted bitstream."""
     # stats loads scipy.special; imported here so that no other stage pays for it
     from . import stats as battery
 
@@ -322,6 +321,7 @@ def cmd_test(cfg: RunConfig) -> int:
 
 
 def cmd_attack(cfg: RunConfig) -> int:
+    """Monte-Carlo eavesdropper scenarios."""
     out = _out_dir(cfg)
     a = cfg.attack
     try:
@@ -347,7 +347,7 @@ def cmd_attack(cfg: RunConfig) -> int:
     lo, hi = int(bins.min()), int(bins.max())
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     k = np.arange(lo, hi + 1)
-    vacuum = 0.5 * (_erf((k + 0.5) * a.delta) - _erf((k - 0.5) * a.delta))
+    vacuum = 0.5 * (states._erf((k + 0.5) * a.delta) - states._erf((k - 0.5) * a.delta))
     write_csv(out / "attack_histogram.csv",
               ["attack outcome histogram against the exact vacuum bin masses",
                f"lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}"],
@@ -362,6 +362,7 @@ def cmd_attack(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """Executable checks of the security-model mathematics."""
     out = _out_dir(cfg)
     v = cfg.verify
     lines: list[str] = []
@@ -437,6 +438,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
+# every subcommand and the function that runs it; its docstring is the help
 _COMMANDS = {
     "simulate": cmd_simulate,
     "calibrate": cmd_calibrate,
@@ -465,17 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadrature random number generator.")
     parser.add_argument("--version", action="version", version=f"sdiqrng {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "simulate": "generate raw and filtered sample blocks plus diagnostics",
-        "calibrate": "vacuum power sweep, line fit and entropy bound",
-        "extract": "Toeplitz-hash simulated blocks into output bits",
-        "test": "randomness battery on the extracted bitstream",
-        "attack": "Monte-Carlo eavesdropper scenarios",
-        "verify": "executable checks of the security-model mathematics",
-    }
     for name, fn in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=helps[name],
-                       description=fn.__doc__)
+        sub.add_parser(name, parents=[common], help=fn.__doc__, description=fn.__doc__)
     return parser
 
 

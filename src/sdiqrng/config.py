@@ -119,6 +119,9 @@ class AttackSettings:
     displaced: bool = True
 
 
+_FOCK_TABLE_BUDGET = 2 ** 24  # float64 entries (128 MiB) of one bound scan's table
+
+
 @dataclass(frozen=True)
 class VerifySettings:
     fock_n_max: int = 20
@@ -127,12 +130,20 @@ class VerifySettings:
     equivalence_dim_max: int = 8
 
     def __post_init__(self):
-        if self.fock_n_max < 1 or self.equivalence_states < 1:
-            raise ValueError("fock_n_max and equivalence_states must be >= 1")
+        if not 1 <= self.fock_n_max <= states._MAX_FOCK or self.equivalence_states < 1:
+            raise ValueError(f"fock_n_max must lie in [1, {states._MAX_FOCK}] "
+                             "and equivalence_states be >= 1")
         if not 2 <= self.equivalence_dim_max <= 16:
             raise ValueError("equivalence_dim_max must lie in [2, 16]")
         if not self.deltas or any(dl <= 0 for dl in self.deltas):
             raise ValueError("deltas must be non-empty and all positive")
+        try:  # the narrowest bins make the largest table
+            entries = states._fock_table_entries(self.fock_n_max, min(self.deltas))
+        except OverflowError:  # so narrow that the bin count overflows a float
+            entries = math.inf
+        if entries > _FOCK_TABLE_BUDGET:
+            raise ValueError(f"deltas down to {min(self.deltas)!r} need a bound-scan "
+                             f"table of more than {_FOCK_TABLE_BUDGET} entries")
 
 
 @dataclass(frozen=True)

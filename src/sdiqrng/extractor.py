@@ -185,7 +185,9 @@ class ToeplitzSeed:
     def spectrum(self) -> np.ndarray:
         """``rfft`` of the seed bits, computed on first use and then shared
         read-only by every block hashed with this seed."""
-        return _seed_spectrum(self.bits)
+        spectrum = rfft(self.bits.astype(np.float64), next_fast_len(self.bits.size))
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def test_prng_seed(seed_bits: int, rng_seed: int) -> ToeplitzSeed:
@@ -255,12 +257,6 @@ def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _seed_spectrum(seed: np.ndarray) -> np.ndarray:
-    spectrum = rfft(seed.astype(np.float64), next_fast_len(seed.size))
-    spectrum.flags.writeable = False
-    return spectrum
-
-
 class _Workspace:
     """One thread's transform buffers for hashing n-bit blocks down to m
     bits, up to ``blocks`` blocks per pass, reused from pass to pass.
@@ -320,7 +316,7 @@ def _fft_parities(blocks: np.ndarray, spectrum: np.ndarray, ws: _Workspace,
     return residual
 
 
-def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
+def toeplitz_hash(input_bits, seed: ToeplitzSeed, m: int, *,
                   residual: np.ndarray | None = None,
                   workspace: _Workspace | None = None) -> np.ndarray:
     """GF(2) Toeplitz hash of ``input_bits`` down to ``m`` bits per block.
@@ -331,23 +327,18 @@ def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
     any other length is an error.
 
     Hashing runs on the FFT route; tests hold it bit-identical to the
-    ``_toeplitz_naive`` oracle across sizes.  A ``ToeplitzSeed`` carries
-    its FFT spectrum across calls and had its bits checked when it was
-    made; a bare array seed is checked and transformed on every call.  When
-    ``residual`` is given, a one-element float array, the worst rounding
+    ``_toeplitz_naive`` oracle across sizes.  The seed must be a
+    ``ToeplitzSeed``, which had its bits checked when it was made and
+    carries its FFT spectrum across calls; anything else raises TypeError.
+    When ``residual`` is given, a one-element float array, the worst rounding
     residual ``max|c - rint(c)|`` is stored there.  ``workspace`` lends the
     transform buffers of one thread (``extract_stream`` keeps one per
     worker); without it the call allocates its own.
     """
+    if not isinstance(seed, ToeplitzSeed):
+        raise TypeError(f"seed must be a ToeplitzSeed, got {type(seed).__name__}")
     x = np.asarray(input_bits, dtype=np.uint8)
-    if isinstance(seed, ToeplitzSeed):
-        n = _check_hash_args(x, len(seed), m)
-        spectrum = seed.spectrum
-    else:
-        s = np.asarray(seed, dtype=np.uint8)
-        n = _check_hash_args(x, s.size, m)
-        _check_bits("seed", s)
-        spectrum = _seed_spectrum(s)
+    n = _check_hash_args(x, len(seed), m)
     blocks = x.reshape(-1, n)
     if workspace is None:
         workspace = _Workspace(n, m, min(len(blocks), _BATCH_BLOCKS))
@@ -356,7 +347,7 @@ def toeplitz_hash(input_bits, seed: ToeplitzSeed | np.ndarray, m: int, *,
                          f"not {n} to {m}")
     out = np.empty((len(blocks), m), dtype=np.uint8)
     step = workspace.blocks
-    worst = max(_fft_parities(blocks[i:i + step], spectrum, workspace, out[i:i + step])
+    worst = max(_fft_parities(blocks[i:i + step], seed.spectrum, workspace, out[i:i + step])
                 for i in range(0, len(blocks), step))
     if residual is not None:
         residual[0] = worst

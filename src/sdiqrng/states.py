@@ -1,7 +1,7 @@
 """Single-mode optical state models and their homodyne quadrature statistics.
 
-Every model in this module answers three questions about a balanced homodyne
-measurement at local-oscillator phase ``theta``:
+Each model answers these questions about a balanced homodyne measurement at
+local-oscillator phase ``theta``, the third only if photon-number-diagonal:
 
 * what is the probability density of the quadrature outcome ``q``,
 * how do I draw samples from it,
@@ -147,12 +147,6 @@ def validate_state(state: QuantumStateModel) -> None:
             raise ValueError(f"unknown state model {state!r}")
 
 
-def _reduce_theta(theta: float) -> float:
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return float(theta) % (2.0 * math.pi)
-
-
 def _fock_psi(n_max: int, q: np.ndarray):
     """Yield psi_0(q), ..., psi_{n_max}(q) by the stable recurrence on the
     normalized wavefunctions:
@@ -213,7 +207,9 @@ def quadrature_pdf(state: QuantumStateModel, theta: float, q):
     float or ndarray, matching the shape of ``q``.
     """
     validate_state(state)
-    theta = _reduce_theta(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    theta = float(theta) % (2.0 * math.pi)
     q_arr = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q_arr)):
         raise ValueError("q must be finite")
@@ -233,22 +229,18 @@ def quadrature_pdf(state: QuantumStateModel, theta: float, q):
 def search_halfwidth(state: QuantumStateModel) -> float:
     """Half-width of the numerically supported outcome window.
 
-    8 + 4*sqrt(n + 1) for a Fock component of index n (largest component
-    for mixtures); for Gaussian-family states, |mean| + 10 standard
-    deviations.
+    8 + 4*sqrt(n + 1) for the photon-number-diagonal states, n the largest
+    Fock index (0 for the vacuum); for Gaussian-family states, |mean| + 10
+    standard deviations, at least 12.
     """
-    validate_state(state)
-    match state:
-        case Fock(n=n):
-            return 8.0 + 4.0 * math.sqrt(n + 1.0)
-        case Mixture(components=comps):
-            return max(8.0 + 4.0 * math.sqrt(n + 1.0) for _, n in comps)
-        case _:
-            best = 0.0
-            for th in (0.0, math.pi / 2, math.pi / 4):
-                mean, var = _gaussian_moments(state, th)
-                best = max(best, abs(mean) + 10.0 * math.sqrt(var))
-            return max(best, 12.0)
+    if isinstance(state, (Thermal, DisplacedSqueezed)):
+        validate_state(state)
+        best = 0.0
+        for th in (0.0, math.pi / 2, math.pi / 4):
+            mean, var = _gaussian_moments(state, th)
+            best = max(best, abs(mean) + 10.0 * math.sqrt(var))
+        return max(best, 12.0)
+    return 8.0 + 4.0 * math.sqrt(max(n for _, n in _fock_components(state)) + 1.0)
 
 
 _INV_CDF_POINTS = 1 << 17
@@ -265,7 +257,7 @@ def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulated inverse CDF of Fock n: read-only ``(cdf, grid, guide)``.
 
     ``grid`` holds 2**17 evenly spaced q over the supported window
-    (half-width 8 + 4*sqrt(n+1)) and ``cdf`` the trapezoid-rule CDF at
+    (``search_halfwidth``) and ``cdf`` the trapezoid-rule CDF at
     those nodes, scaled to end at exactly 1.  ``guide`` is the guide table
     of Chen and Asau (1974; Devroye, Non-Uniform Random Variate Generation,
     III.2.4): ``guide[b]`` (int32, b = 0..K, K = 2**17) is the last node
@@ -273,7 +265,7 @@ def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     search.  ``_fock_quantile`` reads the three to return exactly what
     ``np.interp(u, cdf, grid)`` returns.
     """
-    half = 8.0 + 4.0 * math.sqrt(n + 1.0)
+    half = search_halfwidth(Fock(n))
     grid = np.linspace(-half, half, _INV_CDF_POINTS)
     pdf = _fock_psi_sq(n, grid)
     cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))))
@@ -319,10 +311,6 @@ def _fock_quantile(n: int, u: np.ndarray) -> np.ndarray:
     return np.where(u == left, q, out)
 
 
-def _sample_fock(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    return _fock_quantile(n, rng.random(size))
-
-
 def sample_quadrature(state, theta, rng: np.random.Generator, size=None):
     """Draw quadrature outcomes for ``state`` at LO phase ``theta``.
 
@@ -350,7 +338,7 @@ def sample_quadrature(state, theta, rng: np.random.Generator, size=None):
             mean = math.sqrt(2.0) * (disp * np.exp(-1j * th)).real
             out = rng.normal(0.0, 1.0, n_draw) * np.sqrt(var) + mean
         case Fock(n=n):
-            out = _sample_fock(n, rng, n_draw)
+            out = _fock_quantile(n, rng.random(n_draw))
         case Mixture(components=comps):
             weights = np.array([w for w, _ in comps])
             picks = rng.choice(len(comps), size=n_draw, p=weights / weights.sum())
@@ -359,7 +347,7 @@ def sample_quadrature(state, theta, rng: np.random.Generator, size=None):
                 mask = picks == i
                 cnt = int(mask.sum())
                 if cnt:
-                    out[mask] = _sample_fock(n, rng, cnt)
+                    out[mask] = _fock_quantile(n, rng.random(cnt))
     return float(out[0]) if size is None else out
 
 
@@ -370,6 +358,21 @@ def bin_index(q, delta: float):
     q_arr = np.asarray(q, dtype=float)
     k = np.ceil(q_arr / delta - 0.5).astype(np.int64)
     return int(k) if np.isscalar(q) else k
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` elementwise: the one erf the certificate uses."""
+    return np.fromiter(map(math.erf, x.tolist()), dtype=float, count=x.size)
+
+
+def _bin_radius(delta: float, halfwidth: float) -> int:
+    """k_max of the bin table: bins -k_max..k_max cover [-halfwidth, halfwidth]."""
+    return int(math.ceil((halfwidth + delta) / delta))
+
+
+def _fock_table_entries(n_max: int, delta: float) -> int:
+    """Entries of the table ``max_bin_probabilities`` builds for Fock 0..n_max."""
+    return (n_max + 1) * (2 * _bin_radius(delta, search_halfwidth(Fock(n_max))) + 1)
 
 
 def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.ndarray:
@@ -387,11 +390,10 @@ def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.nd
     Each entry depends only on n and its bin, not on n_max or the window,
     so one table serves every state up to n_max.
     """
-    k_max = int(math.ceil((halfwidth + delta) / delta))
+    k_max = _bin_radius(delta, halfwidth)
     edges = np.arange(-k_max, k_max + 2) * delta - delta / 2.0
     out = np.empty((n_max + 1, edges.size - 1))
-    erf = np.fromiter(map(math.erf, edges.tolist()), dtype=float, count=edges.size)
-    out[0] = np.diff(erf) / 2.0
+    out[0] = np.diff(_erf(edges)) / 2.0
     rows = _fock_psi(n_max, edges)
     prev = next(rows)
     for n, psi in enumerate(rows, start=1):
@@ -400,55 +402,37 @@ def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.nd
     return out
 
 
-def _gaussian_max_bin(mean: float, var: float, delta: float) -> float:
-    """Largest bin mass of a Gaussian; the mode bin or one of its neighbours."""
-    sd = math.sqrt(var)
-    kc = int(np.ceil(mean / delta - 0.5))
-    best = 0.0
-    for k in range(kc - 2, kc + 3):
-        lo = (k * delta - delta / 2.0 - mean) / (sd * math.sqrt(2.0))
-        hi = (k * delta + delta / 2.0 - mean) / (sd * math.sqrt(2.0))
-        best = max(best, 0.5 * (math.erf(hi) - math.erf(lo)))
-    return best
+def _fock_components(state: QuantumStateModel) -> tuple[tuple[float, int], ...]:
+    """(weight, n) of each Fock component of a valid photon-number-diagonal state."""
+    validate_state(state)
+    if isinstance(state, Mixture):
+        return state.components
+    if isinstance(state, (Vacuum, Fock)):
+        return ((1.0, state.n if isinstance(state, Fock) else 0),)
+    raise ValueError("bin masses are defined for photon-number-diagonal states "
+                     f"(Vacuum, Fock, Mixture), got {type(state).__name__}")
 
 
-def _fock_components(state: Fock | Mixture) -> tuple[tuple[float, int], ...]:
-    return ((1.0, state.n),) if isinstance(state, Fock) else state.components
-
-
-def max_bin_probabilities(state_list, delta: float, *,
-                          theta: float = 0.0) -> list[float]:
+def max_bin_probabilities(state_list, delta: float) -> list[float]:
     """Largest probability any single width-``delta`` bin can capture, per state.
 
-    For Gaussian-family states this is a closed-form scan of the bins
-    around the mean.  For Fock states and mixtures the bin masses are
-    closed forms in erf and the wavefunctions at the bin edges
-    (``_fock_bin_probabilities``), and the maximum over bins of the
-    *mixed* distribution is returned, which is what bounds a guesser who
-    sees the mixture, not its parts.  All Fock states and mixtures read one
-    table, built for the highest photon number in ``state_list`` over the
-    widest supported window (half-width 8 + 4*sqrt(n+1)); the bins a state
-    gains beyond its own window lie where its mass is negligible, so its
-    maximum does not change.
+    Only the photon-number-diagonal states (Vacuum, read as Fock 0, Fock
+    and Mixture) have bin masses; any other state raises ValueError.  The
+    masses are closed forms in erf and the wavefunctions at the bin edges
+    (``_fock_bin_probabilities``), and the maximum over bins of the *mixed*
+    distribution is returned, which is what bounds a guesser who sees the
+    mixture, not its parts.  All states read one table, built for the
+    highest photon number in ``state_list`` over its window, the widest
+    (``search_halfwidth``); the bins a state gains beyond its own window
+    lie where its mass is negligible, so its maximum does not change.
     """
-    state_list = list(state_list)
-    for st in state_list:
-        validate_state(st)
-    theta = _reduce_theta(theta)
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
-    diagonal = [st for st in state_list if isinstance(st, (Fock, Mixture))]
-    if diagonal:
-        n_max = max(n for st in diagonal for _, n in _fock_components(st))
-        halfwidth = max(search_halfwidth(st) for st in diagonal)
-        probs = _fock_bin_probabilities(n_max, delta, halfwidth)
-    out = []
-    for st in state_list:
-        if isinstance(st, (Fock, Mixture)):
-            comps = _fock_components(st)
-            weights = np.array([w for w, _ in comps])
-            out.append(float(np.max(weights @ probs[[n for _, n in comps]])))
-        else:
-            out.append(_gaussian_max_bin(*_gaussian_moments(st, theta), delta))
-    return out
+    components = [_fock_components(st) for st in state_list]
+    if not components:
+        return []
+    n_max = max(n for comps in components for _, n in comps)
+    probs = _fock_bin_probabilities(n_max, delta, search_halfwidth(Fock(n_max)))
+    return [float(np.max(np.array([w for w, _ in comps]) @ probs[[n for _, n in comps]]))
+            for comps in components]
 

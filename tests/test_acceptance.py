@@ -96,8 +96,7 @@ def test_acceptance_3_photon_number_bound_scan(capsys):
     # quadrature accuracy spot checks against an independent adaptive oracle
     max_dev = 0.0
     for n, delta in ((1, 0.01), (7, 0.1), (20, 1.0)):
-        package = states.max_bin_probabilities([states.Fock(n)], delta,
-                                               theta=0.0)[0]
+        package = states.max_bin_probabilities([states.Fock(n)], delta)[0]
         max_dev = max(max_dev, abs(package - oracle_fock_max_bin(n, delta)))
     elapsed = time.perf_counter() - t0
     ok = worst > 0.0 and max_dev < 1e-10 and elapsed < 60.0
@@ -226,7 +225,7 @@ def test_acceptance_7_extractor_oracle_equivalence(capsys):
         biggest = max(biggest, n)
         x = rng.integers(0, 2, n).astype(np.uint8)
         seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
-        fast = extractor.toeplitz_hash(x, seed, m)
+        fast = extractor.toeplitz_hash(x, extractor.ToeplitzSeed(seed, "acceptance-7"), m)
         naive = extractor._toeplitz_naive(x, seed, m)
         if not np.array_equal(fast, naive):
             mismatches += 1

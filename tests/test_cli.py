@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sdiqrng import detector
+from sdiqrng import cli, detector
 from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
@@ -99,6 +99,16 @@ def test_parser_structure():
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["--version"])
     assert exc.value.code == 0
+
+
+def test_every_subcommand_help_prints_its_description(capsys):
+    for name, fn in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        description = fn.__doc__
+        assert description and description.strip()
+        assert description in capsys.readouterr().out.split("\n\n")
 
 
 def test_simulate_artifacts(pipeline):
@@ -502,6 +512,13 @@ def test_calibration_at_other_settings_does_not_certify(tmp_path, capsys, change
     assert main(["extract", "--config", str(other), "--out", str(out)]) == 3
     assert "no calibration at adc_step 0.625" in capsys.readouterr().err
     assert not (out / "output.bits").exists()
+
+
+def test_verify_beyond_the_supported_fock_index_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text("[verify]\nfock_n_max = 5000\ndeltas = 1.0\nequivalence_states = 1\n")
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 2
+    assert "fock_n_max must lie in [1, 4096]" in capsys.readouterr().err
 
 
 def test_negative_phase_width_exits_2(tmp_path, capsys):

@@ -223,6 +223,10 @@ def test_detector_policies_and_validation(tmp_path):
     ("[verify]\nequivalence_dim_max = 17", "equivalence_dim_max"),
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
     ("[verify]\ndeltas =", "deltas"),
+    ("[verify]\nfock_n_max = 5000", r"fock_n_max must lie in \[1, 4096\]"),
+    # the shared Fock table would need about 1.1e10 entries (82 GiB)
+    ("[verify]\ndeltas = 1e-7", "table of more than 16777216 entries"),
+    ("[verify]\nfock_n_max = 1\ndeltas = 5e-324", "table of more than"),
     ("[calibration]\npowers = 0.25 0.5 nan 2", "calibration.powers: expected"),
     ("[run]\ntimestamp = 1e20", "run.timestamp"),
     ("[run]\ntimestamp = -1e20", "run.timestamp"),

@@ -74,9 +74,11 @@ def test_bound_check_fock_ladder():
 
 
 def test_bound_is_tight_at_the_vacuum():
-    for delta in (0.05, 0.3, 1.0):
-        report = sdi_bound_check([states.Vacuum()], delta)
-        assert abs(report.margins[0]) < 1e-14
+    # the vacuum is read as Fock 0, whose central bin mass is
+    # (erf(delta/2) - erf(-delta/2)) / 2: exactly the bound
+    for delta in (1e-4, 0.05, 0.3, 1.0, 2.0):
+        report = sdi_bound_check([states.Vacuum(), states.Fock(3)], delta)
+        assert report.margins[0] == 0.0
 
 
 def test_even_mixture_margin_against_quadrature_oracle():
@@ -119,7 +121,7 @@ def test_bound_property_over_state_grid():
     for delta in (0.05, 0.3, 1.0):
         h_vac = vacuum_min_entropy(delta).h_min_bits
         for st in grid:
-            p_max = states.max_bin_probabilities([st], delta, theta=0.0)[0]
+            p_max = states.max_bin_probabilities([st], delta)[0]
             assert -math.log2(p_max) >= h_vac - 1e-12
 
 

@@ -124,7 +124,7 @@ def test_hash_hand_example():
     np.testing.assert_array_equal(
         extractor._toeplitz_naive(np.array(x, np.uint8), np.array(seed, np.uint8), 2),
         want)
-    np.testing.assert_array_equal(toeplitz_hash(x, np.array(seed), 2), want)
+    np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(seed, "t"), 2), want)
     np.testing.assert_array_equal(oracle_toeplitz(x, seed, 2), want)
 
 
@@ -133,13 +133,13 @@ def test_hash_zero_input_maps_to_zero():
     seed = rng.integers(0, 2, 64 + 32 - 1, dtype=np.uint8)
     x = np.zeros(64, dtype=np.uint8)
     assert not np.any(extractor._toeplitz_naive(x, seed, 32))
-    assert not np.any(toeplitz_hash(x, seed, 32))
+    assert not np.any(toeplitz_hash(x, ToeplitzSeed(seed, "t"), 32))
 
 
 def test_hash_linearity_at_operating_width():
     rng = np.random.default_rng(5)
     n, m = 12312, 8312
-    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    seed = ToeplitzSeed(rng.integers(0, 2, n + m - 1, dtype=np.uint8), "t")
     for _ in range(100):
         x = rng.integers(0, 2, n, dtype=np.uint8)
         y = rng.integers(0, 2, n, dtype=np.uint8)
@@ -157,7 +157,7 @@ def test_fast_route_matches_python_oracle():
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         want = oracle_toeplitz(x, seed, m)
         np.testing.assert_array_equal(extractor._toeplitz_naive(x, seed, m), want)
-        np.testing.assert_array_equal(toeplitz_hash(x, seed, m), want)
+        np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(seed, "t"), m), want)
 
 
 def test_routes_agree_across_random_sizes():
@@ -170,20 +170,19 @@ def test_routes_agree_across_random_sizes():
         x = rng.integers(0, 2, n, dtype=np.uint8)
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         np.testing.assert_array_equal(
-            extractor._toeplitz_naive(x, seed, m), toeplitz_hash(x, seed, m))
+            extractor._toeplitz_naive(x, seed, m),
+            toeplitz_hash(x, ToeplitzSeed(seed, "t"), m))
 
 
 def test_hash_argument_validation():
     x = np.ones(8, dtype=np.uint8)
-    seed = np.ones(11, dtype=np.uint8)
+    seed = ToeplitzSeed(np.ones(11, dtype=np.uint8), "t")
     with pytest.raises(ValueError):
         toeplitz_hash(x, seed, 5)  # needs 12 seed bits
     with pytest.raises(ValueError):
         toeplitz_hash(x, seed, 0)
     with pytest.raises(ValueError):
-        toeplitz_hash(np.array([0, 2, 1]), np.ones(6, np.uint8), 4)
-    with pytest.raises(ValueError):
-        toeplitz_hash(x, np.array([0, 1, 7] * 4), 5)
+        toeplitz_hash(np.array([0, 2, 1]), ToeplitzSeed(np.ones(6, np.uint8), "t"), 4)
     with pytest.raises(ValueError):
         toeplitz_hash(np.zeros(0, np.uint8), seed, 4)
     # n = 11 - 4 + 1 = 8: only whole multiples of 8 input bits are accepted
@@ -198,12 +197,12 @@ def test_hash_of_concatenated_blocks_is_concatenated_hashes():
     rng = np.random.default_rng(53)
     n, m = 301, 123
     seed_bits = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
-    for seed in (seed_bits, ToeplitzSeed(seed_bits, "t")):
-        for k in (1, 2, 5, 8, 9):
-            x = rng.integers(0, 2, k * n, dtype=np.uint8)
-            want = np.concatenate([oracle_toeplitz(b, seed_bits, m)
-                                   for b in x.reshape(k, n)])
-            np.testing.assert_array_equal(toeplitz_hash(x, seed, m), want)
+    seed = ToeplitzSeed(seed_bits, "t")
+    for k in (1, 2, 5, 8, 9):
+        x = rng.integers(0, 2, k * n, dtype=np.uint8)
+        want = np.concatenate([oracle_toeplitz(b, seed_bits, m)
+                               for b in x.reshape(k, n)])
+        np.testing.assert_array_equal(toeplitz_hash(x, seed, m), want)
 
 
 def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
@@ -231,7 +230,7 @@ def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
 
     monkeypatch.setattr(extractor, "irfft", shifted_irfft)
     with pytest.raises(SecurityModelViolation, match=r"residual 0\.3"):
-        toeplitz_hash(x, seed.bits, plan.output_bits)
+        toeplitz_hash(x, seed, plan.output_bits)
     with pytest.raises(SecurityModelViolation,
                        match=r"batch 0 \(blocks 0\.\.7\).*residual 0\.3"):
         extract_stream(blocks, plan, seed, threads=2)
@@ -255,12 +254,13 @@ def test_packed_route_matches_naive_for_every_batch_size(n):
     for k in (*range(1, 9), 3, 8, 1, 11, 16, 21):
         x = rng.integers(0, 2, k * n, dtype=np.uint8)
         want = naive_blocks(x, seed, m)
-        np.testing.assert_array_equal(toeplitz_hash(x, seed, m), want)
+        np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(seed, "t"), m), want)
         # one workspace reused across batch sizes, as a pool thread does
         got = toeplitz_hash(x, ToeplitzSeed(seed, "t"), m, workspace=workspace)
         np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError, match="workspace"):
-        toeplitz_hash(x[:n + 1], np.ones(n + m, np.uint8), m, workspace=workspace)
+        toeplitz_hash(x[:n + 1], ToeplitzSeed(np.ones(n + m, np.uint8), "t"), m,
+                      workspace=workspace)
 
 
 @pytest.mark.parametrize("n", [(1 << 18) - 1, 1 << 18])
@@ -284,7 +284,8 @@ def test_all_ones_at_operating_width_matches_naive():
     n, m = 12320, 8316
     ones = np.ones(n + m - 1, dtype=np.uint8)
     x = np.ones(3 * n, np.uint8)  # one full packed row, one half-empty
-    np.testing.assert_array_equal(toeplitz_hash(x, ones, m), naive_blocks(x, ones, m))
+    np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(ones, "t"), m),
+                                  naive_blocks(x, ones, m))
 
 
 def test_toeplitz_seed_bits_are_checked_once(monkeypatch):
@@ -298,9 +299,16 @@ def test_toeplitz_seed_bits_are_checked_once(monkeypatch):
                         lambda name, bits: checked.append(name) or exact_check(name, bits))
     toeplitz_hash(x, seed, m)
     assert checked == ["input"]
-    checked.clear()
-    toeplitz_hash(x, seed.bits, m)
-    assert sorted(checked) == ["input", "seed"]
+
+
+def test_toeplitz_hash_rejects_a_bare_seed_array():
+    rng = np.random.default_rng(79)
+    n, m = 64, 40
+    bits = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    for bare in (bits, bits.tolist()):
+        with pytest.raises(TypeError, match="ToeplitzSeed"):
+            toeplitz_hash(x, bare, m)
 
 
 def test_naive_chunk_is_capped_by_bytes():

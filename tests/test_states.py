@@ -243,22 +243,22 @@ def test_fock_and_mixture_draws_match_interp_reference():
 
 
 def test_max_bin_probability_vacuum_closed_form():
-    assert max_bin_probabilities([Vacuum()], 0.5, theta=0.0)[0] == pytest.approx(
+    assert max_bin_probabilities([Vacuum()], 0.5)[0] == pytest.approx(
         ERF_QUARTER, rel=1e-13)
     for delta in (0.05, 0.2, 1.0):
-        assert max_bin_probabilities([Vacuum()], delta, theta=0.7)[0] == pytest.approx(
+        assert max_bin_probabilities([Vacuum()], delta)[0] == pytest.approx(
             math.erf(delta / 2.0), rel=1e-13)
 
 
 def test_single_photon_max_bin_strictly_below_vacuum():
-    assert max_bin_probabilities([Fock(1)], 0.5, theta=0.0)[0] < ERF_QUARTER
+    assert max_bin_probabilities([Fock(1)], 0.5)[0] < ERF_QUARTER
 
 
 def test_vacuum_maximal_over_fock_grid():
     for delta in (0.05, 0.5, 1.0):
-        vac = max_bin_probabilities([Vacuum()], delta, theta=0.0)[0]
+        vac = max_bin_probabilities([Vacuum()], delta)[0]
         for n in range(21):
-            val = max_bin_probabilities([Fock(n)], delta, theta=0.0)[0]
+            val = max_bin_probabilities([Fock(n)], delta)[0]
             if n == 0:
                 assert val == pytest.approx(vac, rel=1e-10)
             else:
@@ -271,21 +271,23 @@ def test_max_bin_matches_quadrature_oracle(n, delta):
     masses = [oracle_bin_mass(n, k * delta - delta / 2.0,
                               k * delta + delta / 2.0)
               for k in range(-k_max, k_max + 1)]
-    got = max_bin_probabilities([Fock(n)], delta, theta=0.0)[0]
+    got = max_bin_probabilities([Fock(n)], delta)[0]
     assert got == pytest.approx(max(masses), abs=1e-11)
 
 
 def test_shared_fock_table_matches_one_state_calls():
     # one table for the highest n on the widest window gives every state
     # exactly the maximum its own, narrower table gives
-    batch = [Fock(12), Vacuum(), Fock(0), Mixture(((0.3, 0), (0.7, 4))),
-             Thermal(0.4), DisplacedSqueezed(0.3, 0.2, 0.5 + 0.1j), Fock(3)]
+    batch = [Fock(12), Vacuum(), Fock(0), Mixture(((0.3, 0), (0.7, 4))), Fock(3)]
     for delta in (0.05, 0.3, 1.0):
-        for theta in (0.0, 1.1):
-            alone = [max_bin_probabilities([st], delta, theta=theta)[0]
-                     for st in batch]
-            assert max_bin_probabilities(batch, delta, theta=theta) == alone
+        alone = [max_bin_probabilities([st], delta)[0] for st in batch]
+        assert max_bin_probabilities(batch, delta) == alone
     assert max_bin_probabilities([], 0.1) == []
+    # the Gaussian-family states have no bin masses, alone or in a batch
+    for st in (Thermal(0.4), DisplacedSqueezed(0.3, 0.2, 0.5 + 0.1j)):
+        for states_in in ([st], [Fock(3), st]):
+            with pytest.raises(ValueError, match="photon-number-diagonal"):
+                max_bin_probabilities(states_in, 0.3)
 
 
 def gauss_legendre_bin_table(n_max, delta, halfwidth, nodes=200):
@@ -315,6 +317,12 @@ def test_closed_form_bin_table_matches_gauss_legendre(delta):
     np.testing.assert_allclose(got[rows], want[rows], rtol=0.0, atol=5e-14)
     assert np.max(np.abs(got[rows].sum(axis=1) - 1.0)) <= 1e-15
     assert got[rows].min() >= -1e-15
+
+
+@pytest.mark.parametrize("n_max,delta", [(1, 1.0), (20, 0.01), (80, 0.02), (7, 0.3)])
+def test_fock_table_entries_count_the_table_the_scan_builds(n_max, delta):
+    table = states._fock_bin_probabilities(n_max, delta, search_halfwidth(Fock(n_max)))
+    assert states._fock_table_entries(n_max, delta) == table.size
 
 
 def test_bin_index_right_closed_convention():
@@ -356,9 +364,9 @@ def test_bad_query_arguments_rejected():
     with pytest.raises(ValueError):
         quadrature_pdf(Vacuum(), float("inf"), 0.0)
     with pytest.raises(ValueError):
-        max_bin_probabilities([Vacuum()], 0.0, theta=0.0)[0]
+        max_bin_probabilities([Vacuum()], 0.0)[0]
     with pytest.raises(ValueError):
-        max_bin_probabilities([Vacuum()], -1.0, theta=0.0)[0]
+        max_bin_probabilities([Vacuum()], -1.0)[0]
     with pytest.raises(ValueError):
         bin_index(0.3, 0.0)
     with pytest.raises(ValueError):
