@@ -9,15 +9,16 @@ security argument:
 
 * path I: average the A phase first (kill all n != m coherences on A),
   then project A onto one digitizer bin at a fixed LO phase;
-* path II: project A onto the phase-rotated bin for each of M uniformly
-  spaced LO phases and average the results.
+* path II: project A onto the phase-rotated bin for each of M = 4 * dim_a
+  uniformly spaced LO phases and average the results.
 
 Both reduce to ``sum_n rho[k, n, l, n] * w_n`` with the same weights
 ``w_n = integral of |psi_n|^2 over the bin``, because the discrete phase
-average annihilates every coherence when M >= dim_a (finite Fourier
-orthogonality); the default M = 4 * dim_a leaves margin.  The projector is
-applied once inside the trace (Born rule), which keeps the identity exact
-in the truncated space.
+average annihilates every coherence: each nonzero n - m lies strictly
+between -M and M, so its M phase factors sum to zero (finite Fourier
+orthogonality).  Any M >= dim_a would do; 4 * dim_a leaves margin.  The
+projector is applied once inside the trace (Born rule), which keeps the
+identity exact in the truncated space.
 
 The Monte-Carlo scenarios mirror the two operating modes of the generator:
 an eavesdropper who knows a fixed LO phase can mimic vacuum statistics with
@@ -35,11 +36,10 @@ from functools import lru_cache
 import numpy as np
 
 from .entropy import vacuum_min_entropy
-from .states import Fock, _fock_psi, bin_index, search_halfwidth
+from .states import _fock_psi, bin_index, search_halfwidth
 
 __all__ = [
     "BipartiteState",
-    "two_mode_squeezed",
     "random_pure_bipartite",
     "phase_average_A",
     "bin_projector",
@@ -80,47 +80,6 @@ class BipartiteState:
         return self.rho.reshape(self.dim_e, self.dim_a, self.dim_e, self.dim_a)
 
 
-def two_mode_squeezed(gamma: float, dim: int, *, form: str = "printed") -> BipartiteState:
-    """Truncated two-mode squeezed state shared between E and A.
-
-    ``form="printed"`` builds the diagonal product form
-    (1 - gamma^2) * sum_{n,m} gamma^(n+m) |n><n|_E (x) |m><m|_A, renormalized
-    after truncation (its A marginal has photon weights proportional to
-    gamma^m).  ``form="correlated"`` builds the standard pure state
-    sqrt(1 - gamma^2) * sum_n gamma^n |n>_E |n>_A, whose phase average over A
-    is the diagonal (1 - gamma^2) * sum_n gamma^(2n) |n,n><n,n|.
-
-    ``dim`` must be large enough that the discarded tail is below 1e-6 of
-    the trace (checked for gamma > 0); the result is renormalized so the
-    remaining truncation error cannot leak into trace bookkeeping.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    n = np.arange(dim)
-    if gamma > 0.0:
-        # tail criterion on the correlated form's Schmidt weights
-        tail = gamma ** (2 * dim)
-        if tail > 1e-6:
-            raise ValueError(
-                f"dim={dim} truncates {tail:.2e} of the trace at gamma={gamma}; "
-                "increase dim")
-    if form == "printed":
-        weights = gamma ** n
-        diag = np.outer(weights, weights).ravel()  # index k * dim + m
-        rho = np.diag((1.0 - gamma ** 2) * diag).astype(complex)
-        rho /= np.trace(rho).real
-    elif form == "correlated":
-        psi = np.zeros(dim * dim, dtype=complex)
-        psi[n * dim + n] = gamma ** n
-        psi /= np.linalg.norm(psi)
-        rho = np.outer(psi, psi.conj())
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return BipartiteState(dim_e=dim, dim_a=dim, rho=rho)
-
-
 def random_pure_bipartite(dim_e: int, dim_a: int,
                           rng: np.random.Generator) -> BipartiteState:
     """Haar-ish random pure state |psi><psi| on E (x) A."""
@@ -130,26 +89,12 @@ def random_pure_bipartite(dim_e: int, dim_a: int,
     return BipartiteState(dim_e=dim_e, dim_a=dim_a, rho=np.outer(psi, psi.conj()))
 
 
-def phase_average_A(state: BipartiteState, n_phases: int | None = None) -> BipartiteState:
-    """Average over LO-referenced phase rotations of A.
+def phase_average_A(state: BipartiteState) -> BipartiteState:
+    """Average over a uniformly random LO-referenced phase rotation of A.
 
-    ``n_phases=None`` applies the exact limit: every A coherence
-    ``n != m`` is zeroed.  An integer M applies the discrete average
-    (1/M) sum_j U_j rho U_j^dagger with U_j = exp(1j * 2*pi*j/M * n_A),
-    which kills coherences with ``n - m`` not a multiple of M and is
-    therefore exact once M >= dim_a.
+    Every A coherence ``n != m`` is zeroed.
     """
-    t = state.tensor().copy()
-    if n_phases is None:
-        mask = np.eye(state.dim_a)[None, :, None, :]
-        t = t * mask
-    else:
-        if n_phases < 1:
-            raise ValueError("n_phases must be >= 1")
-        n = np.arange(state.dim_a)
-        diff = n[:, None] - n[None, :]
-        keep = (diff % n_phases) == 0
-        t = t * keep[None, :, None, :]
+    t = state.tensor() * np.eye(state.dim_a)[None, :, None, :]
     d = state.dim_e * state.dim_a
     return BipartiteState(state.dim_e, state.dim_a, t.reshape(d, d))
 
@@ -170,7 +115,7 @@ def _bin_overlap(dim: int, delta: float, k: int) -> np.ndarray:
     """
     if delta <= 0 or not math.isfinite(delta):
         raise ValueError("delta must be positive and finite")
-    halfwidth = search_halfwidth(Fock(dim - 1))
+    halfwidth = search_halfwidth(dim - 1)
     center = k * delta
     if abs(center) - delta / 2.0 > halfwidth:
         raise ValueError(
@@ -210,19 +155,16 @@ def eve_reduced_path_I(state: BipartiteState, theta: float, delta: float,
     return _contract_with_projector(averaged, proj)
 
 
-def eve_reduced_path_II(state: BipartiteState, theta: float, delta: float, k: int, *,
-                        n_phases: int | None = None) -> np.ndarray:
-    """Project onto the phase-shifted bin for M uniform phases, then average.
+def eve_reduced_path_II(state: BipartiteState, theta: float, delta: float,
+                        k: int) -> np.ndarray:
+    """Project onto the phase-shifted bin for M = 4 * dim_a uniform phases,
+    then average.
 
     The real bin overlap does not depend on the phase, so it is integrated
     once; each of the M projectors is that overlap times its own phase
     matrix, exactly the product ``bin_projector`` returns.
     """
-    m_phases = 4 * state.dim_a if n_phases is None else int(n_phases)
-    if m_phases < state.dim_a:
-        raise ValueError(
-            f"n_phases={m_phases} < dim_a={state.dim_a}: the discrete average "
-            "would leave surviving coherences")
+    m_phases = 4 * state.dim_a
     overlap = _bin_overlap(state.dim_a, delta, k)
     n = np.arange(state.dim_a)
     diff = n[:, None] - n[None, :]

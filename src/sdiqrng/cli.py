@@ -125,6 +125,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         _write_autocorrelation_csv(out / "autocorrelation.csv", ac,
                                    cfg.dsp.autocorr_max_lag)
     else:
+        (out / "autocorrelation.csv").unlink(missing_ok=True)
         print(f"note: only {ac.size} samples simulated, skipping the "
               f"{cfg.dsp.autocorr_max_lag}-lag autocorrelation diagnostic")
     _write_histogram_csv(out / "histogram_raw_vs_vacuum.csv",
@@ -193,13 +194,15 @@ def cmd_extract(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     det = cfg.detector
     es = cfg.extractor
-    blocks_dir = out / "blocks"
-    paths = sorted(blocks_dir.glob("filtered_*.bin")) or sorted(
-        blocks_dir.glob("raw_*.bin"))
-    if not paths:
-        raise ConfigError(f"no sample blocks under {blocks_dir}; run simulate first")
+    # exactly the blocks this config's simulate writes: a stale file from a
+    # run with more blocks or the other chain setting must not be hashed
+    kind = "filtered" if cfg.dsp.enabled else "raw"
+    paths = [out / "blocks" / f"{kind}_{b:04d}.bin" for b in range(cfg.simulate.blocks)]
     try:
         blocks = [detector.read_block(p, det) for p in paths]
+    except OSError as exc:
+        raise ConfigError(f"sample block {exc.filename}: {exc.strerror}; "
+                          "run simulate first") from None
     except ValueError as exc:
         raise ConfigError(f"sample block {exc}") from None
 

@@ -17,18 +17,17 @@ that way against 0.013 s with the sums, for bitwise the same taps.
 serves every call: FFT convolution on ``numpy.fft`` of the reflect-padded
 input, group delay compensated, so no stage has to import scipy.  Transform
 sizes come from ``next_fast_len``, the smallest 5-smooth length, the same
-choice as scipy's ``next_fast_len(n, real=True)``.  An array without
-decimation is filtered as one block over the whole padded input, at the
-size and slice of ``scipy.signal.fftconvolve(..., mode="valid")``, bitwise
-equal to it, and returns a sequence of the input length.  With
-``decimate = D`` it keeps one output per D inputs (one per pulse period, at
-``sample_phase`` within the period) and runs over fixed cache-sized blocks:
-only the edge blocks are reflect padded, and neither the full-rate output
-nor a padded copy of the input is ever built.  The input may instead be a
-``SampleStream`` that produces its samples as the blocks read them, so that
-a long oversampled wave is never whole in memory; a stream always runs over
-cache-sized blocks.  The first and last ``taps // 2`` full-rate outputs are
-contaminated by the padding and must be excluded from entropy accounting.
+choice as scipy's ``next_fast_len(n, real=True)``.  Every call runs over
+fixed cache-sized blocks: only the edge blocks are reflect padded, and
+no padded copy of the input is ever built.  Without decimation the result
+has the input length and equals ``scipy.signal.fftconvolve`` of the
+reflect-padded input to within rounding.  With ``decimate = D`` it keeps
+one output per D inputs (one per pulse period, at ``sample_phase`` within
+the period), and the full-rate output is never built.  The input may be an
+array or a ``SampleStream`` that produces its samples as the blocks read
+them, so that a long oversampled wave is never whole in memory.  The first
+and last ``taps // 2`` full-rate outputs are contaminated by the padding
+and must be excluded from entropy accounting.
 
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
@@ -177,17 +176,17 @@ def _block_size(taps: int, decimate: int) -> int:
     return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate))
 
 
-def _overlap_save(read, n: int, h: np.ndarray, size: int, decimate: int,
-                  offset: int) -> np.ndarray:
+def _overlap_save(read, n: int, h: np.ndarray, decimate: int, offset: int) -> np.ndarray:
     """The one filter loop: reflect-padded FFT convolution by overlap-save.
 
     Filters the ``n`` samples ``read`` returns with ``h`` in transforms of
-    ``size`` points and returns the ``n // decimate`` outputs at
+    ``_block_size`` points and returns the ``n // decimate`` outputs at
     ``offset``, ``offset + decimate``, ... of the group-delay compensated
     full-rate output.
     """
     taps = h.size
     half = taps // 2
+    size = _block_size(taps, decimate)
     count = n // decimate
     per_block = (size - taps + 1) // decimate
     spectrum = rfft(h, size)
@@ -228,18 +227,16 @@ def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
             decimate: int = 1, sample_phase: float = 0.5) -> np.ndarray:
     """Low-pass filter by FFT convolution, group delay compensated.
 
-    ``samples`` is a 1-d array or a ``SampleStream``.  ``decimate = 1``
-    returns a sequence of the input length.  An integer ``decimate > 1``
-    keeps one output per ``decimate`` inputs, the one at ``sample_phase``
-    in [0, 1) of each period (0.5 = mid-pulse), for the
-    ``len(samples) // decimate`` whole periods; it equals the full output
-    strided from offset ``min(round(sample_phase * decimate), decimate - 1)``
-    to within rounding.  An array without decimation is one transform,
-    bitwise ``fftconvolve``; a stream, or any decimation, runs over
-    cache-sized blocks.
+    ``samples`` is a 1-d array or a ``SampleStream``; either runs over
+    cache-sized overlap-save blocks.  ``decimate = 1`` returns a sequence
+    of the input length.  An integer ``decimate > 1`` keeps one output per
+    ``decimate`` inputs, the one at ``sample_phase`` in [0, 1) of each
+    period (0.5 = mid-pulse), for the ``len(samples) // decimate`` whole
+    periods; it equals the full output strided from offset
+    ``min(round(sample_phase * decimate), decimate - 1)`` to within
+    rounding.
     """
-    streamed = isinstance(samples, SampleStream)
-    if streamed:
+    if isinstance(samples, SampleStream):
         read, n = samples.read, samples.size
     else:
         x = np.asarray(samples, dtype=float)
@@ -255,11 +252,7 @@ def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
     if n <= taps // 2:
         raise ValueError(f"need more than taps//2 = {taps // 2} samples, got {n}")
     offset = min(int(round(sample_phase * decimate)), decimate - 1)
-    if decimate == 1 and not streamed:
-        size = next_fast_len(n + 2 * (taps - 1))   # one block: the whole padded input
-    else:
-        size = _block_size(taps, decimate)
-    return _overlap_save(read, n, h, size, decimate, offset)
+    return _overlap_save(read, n, h, decimate, offset)
 
 
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,

@@ -1,11 +1,10 @@
 """Single-mode optical state models and their homodyne quadrature statistics.
 
-Each model answers these questions about a balanced homodyne measurement at
-local-oscillator phase ``theta``, the third only if photon-number-diagonal:
-
-* what is the probability density of the quadrature outcome ``q``,
-* how do I draw samples from it,
-* how much probability can fall into a single ADC bin of width ``delta``.
+Each model answers how to draw the quadrature outcome ``q`` of a balanced
+homodyne measurement at local-oscillator phase ``theta``.  The
+photon-number-diagonal ones (vacuum, Fock, Fock mixture) also answer how
+much probability can fall into a single ADC bin of width ``delta`` under a
+uniformly random phase: the computation the certificate rests on.
 
 Units: the quadrature is dimensionless and scaled so that the vacuum state
 has variance 1/2 (density ``exp(-q^2)/sqrt(pi)``).  The photon-number
@@ -46,7 +45,6 @@ __all__ = [
     "Mixture",
     "QuantumStateModel",
     "validate_state",
-    "quadrature_pdf",
     "sample_quadrature",
     "max_bin_probabilities",
     "bin_index",
@@ -173,74 +171,13 @@ def _fock_psi_sq(n: int, q: np.ndarray) -> np.ndarray:
     return psi * psi
 
 
-def _gaussian_moments(state: QuantumStateModel, theta: float) -> tuple[float, float] | None:
-    """(mean, variance) for the Gaussian-family states, None otherwise."""
-    match state:
-        case Vacuum():
-            return 0.0, 0.5
-        case Thermal(mean_photons=nbar):
-            return 0.0, (2.0 * nbar + 1.0) / 2.0
-        case DisplacedSqueezed(r=r, squeeze_angle=ang, displacement=disp):
-            rel = theta - ang
-            var = (math.exp(-2.0 * r) * math.cos(rel) ** 2
-                   + math.exp(2.0 * r) * math.sin(rel) ** 2) / 2.0
-            mean = math.sqrt(2.0) * (disp * np.exp(-1j * theta)).real
-            return mean, var
-        case _:
-            return None
+def search_halfwidth(n: int) -> float:
+    """Half-width 8 + 4*sqrt(n + 1) of the supported outcome window of Fock n.
 
-
-def quadrature_pdf(state: QuantumStateModel, theta: float, q):
-    """Probability density of the quadrature outcome at LO phase ``theta``.
-
-    Parameters
-    ----------
-    state : QuantumStateModel
-    theta : float
-        Local-oscillator phase; reduced modulo 2*pi.  Fock states,
-        thermal states and their mixtures are phase-invariant.
-    q : float or array_like
-        Evaluation points.
-
-    Returns
-    -------
-    float or ndarray, matching the shape of ``q``.
+    The window of a photon-number-diagonal state is that of its highest
+    Fock index (0 for the vacuum).
     """
-    validate_state(state)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
-    theta = float(theta) % (2.0 * math.pi)
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q_arr)):
-        raise ValueError("q must be finite")
-    moments = _gaussian_moments(state, theta)
-    if moments is not None:
-        mean, var = moments
-        out = np.exp(-((q_arr - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-    elif isinstance(state, Fock):
-        out = _fock_psi_sq(state.n, q_arr)
-    else:
-        out = np.zeros_like(q_arr)
-        for w, n in state.components:
-            out += w * _fock_psi_sq(n, q_arr)
-    return out if isinstance(q, np.ndarray) else float(out) if np.isscalar(q) else out
-
-
-def search_halfwidth(state: QuantumStateModel) -> float:
-    """Half-width of the numerically supported outcome window.
-
-    8 + 4*sqrt(n + 1) for the photon-number-diagonal states, n the largest
-    Fock index (0 for the vacuum); for Gaussian-family states, |mean| + 10
-    standard deviations, at least 12.
-    """
-    if isinstance(state, (Thermal, DisplacedSqueezed)):
-        validate_state(state)
-        best = 0.0
-        for th in (0.0, math.pi / 2, math.pi / 4):
-            mean, var = _gaussian_moments(state, th)
-            best = max(best, abs(mean) + 10.0 * math.sqrt(var))
-        return max(best, 12.0)
-    return 8.0 + 4.0 * math.sqrt(max(n for _, n in _fock_components(state)) + 1.0)
+    return 8.0 + 4.0 * math.sqrt(n + 1.0)
 
 
 _INV_CDF_POINTS = 1 << 17
@@ -265,7 +202,7 @@ def _fock_inverse_cdf(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     search.  ``_fock_quantile`` reads the three to return exactly what
     ``np.interp(u, cdf, grid)`` returns.
     """
-    half = search_halfwidth(Fock(n))
+    half = search_halfwidth(n)
     grid = np.linspace(-half, half, _INV_CDF_POINTS)
     pdf = _fock_psi_sq(n, grid)
     cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))))
@@ -372,7 +309,7 @@ def _bin_radius(delta: float, halfwidth: float) -> int:
 
 def _fock_table_entries(n_max: int, delta: float) -> int:
     """Entries of the table ``max_bin_probabilities`` builds for Fock 0..n_max."""
-    return (n_max + 1) * (2 * _bin_radius(delta, search_halfwidth(Fock(n_max))) + 1)
+    return (n_max + 1) * (2 * _bin_radius(delta, search_halfwidth(n_max)) + 1)
 
 
 def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.ndarray:
@@ -432,7 +369,7 @@ def max_bin_probabilities(state_list, delta: float) -> list[float]:
     if not components:
         return []
     n_max = max(n for comps in components for _, n in comps)
-    probs = _fock_bin_probabilities(n_max, delta, search_halfwidth(Fock(n_max)))
+    probs = _fock_bin_probabilities(n_max, delta, search_halfwidth(n_max))
     return [float(np.max(np.array([w for w, _ in comps]) @ probs[[n for _, n in comps]]))
             for comps in components]
 

@@ -28,7 +28,6 @@ from sdiqrng.attacklab import (
     random_pure_bipartite,
     run_attack,
     trace_distance,
-    two_mode_squeezed,
 )
 from sdiqrng.states import bin_index
 
@@ -45,6 +44,17 @@ def oracle_fock_bin_mass(n, lo, hi):
                 * special.eval_hermite(n, q)) ** 2
     val, _ = integrate.quad(pdf, lo, hi, epsabs=1e-13)
     return val
+
+
+def correlated_tmsv(gamma, dim):
+    """Truncated two-mode squeezed vacuum sqrt(1 - gamma^2) sum_n gamma^n
+    |n>_E |n>_A, renormalized: its phase average over A is the Schmidt
+    diagonal (1 - gamma^2) sum_n gamma^(2n) |n,n><n,n|."""
+    n = np.arange(dim)
+    psi = np.zeros(dim * dim, dtype=complex)
+    psi[n * dim + n] = gamma ** n
+    psi /= np.linalg.norm(psi)
+    return BipartiteState(dim, dim, np.outer(psi, psi.conj()))
 
 
 def oracle_eve_guess_rate(r, delta):
@@ -66,36 +76,10 @@ def oracle_eve_guess_rate(r, delta):
     return total
 
 
-def test_tmsv_vacuum_limit():
-    for form in ("printed", "correlated"):
-        st = two_mode_squeezed(0.0, 4, form=form)
-        want = np.zeros((16, 16), dtype=complex)
-        want[0, 0] = 1.0
-        np.testing.assert_allclose(st.rho, want, atol=1e-15)
-
-
-def test_tmsv_printed_marginal_is_geometric():
-    gamma = 0.5
-    st = two_mode_squeezed(gamma, 20, form="printed")
-    marg = np.einsum("knkm->nm", st.tensor())
-    # independent partial trace, scalar loop
-    oracle = np.zeros((20, 20), dtype=complex)
-    for n in range(20):
-        for m in range(20):
-            for k in range(20):
-                oracle[n, m] += st.rho[k * 20 + n, k * 20 + m]
-    np.testing.assert_allclose(marg, oracle, atol=1e-14)
-    diag = np.diag(marg).real
-    np.testing.assert_allclose(marg - np.diag(diag), 0.0, atol=1e-14)
-    ratios = diag[1:] / diag[:-1]
-    np.testing.assert_allclose(ratios, gamma, rtol=1e-10)
-    assert np.trace(marg).real == pytest.approx(1.0, abs=1e-12)
-
-
 def test_tmsv_correlated_phase_average_is_schmidt_diagonal():
     gamma = 0.5
     dim = 16
-    avg = phase_average_A(two_mode_squeezed(gamma, dim, form="correlated"))
+    avg = phase_average_A(correlated_tmsv(gamma, dim))
     t = avg.tensor()
     weights = gamma ** (2 * np.arange(dim))
     weights /= weights.sum()
@@ -107,19 +91,6 @@ def test_tmsv_correlated_phase_average_is_schmidt_diagonal():
                     assert abs(t[k, n, l, m] - want) < 1e-12
 
 
-def test_tmsv_validation():
-    with pytest.raises(ValueError):
-        two_mode_squeezed(1.0, 8)
-    with pytest.raises(ValueError):
-        two_mode_squeezed(-0.1, 8)
-    with pytest.raises(ValueError):
-        two_mode_squeezed(0.5, 0)
-    with pytest.raises(ValueError, match="truncates"):
-        two_mode_squeezed(0.9, 20)
-    with pytest.raises(ValueError):
-        two_mode_squeezed(0.5, 8, form="banana")
-
-
 def test_phase_average_idempotent_and_trace_preserving():
     st = random_pure_bipartite(4, 5, np.random.default_rng(3))
     once = phase_average_A(st)
@@ -128,21 +99,8 @@ def test_phase_average_idempotent_and_trace_preserving():
     assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_discrete_phase_average_matches_exact():
-    st = random_pure_bipartite(2, 32, np.random.default_rng(5))
-    exact = phase_average_A(st)
-    for m in (32, 64):
-        disc = phase_average_A(st, n_phases=m)
-        assert np.max(np.abs(disc.rho - exact.rho)) < 1e-12
-    # below dim_a some coherences survive the discrete average
-    coarse = phase_average_A(st, n_phases=31)
-    assert np.max(np.abs(coarse.rho - exact.rho)) > 1e-6
-    with pytest.raises(ValueError):
-        phase_average_A(st, n_phases=0)
-
-
 def test_separability_witness_for_averaged_tmsv():
-    avg = phase_average_A(two_mode_squeezed(0.5, 16, form="correlated"))
+    avg = phase_average_A(correlated_tmsv(0.5, 16))
     t = avg.tensor()
     # partial transpose on A: swap the A indices
     pt = np.transpose(t, (0, 3, 2, 1)).reshape(256, 256)
@@ -177,18 +135,12 @@ def test_path_equivalence_on_random_states():
                 one = eve_reduced_path_I(st, 0.4, delta, k)
                 two = eve_reduced_path_II(st, 0.4, delta, k)
                 assert trace_distance(one, two) < 1e-10
-    # the default phase count is 4 * dim_a; an explicit equal count matches
-    st = random_pure_bipartite(3, 5, rng)
-    np.testing.assert_allclose(
-        eve_reduced_path_II(st, 0.2, 0.5, 1),
-        eve_reduced_path_II(st, 0.2, 0.5, 1, n_phases=20), atol=1e-13)
-    with pytest.raises(ValueError, match="n_phases"):
-        eve_reduced_path_II(st, 0.2, 0.5, 1, n_phases=4)
 
 
 def test_path_II_is_bitwise_the_per_phase_projector_average():
     # path II integrates the bin overlap once per average; each phase must
-    # still see exactly the projector bin_projector builds for it
+    # still see exactly the projector bin_projector builds for it, at each
+    # of the 4 * dim_a phases
     rng = np.random.default_rng(19)
     for case in range(24):
         dim_e = int(rng.integers(1, 6))
@@ -198,20 +150,19 @@ def test_path_II_is_bitwise_the_per_phase_projector_average():
         delta = float(rng.uniform(0.05, 1.0))
         kmax = max(1, int(2.0 / delta))
         k = int(rng.integers(-kmax, kmax + 1))
-        n_phases = None if case % 2 else dim_a + int(rng.integers(0, 3 * dim_a))
-        m_phases = 4 * dim_a if n_phases is None else n_phases
+        m_phases = 4 * dim_a
         want = np.zeros((dim_e, dim_e), dtype=complex)
         for j in range(m_phases):
             phi = theta + 2.0 * math.pi * j / m_phases
             want += np.einsum("knlm,mn->kl", st.tensor(),
                               bin_projector(dim_a, phi, delta, k))
         want /= m_phases
-        got = eve_reduced_path_II(st, theta, delta, k, n_phases=n_phases)
-        assert np.array_equal(got, want), (case, dim_e, dim_a, n_phases)
+        got = eve_reduced_path_II(st, theta, delta, k)
+        assert np.array_equal(got, want), (case, dim_e, dim_a)
 
 
 def test_schmidt_diagonal_state_gives_diagonal_eve_matrix():
-    avg = phase_average_A(two_mode_squeezed(0.5, 12, form="correlated"))
+    avg = phase_average_A(correlated_tmsv(0.5, 12))
     for theta in (0.0, 0.9):
         eve = eve_reduced_path_I(avg, theta, 0.5, 1)
         off = eve - np.diag(np.diag(eve))
@@ -221,7 +172,7 @@ def test_schmidt_diagonal_state_gives_diagonal_eve_matrix():
 def test_eve_weights_match_quadrature_bin_masses():
     gamma = 0.5
     dim = 10
-    avg = phase_average_A(two_mode_squeezed(gamma, dim, form="correlated"))
+    avg = phase_average_A(correlated_tmsv(gamma, dim))
     weights = gamma ** (2 * np.arange(dim))
     weights /= weights.sum()
     for k in (0, 2):

@@ -340,6 +340,83 @@ h_min_override = 5.55
     assert "raw_0000.bin" in err
 
 
+def stale_cfg(dirpath, name, *, enabled, blocks, pulses=20000):
+    path = dirpath / name
+    path.write_text(f"""\
+[run]
+rng_seed = 17
+timestamp = 1786752000.0
+
+[dsp]
+enabled = {"true" if enabled else "false"}
+notch_taps = 801
+modulation_freq = 24.5e6
+notch_cutoff = 24.495e6
+autocorr_max_lag = 50
+autocorr_samples = 2000
+
+[simulate]
+pulses = {pulses}
+blocks = {blocks}
+
+[extractor]
+h_min_override = 5.5
+""")
+    return str(path)
+
+
+def test_extract_reads_only_the_blocks_of_its_config(tmp_path, capsys):
+    # a 3-block run, then a 1-block run into the same directory: extract
+    # hashes the one block the second run wrote, not the two stale ones
+    out = tmp_path / "o"
+    run_pipeline(stale_cfg(tmp_path, "three.cfg", enabled=False, blocks=3), out,
+                 ("simulate",))
+    one = stale_cfg(tmp_path, "one.cfg", enabled=False, blocks=1)
+    run_pipeline(one, out, ("simulate", "extract"))
+    assert "samples_in: 20000" in (out / "accounting.txt").read_text().splitlines()
+
+    fresh = tmp_path / "fresh"
+    run_pipeline(one, fresh, ("simulate", "extract"))
+    assert (out / "output.bits").read_bytes() == (fresh / "output.bits").read_bytes()
+
+    # a missing block of this config is a config error that names it
+    capsys.readouterr()
+    assert main(["extract", "--config",
+                 stale_cfg(tmp_path, "four.cfg", enabled=False, blocks=4),
+                 "--out", str(out)]) == 2
+    assert "raw_0003.bin" in capsys.readouterr().err
+
+
+def test_chain_off_extract_ignores_stale_filtered_blocks(tmp_path, capsys):
+    # a chain-on run leaves filtered blocks; a chain-off run into the same
+    # directory must hash its own raw blocks, as a fresh chain-off run does
+    out = tmp_path / "o"
+    on = stale_cfg(tmp_path, "on.cfg", enabled=True, blocks=1)
+    run_pipeline(on, out, ("simulate",))
+    off = stale_cfg(tmp_path, "off.cfg", enabled=False, blocks=1)
+    run_pipeline(off, out, ("simulate", "extract"))
+    fresh = tmp_path / "fresh"
+    run_pipeline(off, fresh, ("simulate", "extract"))
+    assert (out / "output.bits").read_bytes() == (fresh / "output.bits").read_bytes()
+
+    # and a chain-on extract does not fall back to raw blocks
+    capsys.readouterr()
+    assert main(["extract", "--config", on, "--out", str(fresh)]) == 2
+    assert "filtered_0000.bin" in capsys.readouterr().err
+
+
+def test_skipped_autocorrelation_leaves_no_stale_csv(tmp_path, capsys):
+    out = tmp_path / "o"
+    run_pipeline(stale_cfg(tmp_path, "long.cfg", enabled=False, blocks=1), out,
+                 ("simulate",))
+    assert (out / "autocorrelation.csv").exists()
+    capsys.readouterr()
+    run_pipeline(stale_cfg(tmp_path, "short.cfg", enabled=False, blocks=1, pulses=300),
+                 out, ("simulate",))
+    assert "skipping the 50-lag autocorrelation" in capsys.readouterr().out
+    assert not (out / "autocorrelation.csv").exists()
+
+
 def test_extract_without_calibration_exits_3(pipeline, tmp_path):
     root, cfg_path, out = pipeline
     fresh = tmp_path / "nocal"

@@ -1,7 +1,8 @@
-"""Package-level checks: every exported name exists, and a stage's import
-path stays free of scipy: none for simulate, extract and verify, only
-``scipy.special`` for test and attack."""
+"""Package-level checks: every exported name exists and is used by the
+package itself, and a stage's import path stays free of scipy: none for
+simulate, extract and verify, only ``scipy.special`` for test and attack."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,6 +24,38 @@ def test_module_all_names_resolve(name):
     exported = getattr(module, "__all__", ())
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"sdiqrng.{name}.__all__ names missing attributes: {missing}"
+
+
+def _defines(stmt, name):
+    """Whether the top-level statement ``stmt`` defines ``name``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+        getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _reads(stmt):
+    """Every name read and attribute taken in ``stmt``; strings do not count."""
+    return ({n.id for n in ast.walk(stmt)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # public API that only tests use is dead weight: each name in an
+    # __all__ must be read somewhere in the package outside its own definition
+    src = Path(sdiqrng.__file__).resolve().parent
+    statements = [(path.stem, stmt, _reads(stmt))
+                  for path in sorted(src.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    exports = {name: getattr(importlib.import_module(f"sdiqrng.{name}"), "__all__", ())
+               for name in MODULES}
+    unused = [f"{name}.{export}"
+              for name, names in exports.items() for export in names
+              if not any(export in reads for module, stmt, reads in statements
+                         if not (module == name and _defines(stmt, export)))]
+    assert not unused, f"exported but unused in src/: {unused}"
 
 
 STAGE_RUN = """\
