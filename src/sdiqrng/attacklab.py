@@ -217,7 +217,6 @@ class AttackReport:
     index of each, the digitizer reading Eve tries to guess.
     """
 
-    scenario: AttackScenario
     measured_variance: float
     eve_guess_rate: float
     mimicry_pvalue: float
@@ -263,7 +262,6 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     cdf += 1.0
     cdf *= 0.5
     return AttackReport(
-        scenario=scenario,
         measured_variance=float(np.var(q)),
         eve_guess_rate=guess_rate,
         mimicry_pvalue=_kstwo_sf(_ks_distance(cdf), n),

@@ -12,31 +12,36 @@ claimed entropy:
     delta              = adc_step / sqrt(2 * m * operating_power)
     delta_conservative = adc_step / sqrt(2 * (m - k * se_m) * operating_power)
 
-``CalibrationSettings`` is the ``[calibration]`` config section.  Fits
-append to a CSV log whose version line names ``time`` and every
-``CalibrationResult`` field, the ``fingerprint`` of the settings behind the
-fit included.  ``current_calibration`` alone decides which logged fit
-certifies an extraction; it reads explicit timestamps, never the wall
-clock, so runs replay deterministically.
+``CalibrationSettings`` is the ``[calibration]`` config section, whose
+vacuum sweep and fit ``calibrate`` runs.  Fits append to a CSV log whose
+version line names ``time`` and every ``CalibrationResult`` field, the
+``fingerprint`` of the settings behind the fit included.
+``current_calibration`` alone decides which logged fit certifies an
+extraction; it reads explicit timestamps, never the wall clock, so runs
+replay deterministically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+# called through the module, so that a wrapper set on its attributes sees the calls
+from . import detector as _detector
 from ._io import append_line, iso_utc
 from .detector import ChainSettings, MeasurementConfig, vacuum_unit_resolution
 from .entropy import vacuum_min_entropy
 from .exceptions import CalibrationError, StaleCalibrationError
+from .states import Vacuum
 
 __all__ = [
     "CalibrationSettings",
     "CalibrationPoint",
     "CalibrationResult",
+    "calibrate",
     "fit_calibration",
     "fingerprint",
     "current_calibration",
@@ -194,6 +199,36 @@ def fit_calibration(points, adc_step: float, *, operating_power: float | None = 
         r_squared=r_squared, operating_power=power_op, adc_step=adc_step,
         delta=delta, delta_conservative=delta_conservative, h_min_bits=h_min,
         timestamp=float(timestamp))
+
+
+def calibrate(detector: MeasurementConfig, chain: ChainSettings,
+              settings: CalibrationSettings, rngs, timestamp: float
+              ) -> tuple[CalibrationResult, list[CalibrationPoint]]:
+    """Sweep ``settings.powers`` on vacuum, fit the line: ``(result, points)``.
+
+    Point i is the variance, in raw units, of ``settings.samples_per_point``
+    vacuum pulses measured at power i with ``rngs[i]`` through ``chain`` and
+    quantized.  The result certifies at ``detector.lo_power`` and carries the
+    ``fingerprint`` of the three settings.  A point without variance, as on
+    an ADC too coarse for the vacuum, raises CalibrationError naming its power.
+    """
+    points = []
+    for power, rng in zip(settings.powers, rngs, strict=True):
+        at_power = replace(detector, lo_power=power)
+        _, analog = _detector.measure_pulses(Vacuum(), at_power,
+                                             settings.samples_per_point, rng, chain)
+        codes, _ = _detector.quantize(analog, at_power)
+        variance = float(np.var(codes.astype(float) * detector.adc_step))
+        try:
+            points.append(CalibrationPoint(power=power, variance=variance,
+                                           n_samples=settings.samples_per_point))
+        except ValueError as exc:
+            raise CalibrationError(f"vacuum sweep at lo_power {power!r}: {exc} "
+                                   f"(got {variance!r})") from None
+    result = fit_calibration(points, detector.adc_step,
+                             operating_power=detector.lo_power, settings=settings,
+                             timestamp=timestamp)
+    return replace(result, fingerprint=fingerprint(detector, chain, settings)), points
 
 
 # settings that cannot change the fitted line or the bound derived from it

@@ -9,8 +9,9 @@ Subcommands::
     sdiqrng attack     Monte-Carlo eavesdropper scenarios
     sdiqrng verify     executable checks of the security model's mathematics
 
-Exit codes: 0 success, 2 configuration error, 3 calibration failure or
-stale calibration, 4 infeasible extraction plan, 5 verification failure.
+Exit codes: 0 success, 2 configuration error or an unusable path, 3
+calibration failure or stale calibration, 4 infeasible extraction plan, 5
+verification failure.
 
 All artifact writes are atomic (temp file plus rename), and all randomness
 derives from ``run.rng_seed`` through named substreams, so a command
@@ -24,7 +25,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,19 @@ def _write_autocorrelation_csv(path: Path, codes: np.ndarray, max_lag: int) -> N
 _HISTOGRAM_SLICE = 2 ** 16
 
 
+def _integer_counts(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """How often each integer lo..hi occurs in ``values``, which hold no other."""
+    # bincount casts its input to intp: count slices, not all the values at once
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    for first in range(0, values.size, _HISTOGRAM_SLICE):
+        piece = values[first:first + _HISTOGRAM_SLICE].astype(np.intp)
+        counts += np.bincount(piece - lo, minlength=counts.size)
+    return counts
+
+
 def _write_histogram_csv(path: Path, codes: np.ndarray,
                          config: detector.MeasurementConfig) -> None:
-    # bincount casts its input to intp: count slices, not all the codes at once
-    bins = config.code_max - config.code_min + 1
-    counts = np.zeros(bins, dtype=np.int64)
-    for first in range(0, codes.size, _HISTOGRAM_SLICE):
-        piece = codes[first:first + _HISTOGRAM_SLICE].astype(np.intp)
-        counts += np.bincount(piece - config.code_min, minlength=bins)
+    counts = _integer_counts(codes, config.code_min, config.code_max)
     # integer codes sum exactly, so this equals np.std(codes.astype(float))
     sigma_codes = float(np.std(codes, dtype=np.float64))
     edges = np.arange(config.code_min, config.code_max + 2) - 0.5
@@ -139,23 +144,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_calibrate(cfg: RunConfig) -> int:
     """Vacuum power sweep, line fit and entropy bound."""
     out = _out_dir(cfg)
-    det = cfg.detector
     cs = cfg.calibration
-    points = []
-    for i, power in enumerate(cs.powers):
-        rng = substream(cfg.run.rng_seed, f"calibrate-{i}")
-        det_p = replace(det, lo_power=power)
-        _, analog = detector.measure_pulses(states.Vacuum(), det_p,
-                                            cs.samples_per_point, rng, cfg.dsp)
-        codes, _ = detector.quantize(analog, det_p)
-        variance = float(np.var(codes.astype(float) * det.adc_step))
-        points.append(calibration.CalibrationPoint(
-            power=power, variance=variance, n_samples=cs.samples_per_point))
-
-    result = calibration.fit_calibration(
-        points, det.adc_step, operating_power=det.lo_power, settings=cs,
-        timestamp=cfg.run.timestamp)
-    result = replace(result, fingerprint=calibration.fingerprint(det, cfg.dsp, cs))
+    rngs = [substream(cfg.run.rng_seed, f"calibrate-{i}") for i in range(len(cs.powers))]
+    result, points = calibration.calibrate(cfg.detector, cfg.dsp, cs, rngs,
+                                           cfg.run.timestamp)
     calibration.append_log(out / "calibration.csv", result)
 
     bound = entropy.vacuum_min_entropy(result.delta_conservative)
@@ -236,8 +228,11 @@ def cmd_extract(cfg: RunConfig) -> int:
         extractor.write_seed_file(out / "toeplitz.seed", seed)
 
     start = time.perf_counter()
-    packed, report = extractor.extract_stream(blocks, plan, seed,
-                                              threads=cfg.run.threads)
+    try:
+        packed, report = extractor.extract_stream(blocks, plan, seed,
+                                                  threads=cfg.run.threads)
+    except ValueError as exc:   # such as too few samples for one hash block
+        raise ConfigError(f"extractor: {exc}") from None
     hash_s = time.perf_counter() - start
     write_bytes_atomic(out / "output.bits", packed.tobytes())
     write_report(out / "accounting.txt", [
@@ -348,9 +343,9 @@ def cmd_attack(cfg: RunConfig) -> int:
 
     bins = report.outcomes
     lo, hi = int(bins.min()), int(bins.max())
-    counts = np.bincount(bins - lo, minlength=hi - lo + 1)
+    counts = _integer_counts(bins, lo, hi)
     k = np.arange(lo, hi + 1)
-    vacuum = 0.5 * (states._erf((k + 0.5) * a.delta) - states._erf((k - 0.5) * a.delta))
+    vacuum = states._fock_bin_probabilities(0, (np.arange(lo, hi + 2) - 0.5) * a.delta)[0]
     write_csv(out / "attack_histogram.csv",
               ["attack outcome histogram against the exact vacuum bin masses",
                f"lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}"],
@@ -369,23 +364,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     v = cfg.verify
     lines: list[str] = []
-    failures: list[str] = []
+
+    def report(ok: bool, text: str) -> None:
+        lines.append(f"{'ok  ' if ok else 'FAIL'} {text}")
 
     # photon-number bound scan: every Fock input must guess no better than vacuum
     fock = [states.Fock(n) for n in range(1, v.fock_n_max + 1)]
     for delta in v.deltas:
         try:
-            rep = entropy.sdi_bound_check(fock, delta)
-            worst = rep.worst_margin
+            worst = entropy.sdi_bound_check(fock, delta).worst_margin
         except SecurityModelViolation as exc:
-            failures.append(f"bound-scan delta={delta:g}: {exc}")
-            lines.append(f"FAIL bound-scan delta={delta:g}: {exc}")
+            report(False, f"bound-scan delta={delta:g}: {exc}")
             continue
-        status = "ok" if worst > 0.0 else "FAIL"
-        if worst <= 0.0:
-            failures.append(f"bound-scan delta={delta:g}: margin {worst!r} not positive")
-        lines.append(f"{status}   bound-scan delta={delta:<6g} photon numbers "
-                     f"1..{v.fock_n_max}: worst margin {worst:.6e}")
+        report(worst > 0.0, f"bound-scan delta={delta:<6g} photon numbers "
+                            f"1..{v.fock_n_max}: worst margin {worst:.6e}")
 
     # order-of-operations equivalence: phase average before or after projection
     rng = substream(cfg.run.rng_seed, "verify-equivalence")
@@ -402,12 +394,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             attacklab.eve_reduced_path_I(st, theta, delta, k),
             attacklab.eve_reduced_path_II(st, theta, delta, k))
         max_td = max(max_td, td)
-    if max_td < 1e-10:
-        lines.append(f"ok   projector-order equivalence on {v.equivalence_states} "
-                     f"random states: max trace distance {max_td:.3e}")
-    else:
-        failures.append(f"equivalence: max trace distance {max_td!r}")
-        lines.append(f"FAIL projector-order equivalence: max trace distance {max_td!r}")
+    report(max_td < 1e-10, f"projector-order equivalence on {v.equivalence_states} "
+                           f"random states: max trace distance {max_td:.3e}")
 
     # leftover-hash bookkeeping on representative operating points
     combos = [(8, 5.53, -100.0, 5.4), (8, 8.0, -100.0, 7.9), (8, 6.0, -64.0, 5.0)]
@@ -415,28 +403,26 @@ def cmd_verify(cfg: RunConfig) -> int:
         plan = extractor.plan_extraction(bits, h, 2.0 ** eps_log2, target)
         n = plan.samples_per_block
         expect_m = math.floor(n * h - 2.0 * (-eps_log2))
-        ok = (plan.output_bits == expect_m
-              and plan.bits_per_sample_effective >= target - 1e-9
-              and plan.slack_bits >= -1e-9)
-        status = "ok" if ok else "FAIL"
-        if not ok:
-            failures.append(f"leftover-hash h={h}: N={n} m={plan.output_bits}")
-        lines.append(f"{status}   leftover-hash h={h:<5g} eps=2^{eps_log2:g} "
-                     f"target={target:g}: N={n} m={plan.output_bits} "
-                     f"({plan.bits_per_sample_effective:.4f} bits/sample, "
-                     f"slack {plan.slack_bits:.4f} bits)")
+        report(plan.output_bits == expect_m
+               and plan.bits_per_sample_effective >= target - 1e-9
+               and plan.slack_bits >= -1e-9,
+               f"leftover-hash h={h:<5g} eps=2^{eps_log2:g} "
+               f"target={target:g}: N={n} m={plan.output_bits} "
+               f"({plan.bits_per_sample_effective:.4f} bits/sample, "
+               f"slack {plan.slack_bits:.4f} bits)")
     try:
         extractor.plan_extraction(8, 5.0, 2.0 ** -100, 5.0)
-        failures.append("infeasible-plan guard did not trigger")
-        lines.append("FAIL infeasible-plan guard did not trigger")
+        guarded = False
     except InfeasiblePlanError:
-        lines.append("ok   infeasible-plan guard rejects target >= certified entropy")
+        guarded = True
+    report(guarded, "infeasible-plan guard rejects target >= certified entropy")
 
     text = "\n".join(lines) + "\n"
     write_text_atomic(out / "verify_report.txt", text)
     print(text, end="")
-    if failures:
-        raise SecurityModelViolation("; ".join(failures))
+    failed = [line for line in lines if line.startswith("FAIL")]
+    if failed:
+        raise SecurityModelViolation("; ".join(failed))
     print("verify: all checks passed")
     return 0
 
@@ -501,6 +487,12 @@ def main(argv=None) -> int:
     except SecurityModelViolation as exc:
         print(f"error (verification): {exc}", file=sys.stderr)
         return 5
+    except OSError as exc:
+        # a path no stage names itself; os.replace reports the artifact second
+        path = exc.filename2 if exc.filename2 is not None else exc.filename
+        detail = exc if path is None else f"{path}: {exc.strerror}"
+        print(f"error (config): {detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

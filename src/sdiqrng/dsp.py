@@ -167,11 +167,14 @@ def _reflected(window: np.ndarray, lo: int, n: int, half: int,
 
 
 def _block_size(taps: int, decimate: int) -> int:
-    """Transform length of one cache-sized overlap-save block.
+    """Transform length of one cache-sized block for a kernel of ``taps`` samples.
 
     Transforms of this size stay in cache (2**14 points ran about twice as
-    fast as 2**16 over 8M samples); each block yields
-    ``(size - taps + 1) // decimate`` kept outputs.
+    fast as 2**16 over 8M samples).  A block holds the kernel and at least
+    ``decimate`` more samples: overlap-save keeps
+    ``(size - taps + 1) // decimate`` outputs of each, and the
+    autocorrelation (``taps = max_lag``, ``decimate = 1``) sums
+    ``size - max_lag`` samples per chunk.
     """
     return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate))
 
@@ -331,7 +334,7 @@ def autocorrelation(samples, max_lag: int = 400) -> AutocorrelationReport:
     if n < 16 or max_lag >= n / 10:
         raise ValueError(f"need n > 10 * max_lag samples, got n={n}, max_lag={max_lag}")
     mean = x.mean()
-    size = next_fast_len(max(2 ** 14, 4 * max_lag))
+    size = _block_size(max_lag, 1)
     step = size - max_lag
     cross = np.zeros(size // 2 + 1, dtype=complex)
     for first in range(0, n, step):

@@ -51,9 +51,6 @@ __all__ = [
     "search_halfwidth",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-
-
 @dataclass(frozen=True)
 class Vacuum:
     """Ground state; quadrature outcome is N(0, 1/2) at every phase."""
@@ -307,13 +304,19 @@ def _bin_radius(delta: float, halfwidth: float) -> int:
     return int(math.ceil((halfwidth + delta) / delta))
 
 
+def _window_edges(delta: float, halfwidth: float) -> np.ndarray:
+    """Edges of the bins -k_max..k_max that cover [-halfwidth, halfwidth]."""
+    k_max = _bin_radius(delta, halfwidth)
+    return np.arange(-k_max, k_max + 2) * delta - delta / 2.0
+
+
 def _fock_table_entries(n_max: int, delta: float) -> int:
     """Entries of the table ``max_bin_probabilities`` builds for Fock 0..n_max."""
     return (n_max + 1) * (2 * _bin_radius(delta, search_halfwidth(n_max)) + 1)
 
 
-def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.ndarray:
-    """Bin masses of Fock 0..n_max on the bins covering [-halfwidth, halfwidth].
+def _fock_bin_probabilities(n_max: int, edges: np.ndarray) -> np.ndarray:
+    """Bin masses of Fock 0..n_max on the bins between consecutive ``edges``.
 
     Returns P of shape (n_max + 1, bins), P[n, j] the probability that
     Fock n falls in bin j = [a_j, b_j], in closed form on the shared bin
@@ -324,11 +327,9 @@ def _fock_bin_probabilities(n_max: int, delta: float, halfwidth: float) -> np.nd
         P[n, j] = P[n-1, j] - [psi_n psi_{n-1}]_{a_j}^{b_j} / sqrt(2n),
 
     so the wavefunction recurrence runs once over the bins + 1 edges.
-    Each entry depends only on n and its bin, not on n_max or the window,
-    so one table serves every state up to n_max.
+    Each entry depends only on n and its bin, not on n_max or the other
+    edges, so one table serves every state up to n_max.
     """
-    k_max = _bin_radius(delta, halfwidth)
-    edges = np.arange(-k_max, k_max + 2) * delta - delta / 2.0
     out = np.empty((n_max + 1, edges.size - 1))
     out[0] = np.diff(_erf(edges)) / 2.0
     rows = _fock_psi(n_max, edges)
@@ -369,7 +370,7 @@ def max_bin_probabilities(state_list, delta: float) -> list[float]:
     if not components:
         return []
     n_max = max(n for comps in components for _, n in comps)
-    probs = _fock_bin_probabilities(n_max, delta, search_halfwidth(n_max))
+    probs = _fock_bin_probabilities(n_max, _window_edges(delta, search_halfwidth(n_max)))
     return [float(np.max(np.array([w for w, _ in comps]) @ probs[[n for _, n in comps]]))
             for comps in components]
 

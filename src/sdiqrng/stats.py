@@ -323,18 +323,6 @@ def serial_test(bits, block_size: int | None = None) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # battery
 
-_MIN_BITS = {
-    "frequency": 100,
-    "block-frequency": 128,
-    "runs": 100,
-    "longest-run": 128,
-    "cumulative-sums": 100,
-    "spectral": 1000,
-    "approximate-entropy": 256,
-    "serial": 32,
-}
-
-
 @dataclass(frozen=True)
 class StatisticSummary:
     """Per-statistic battery outcome across all strings."""
@@ -402,39 +390,32 @@ def run_battery(bits, string_bits: int, *, alpha: float = 0.01) -> BatteryReport
     strings = bits[: n_strings * string_bits].reshape(n_strings, string_bits)
 
     spectral_work = _spectral_work(int(string_bits))
-    single = {
-        "frequency": frequency_test,
-        "block-frequency": block_frequency_test,
-        "runs": runs_test,
-        "longest-run": longest_run_test,
-        "spectral": lambda row: spectral_test(row, work=spectral_work),
-        "approximate-entropy": approximate_entropy_test,
-    }
-    collected: dict[str, list[float]] = {}
+    # (test, shortest string it runs on, function, the statistic of each p-value)
+    tests = (
+        ("frequency", 100, frequency_test, ("frequency",)),
+        ("block-frequency", 128, block_frequency_test, ("block-frequency",)),
+        ("runs", 100, runs_test, ("runs",)),
+        ("longest-run", 128, longest_run_test, ("longest-run",)),
+        ("spectral", 1000, lambda row: spectral_test(row, work=spectral_work),
+         ("spectral",)),
+        ("approximate-entropy", 256, approximate_entropy_test, ("approximate-entropy",)),
+        ("cumulative-sums", 100, cumulative_sums_test,
+         ("cumulative-sums-forward", "cumulative-sums-backward")),
+        ("serial", 32, serial_test, ("serial-1", "serial-2")),
+    )
+    collected: dict[str, np.ndarray] = {}
     skipped: list[str] = []
-    for name, fn in single.items():
-        if string_bits < _MIN_BITS[name]:
+    for name, shortest, test, p_names in tests:
+        if string_bits < shortest:
             skipped.append(name)
             continue
-        collected[name] = [fn(row) for row in strings]
-    if string_bits >= _MIN_BITS["cumulative-sums"]:
-        fwd, bwd = zip(*(cumulative_sums_test(row) for row in strings))
-        collected["cumulative-sums-forward"] = list(fwd)
-        collected["cumulative-sums-backward"] = list(bwd)
-    else:
-        skipped.append("cumulative-sums")
-    if string_bits >= _MIN_BITS["serial"]:
-        s1, s2 = zip(*(serial_test(row) for row in strings))
-        collected["serial-1"] = list(s1)
-        collected["serial-2"] = list(s2)
-    else:
-        skipped.append("serial")
+        p_values = np.array([test(row) for row in strings], dtype=float)
+        collected.update(zip(p_names, p_values.reshape(n_strings, -1).T))
 
     p_hat = 1.0 - alpha
     bound = p_hat - 3.0 * math.sqrt(p_hat * alpha / n_strings)
     results = []
-    for name, values in collected.items():
-        pv = np.asarray(values, dtype=float)
+    for name, pv in collected.items():
         proportion = float(np.mean(pv >= alpha))
         uni = _uniformity_p(pv)
         results.append(StatisticSummary(

@@ -10,10 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from sdiqrng import cli, detector
+from sdiqrng import cli, detector, entropy
 from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
+from sdiqrng.exceptions import SecurityModelViolation
 
 SEED = 11
 
@@ -622,6 +623,61 @@ def test_blocks_path_taken_by_a_file_exits_2(tmp_path, capsys):
     (out / "blocks").touch()
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert f"artifact directory {out / 'blocks'}" in capsys.readouterr().err
+
+
+def test_calibrate_on_an_adc_too_coarse_for_the_vacuum_exits_3(tmp_path, capsys):
+    # every vacuum sample quantizes to code 0: no variance to fit
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("[detector]\nadc_bits = 2\nadc_full_scale = 1000\n\n"
+                        "[dsp]\nenabled = false\n\n"
+                        "[calibration]\nsamples_per_point = 10000\n")
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "vacuum sweep at lo_power 0.25: variance" in capsys.readouterr().err
+    assert not (out / "calibration.csv").exists()
+
+
+def test_extract_too_short_for_one_hash_block_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("[dsp]\nenabled = false\n\n[simulate]\npulses = 1000\n\n"
+                        "[extractor]\nh_min_override = 5.55\n")
+    out = tmp_path / "out"
+    run_pipeline(str(cfg_path), out, ("simulate",))
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "1000 samples cannot fill one block of 1335" in capsys.readouterr().err
+    assert not (out / "output.bits").exists()
+    assert not (out / "accounting.txt").exists()
+
+
+def test_unwritable_artifact_path_exits_2(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    (out / "calibration.csv").mkdir(parents=True)
+    assert main(["calibrate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{out / 'calibration.csv'}: Is a directory" in capsys.readouterr().err
+
+
+def _margin_below_zero(state_list, delta):
+    return entropy.BoundCheckReport(delta=delta, bound=0.5, margins=(-1e-3,))
+
+
+def _violation(state_list, delta):
+    raise SecurityModelViolation(f"forced at delta={delta}")
+
+
+@pytest.mark.parametrize("check", [_margin_below_zero, _violation])
+def test_failing_verify_check_is_one_fail_row_and_exits_5(tmp_path, capsys,
+                                                          monkeypatch, check):
+    monkeypatch.setattr(entropy, "sdi_bound_check", check)
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 5
+    lines = (out / "verify_report.txt").read_text().splitlines()
+    failed = [line for line in lines if line.startswith("FAIL bound-scan delta=")]
+    assert len(failed) == 2
+    assert all(line.startswith("ok   ") for line in lines if line not in failed)
+    assert capsys.readouterr().err == f"error (verification): {'; '.join(failed)}\n"
 
 
 def test_infeasible_plan_exits_4(pipeline, tmp_path):

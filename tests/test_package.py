@@ -1,6 +1,8 @@
 """Package-level checks: every exported name exists and is used by the
-package itself, and a stage's import path stays free of scipy: none for
-simulate, extract and verify, only ``scipy.special`` for test and attack."""
+package itself, every top-level name, dataclass field and property of the
+package is read somewhere, and a stage's import path stays free of scipy:
+none for simulate, extract and verify, only ``scipy.special`` for test and
+attack."""
 
 import ast
 import importlib
@@ -26,13 +28,18 @@ def test_module_all_names_resolve(name):
     assert not missing, f"sdiqrng.{name}.__all__ names missing attributes: {missing}"
 
 
-def _defines(stmt, name):
-    """Whether the top-level statement ``stmt`` defines ``name``."""
+def _defined_names(stmt):
+    """The names the top-level statement ``stmt`` defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return stmt.name == name
+        return [stmt.name]
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [
         getattr(stmt, "target", None)]
-    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _defines(stmt, name):
+    """Whether the top-level statement ``stmt`` defines ``name``."""
+    return name in _defined_names(stmt)
 
 
 def _reads(stmt):
@@ -56,6 +63,69 @@ def test_every_exported_name_is_used_by_the_package():
               if not any(export in reads for module, stmt, reads in statements
                          if not (module == name and _defines(stmt, export)))]
     assert not unused, f"exported but unused in src/: {unused}"
+
+
+SRC = Path(sdiqrng.__file__).resolve().parent
+
+
+def _statements():
+    """(path, statement, names it reads) of each top-level statement in the
+    package and in the tests."""
+    return [(path, stmt, _reads(stmt))
+            for directory in (SRC, Path(__file__).resolve().parent)
+            for path in sorted(directory.glob("*.py"))
+            for stmt in ast.parse(path.read_text(), str(path)).body]
+
+
+def test_every_top_level_name_is_read():
+    # a module-level name, exported or private, that nothing in the package
+    # or its tests reads outside its own definition is dead code
+    statements = _statements()
+    unread = [f"{path.stem}.{name}"
+              for path, stmt, _ in statements if path.parent == SRC
+              for name in _defined_names(stmt)
+              if not (name.startswith("__") and name.endswith("__"))
+              and not any(name in reads for other_path, other, reads in statements
+                          if not (other_path == path and _defines(other, name)))]
+    assert not unread, f"defined but never read in src/ or tests/: {unread}"
+
+
+def test_every_field_and_property_is_read():
+    # a dataclass field or property that no code reads as an attribute is
+    # dead weight carried by every instance
+    statements = _statements()
+    nodes = [n for _, stmt, _ in statements for n in ast.walk(stmt)]
+    # a class pattern's keywords, as in ``case Fock(n=n)``, read attributes too
+    attributes = {n.attr for n in nodes
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    attributes.update(a for n in nodes if isinstance(n, ast.MatchClass)
+                      for a in n.kwd_attrs)
+
+    def is_dataclass(cls):
+        return any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                   for d in cls.decorator_list)
+
+    unread = []
+    for path, stmt, _ in statements:
+        if path.parent != SRC:
+            continue
+        for cls in ast.walk(stmt):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if (is_dataclass(cls) and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in item.decorator_list):
+                    name = item.name
+                else:
+                    continue
+                if name not in attributes:
+                    unread.append(f"{path.stem}.{cls.name}.{name}")
+    assert not unread, f"never read as an attribute in src/ or tests/: {unread}"
 
 
 STAGE_RUN = """\

@@ -105,7 +105,8 @@ def test_mixture_pdf_is_the_weighted_sum():
     # a mixture's bin masses are the weighted sum of its components' rows
     mix = Mixture(((0.2, 0), (0.3, 2), (0.5, 7)))
     delta = 0.3
-    table = states._fock_bin_probabilities(7, delta, search_halfwidth(7))
+    table = states._fock_bin_probabilities(
+        7, states._window_edges(delta, search_halfwidth(7)))
     want = 0.2 * table[0] + 0.3 * table[2] + 0.5 * table[7]
     assert max_bin_probabilities([mix], delta)[0] == pytest.approx(float(np.max(want)),
                                                                    rel=1e-14)
@@ -298,7 +299,7 @@ def gauss_legendre_bin_table(n_max, delta, halfwidth, nodes=200):
 def test_closed_form_bin_table_matches_gauss_legendre(delta):
     rows = list(range(21)) + [100, 200]
     halfwidth = search_halfwidth(200)
-    got = states._fock_bin_probabilities(200, delta, halfwidth)
+    got = states._fock_bin_probabilities(200, states._window_edges(delta, halfwidth))
     want = gauss_legendre_bin_table(200, delta, halfwidth)
     assert got.shape == want.shape
     np.testing.assert_allclose(got[rows], want[rows], rtol=0.0, atol=5e-14)
@@ -308,7 +309,8 @@ def test_closed_form_bin_table_matches_gauss_legendre(delta):
 
 @pytest.mark.parametrize("n_max,delta", [(1, 1.0), (20, 0.01), (80, 0.02), (7, 0.3)])
 def test_fock_table_entries_count_the_table_the_scan_builds(n_max, delta):
-    table = states._fock_bin_probabilities(n_max, delta, search_halfwidth(n_max))
+    table = states._fock_bin_probabilities(
+        n_max, states._window_edges(delta, search_halfwidth(n_max)))
     assert states._fock_table_entries(n_max, delta) == table.size
 
 
