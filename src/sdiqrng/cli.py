@@ -225,7 +225,6 @@ def cmd_extract(cfg: RunConfig) -> int:
         seed_rng = substream(cfg.run.rng_seed, "toeplitz-seed")
         seed = extractor.test_prng_seed(plan.seed_bits,
                                         int(seed_rng.integers(0, 2 ** 63)))
-        extractor.write_seed_file(out / "toeplitz.seed", seed)
 
     start = time.perf_counter()
     try:
@@ -234,6 +233,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     except ValueError as exc:   # such as too few samples for one hash block
         raise ConfigError(f"extractor: {exc}") from None
     hash_s = time.perf_counter() - start
+    if not es.seed_file:   # written only beside the bits it hashed
+        extractor.write_seed_file(out / "toeplitz.seed", seed)
     write_bytes_atomic(out / "output.bits", packed.tobytes())
     write_report(out / "accounting.txt", [
         ("certified_by", certified_by),

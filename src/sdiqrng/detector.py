@@ -24,16 +24,14 @@ units, which is where the bin-width conversion
 comes from (``m`` is the calibrated variance-vs-power gradient).
 
 With the analog filtering chain switched on (``measure_pulses`` given an
-enabled chain), each pulse instead occupies ``oversample`` input samples and
-the noise enters white at that input rate.  One decimating ``dsp.lowpass``
-call then filters the oversampled wave and keeps the sample at
-``sample_phase`` of every pulse, and the optional drift notch of ``dsp`` runs
-on those per-pulse samples before digitization.  The oversampled wave is a
-``dsp.SampleStream``: its noise is drawn and its flat tops are built a chunk
-of pulses at a time as the low-pass blocks read it, so no array at the input
-rate is ever whole.  The per-pulse phases, quadratures and filtered samples
-are whole arrays, as the draw order needs: phases and quadratures of every
-pulse first, then the electronic noise in pulse order.
+enabled chain), each pulse instead occupies ``oversample`` input samples, the
+noise enters white at that input rate, and the low-pass output is kept at
+``sample_phase`` of every pulse.  That chain is simulated at the pulse rate
+with the two filters of ``dsp.pulse_rate_filters``: a short FIR over the
+per-pulse amplitudes, plus one standard normal per pulse through a factor
+of the decimated noise's autocovariance, which gives the same law.  The
+optional drift notch of ``dsp`` then runs on the per-pulse samples before
+digitization.  No array at the input rate is ever built.
 
 Raw blocks serialize to a little-endian binary format with a fixed 9-line
 ASCII header (magic, version, bits, count, clipped count, config hash, run
@@ -229,20 +227,31 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
 
     With the chain on, each pulse is a flat top occupying the central
     ``pulse_duty`` fraction of its period at ``oversample`` input samples
-    per period, and the noise enters white at the input rate.  Returns two
-    per-pulse analog streams with all filter transients trimmed: the
-    low-passed, decimated stream before drift removal, and the final
-    filtered stream.  The oversampled wave is built as the low-pass reads
-    it (``_oversampled_wave``), so it is never whole in memory; the excess
-    noise then comes from a child generator of ``rng``.
+    per period, and the electronic and excess noise enter white at the
+    input rate, as one noise of their summed variance.  The low-pass and
+    the sample at ``sample_phase`` of each period are simulated at the
+    pulse rate (``dsp.pulse_rate_filters``): the signal FIR runs over the
+    amplitudes of ``n_sim = count + 2 * (pad_lp + pad_notch)`` pulses, and
+    ``n_sim + q`` standard normals through the noise factor of ``q + 1``
+    taps give the noise, so no filter transient reaches the output.  The
+    draws come in this order: the phases of all ``n_sim`` pulses, their
+    quadratures, then the normals (none when both noise variances are 0).
+    Returns two per-pulse analog streams: the low-passed stream before
+    drift removal, and the final filtered stream, with the notch's
+    transients trimmed.
     """
     states.validate_state(state)
     if count <= 0:
         raise ValueError("count must be positive")
     filtering = chain is not None and chain.enabled
-    ratio = chain.oversample if filtering else 1
-    pad_lp = -((-(chain.lowpass_taps // 2)) // ratio) if filtering else 0
-    pad_notch = chain.notch_taps // 2 if filtering and chain.notch_enabled else 0
+    pad_lp = pad_notch = 0
+    if filtering:
+        signal, noise = dsp.pulse_rate_filters(
+            config.pulse_rate, chain.oversample, chain.lowpass_cutoff,
+            chain.lowpass_taps, chain.pulse_duty, chain.sample_phase)
+        pad_lp = signal.size // 2
+        if chain.notch_enabled:
+            pad_notch = chain.notch_taps // 2
     n_sim = count + 2 * (pad_lp + pad_notch)
 
     theta = draw_phases(config, n_sim, rng)
@@ -258,12 +267,17 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
                 wave += rng.normal(0.0, math.sqrt(var), wave.size)
         return wave, wave
 
-    per_pulse = dsp.lowpass(_oversampled_wave(wave, chain, electronic, excess, rng),
-                            ratio * config.pulse_rate, chain.lowpass_cutoff,
-                            chain.lowpass_taps, decimate=ratio,
-                            sample_phase=chain.sample_phase)
-    del wave   # the notch needs only the per-pulse samples
-    per_pulse = per_pulse[pad_lp:pad_lp + count + 2 * pad_notch]
+    per_pulse = np.correlate(wave, signal, "valid")   # count + 2 * pad_notch samples
+    del wave
+    if electronic + excess > 0:
+        normals = rng.standard_normal(n_sim + noise.size - 1)
+        noise = math.sqrt(electronic + excess) * noise
+        # a block at a time, so that no second array of the noise is whole
+        for lo in range(0, per_pulse.size, _NOISE_BLOCK):
+            hi = min(per_pulse.size, lo + _NOISE_BLOCK)
+            per_pulse[lo:hi] += np.convolve(
+                normals[pad_lp + lo:pad_lp + hi + noise.size - 1], noise, "valid")
+        del normals
     raw = per_pulse[pad_notch:pad_notch + count]
     if not chain.notch_enabled:
         return raw, raw
@@ -273,46 +287,7 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     return raw, notched[pad_notch:pad_notch + count]
 
 
-_WAVE_CHUNK = 2 ** 16   # oversampled samples drawn at a time, rounded to whole pulses
-
-
-def _oversampled_wave(wave: np.ndarray, chain: ChainSettings, electronic: float,
-                      excess: float, rng: np.random.Generator) -> dsp.SampleStream:
-    """The oversampled wave of the per-pulse ``wave``, made as it is read.
-
-    Pulse ``p`` fills samples ``p * oversample`` on: a flat top of
-    ``wave[p]`` over the central ``pulse_duty`` of the period, plus white
-    electronic noise from ``rng`` and excess noise from a child generator
-    of it.  The pulses are made in order, whole chunks at a time, when a
-    read reaches past those made; only the samples from the last ``lo`` on
-    are kept.  The electronic noise of consecutive chunks is the one
-    ``rng.normal`` stream a single call would draw.
-    """
-    ratio = chain.oversample
-    width = max(1, int(round(ratio * chain.pulse_duty)))
-    start = (ratio - width) // 2
-    chunk = max(1, _WAVE_CHUNK // ratio)
-    excess_rng = rng.spawn(1)[0] if excess > 0 else None
-    made = 0                          # pulses made so far
-    held, held_lo = np.empty(0), 0    # samples held_lo .. made * ratio - 1
-
-    def read(lo: int, hi: int) -> np.ndarray:
-        nonlocal made, held, held_lo
-        if hi > made * ratio:
-            stop = min(wave.size, max(-(-hi // ratio), made + chunk))
-            shape = (stop - made, ratio)
-            # the flat top is added into the electronic-noise draw (e + s == s + e
-            # exactly), so no pulse matrix of zeros is built when that noise is on
-            pulses = (rng.normal(0.0, math.sqrt(electronic), shape) if electronic > 0
-                      else np.zeros(shape))
-            pulses[:, start:start + width] += wave[made:stop, None]
-            if excess_rng is not None:
-                pulses += excess_rng.normal(0.0, math.sqrt(excess), shape)
-            held = np.concatenate((held[lo - held_lo:], pulses.ravel()))
-            held_lo, made = lo, stop
-        return held[lo - held_lo:hi - held_lo]
-
-    return dsp.SampleStream(read, wave.size * ratio)
+_NOISE_BLOCK = 2 ** 16   # pulses of filtered noise made at a time
 
 
 def vacuum_unit_resolution(adc_step: float, gradient: float, power: float) -> float:

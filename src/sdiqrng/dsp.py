@@ -1,5 +1,5 @@
-"""Offline DSP chain: anti-alias filtering with decimation to one sample per
-pulse, drift removal and whiteness diagnostics, each in bounded memory.
+"""Offline DSP chain: the anti-alias low-pass at the pulse rate, drift removal
+and whiteness diagnostics, each in bounded memory.
 
 The filters are linear-phase FIR (windowed-sinc, Hamming window).  The
 design is numpy only and mirrors the operation order of
@@ -13,21 +13,42 @@ float-by-complex ``np.dot``: that dot goes through multithreaded BLAS, and
 on a 2 vCPU Xeon the 46 steps of the 16001-tap notch design took 0.15 s
 that way against 0.013 s with the sums, for bitwise the same taps.
 
-``lowpass`` is the one filter engine, and one private overlap-save loop
-serves every call: FFT convolution on ``numpy.fft`` of the reflect-padded
-input, group delay compensated, so no stage has to import scipy.  Transform
-sizes come from ``next_fast_len``, the smallest 5-smooth length, the same
-choice as scipy's ``next_fast_len(n, real=True)``.  Every call runs over
-fixed cache-sized blocks: only the edge blocks are reflect padded, and
-no padded copy of the input is ever built.  Without decimation the result
-has the input length and equals ``scipy.signal.fftconvolve`` of the
-reflect-padded input to within rounding.  With ``decimate = D`` it keeps
-one output per D inputs (one per pulse period, at ``sample_phase`` within
-the period), and the full-rate output is never built.  The input may be an
-array or a ``SampleStream`` that produces its samples as the blocks read
-them, so that a long oversampled wave is never whole in memory.  The first
-and last ``taps // 2`` full-rate outputs are contaminated by the padding
-and must be excluded from entropy accounting.
+The detector's analog chain runs at ``oversample`` input samples per pulse:
+each pulse is a flat top over the central ``pulse_duty`` of its period,
+white noise enters at the input rate, and the low-pass output is kept once
+per pulse, at ``sample_phase`` of the period.  That chain is linear, so
+``pulse_rate_filters`` reduces it exactly to two short filters at the pulse
+rate, derived once from the same ``design_lowpass`` taps ``h``:
+
+* signal: the flat top, low-pass and decimation of the per-pulse amplitudes
+  form one FIR over lags -pad..pad, ``pad = ceil((taps // 2) / oversample)``
+  (33 taps at the defaults).  Tap ``l`` sums the taps of ``h`` that fall on
+  the flat top of the pulse ``l`` periods away.
+* noise: unit white noise at the input rate, low-passed and decimated, is a
+  stationary Gaussian MA(q) process with autocovariance
+  ``r_k = sum_i h_i h_{i + k * oversample}``, ``q = (taps - 1) // oversample``.
+  One standard normal per pulse through a factor ``b`` with
+  ``sum_j b_j b_{j+k} = r_k`` has exactly that law.  At ``oversample = 1``
+  ``h`` itself is that factor; otherwise ``b`` is the minimum-phase factor
+  from the cepstrum of the spectrum ``S(w) = sum_k r_k e^{-ikw}`` (Oppenheim
+  and Schafer, "Discrete-Time Signal Processing").  The factor is checked,
+  not assumed: the cepstrum runs on 2**14 up to 2**20 points until ``b``'s
+  autocovariance matches ``r`` within 1e-12 of ``r_0``, and a spectrum that
+  is not positive, or a factor that never matches, is a ``ConfigError``
+  naming the ``[dsp]`` keys.
+
+``lowpass`` is the one filter engine at a single rate, and one private
+overlap-save loop serves every call: FFT convolution on ``numpy.fft`` of the
+reflect-padded input, group delay compensated, so no stage has to import
+scipy.  Transform sizes come from ``next_fast_len``, the smallest 5-smooth
+length, the same choice as scipy's ``next_fast_len(n, real=True)``.  Every
+call runs over fixed cache-sized blocks: only the edge blocks are reflect
+padded, and no padded copy of the input is ever built.  The result has the
+input length and equals ``scipy.signal.fftconvolve`` of the reflect-padded
+input to within rounding.  The input may be an array or a ``SampleStream``
+that produces its samples as the blocks read them.  The first and last
+``taps // 2`` outputs are contaminated by the padding and must be excluded
+from entropy accounting.
 
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
@@ -36,11 +57,12 @@ spectral images coincide, and the re-modulation factor is 1; for
 ``f_mod < rate/2`` each cosine halves the passband amplitude and the
 re-modulation carries the conventional factor 2.  Net effect either way: a
 linear-phase high-pass whose stop band is the original band below
-``rate/2 - cutoff``.  The modulated input is a stream and the carrier is
-made block by block, so the notch also runs over cache-sized blocks: the
-default 16001-tap notch over a million pulses is 21 transforms of 64800
-points, not one of 1.08M points, and its output moves only by rounding
-(at most 4.6e-14 analog units at the default config, no ADC code changed).
+``rate/2 - cutoff``.  The modulated input is a ``SampleStream`` and the
+carrier is made block by block, so the notch also runs over cache-sized
+blocks: the default 16001-tap notch over a million pulses is 21 transforms
+of 64800 points, not one of 1.08M points, and its output moves only by
+rounding (at most 4.6e-14 analog units at the default config, no ADC code
+changed).
 
 Choosing the notch involves a real trade-off worth knowing about: removing
 a band of relative width ``a = (rate/2 - cutoff) / (rate/2)`` from white
@@ -64,8 +86,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from .exceptions import ConfigError
+
 __all__ = [
     "design_lowpass",
+    "pulse_rate_filters",
     "lowpass",
     "SampleStream",
     "remove_low_frequency",
@@ -152,6 +177,86 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     return _hamming_sinc(rate, 0.5 * (lo + hi), taps)
 
 
+@lru_cache(maxsize=32)
+def pulse_rate_filters(pulse_rate: float, oversample: int, cutoff: float, taps: int,
+                       pulse_duty: float, sample_phase: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The oversampled low-pass chain as two read-only filters at the pulse rate.
+
+    Returns ``(signal, noise)``.  ``signal[pad + l]``, for lags
+    ``l = -pad..pad`` with ``pad = ceil((taps // 2) / oversample)``, is the
+    weight of pulse ``p + l``'s flat-top amplitude in pulse ``p``'s sample,
+    so ``np.correlate(amplitudes, signal, "valid")`` is the noiseless
+    chain.  ``noise`` is a factor whose autocovariance is that of unit
+    white noise at the input rate after the same low-pass and decimation,
+    so ``np.convolve(normals, sigma * noise, "valid")`` has that noise's law
+    at variance ``sigma**2``.  The input rate is ``oversample * pulse_rate``;
+    the sample is taken at offset ``min(round(sample_phase * oversample),
+    oversample - 1)`` of each period.  Raises ConfigError when no factor
+    reproduces the autocovariance (see the module docstring).
+    """
+    if isinstance(oversample, bool) or oversample != int(oversample) or oversample < 1:
+        raise ValueError(f"oversample must be a positive integer, got {oversample!r}")
+    if not 0.0 < pulse_duty <= 1.0:
+        raise ValueError("pulse_duty must lie in (0, 1]")
+    if not 0.0 <= sample_phase < 1.0:
+        raise ValueError("sample_phase must lie in [0, 1)")
+    ratio = int(oversample)
+    h = design_lowpass(ratio * pulse_rate, cutoff, taps)
+    half = taps // 2
+    pad = -(-half // ratio)
+    width = max(1, int(round(ratio * pulse_duty)))
+    start = (ratio - width) // 2
+    offset = min(int(round(sample_phase * ratio)), ratio - 1)
+    # input sample j of the period of pulse p + l meets tap l*ratio + j - offset + half
+    lags = np.arange(-pad, pad + 1)[:, None]
+    index = lags * ratio + np.arange(start, start + width) - offset + half
+    signal = np.where((index >= 0) & (index < taps), h[np.clip(index, 0, taps - 1)],
+                      0.0).sum(axis=1)
+    noise = h.copy() if ratio == 1 else _checked_factor(_autocovariance(h)[::ratio])
+    signal.flags.writeable = noise.flags.writeable = False
+    return signal, noise
+
+
+def _autocovariance(b: np.ndarray) -> np.ndarray:
+    """``sum_i b_i b_{i+k}`` for every lag ``k`` of ``b``."""
+    return np.array([np.dot(b[:b.size - k], b[k:]) for k in range(b.size)])
+
+
+def _min_phase_factor(r: np.ndarray, size: int) -> np.ndarray | None:
+    """Minimum-phase ``b`` with autocovariance ``r`` by the cepstrum on
+    ``size`` points, or None where the spectrum is not positive."""
+    q = r.size - 1
+    symmetric = np.zeros(size)
+    symmetric[:q + 1] = r
+    symmetric[size - q:] = r[:0:-1]
+    spectrum = rfft(symmetric).real
+    if not spectrum.min() > 0.0:
+        return None
+    # log|B| = log(S) / 2; the causal part of its cepstrum is log B
+    cepstrum = irfft(np.log(spectrum), size) * 0.5
+    cepstrum[1:size // 2] *= 2.0
+    cepstrum[size // 2 + 1:] = 0.0
+    return irfft(np.exp(rfft(cepstrum)), size)[:q + 1]
+
+
+def _checked_factor(r: np.ndarray) -> np.ndarray:
+    """A factor of ``r`` whose autocovariance matches it within 1e-12 of
+    ``r[0]``; the cepstrum's aliasing shrinks as its length grows."""
+    for size in (2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20):
+        b = _min_phase_factor(r, size)
+        if b is None:
+            break
+        residual = float(np.max(np.abs(_autocovariance(b) - r))) / r[0]
+        if residual <= 1e-12:
+            return b
+    raise ConfigError(
+        "dsp: the low-passed, decimated noise has no pulse-rate factor "
+        + ("(its spectrum is not positive)" if b is None else
+           f"(autocovariance residual {residual:.2e} of r0 above 1e-12)")
+        + "; change dsp.oversample, dsp.lowpass_cutoff or dsp.lowpass_taps")
+
+
 def _reflected(window: np.ndarray, lo: int, n: int, half: int,
                start: int, stop: int) -> np.ndarray:
     """``np.pad(x, half, mode="reflect")[start:stop]`` from ``window``.
@@ -166,44 +271,38 @@ def _reflected(window: np.ndarray, lo: int, n: int, half: int,
     return np.concatenate((window[head], window, window[tail]))
 
 
-def _block_size(taps: int, decimate: int) -> int:
+def _block_size(taps: int) -> int:
     """Transform length of one cache-sized block for a kernel of ``taps`` samples.
 
     Transforms of this size stay in cache (2**14 points ran about twice as
-    fast as 2**16 over 8M samples).  A block holds the kernel and at least
-    ``decimate`` more samples: overlap-save keeps
-    ``(size - taps + 1) // decimate`` outputs of each, and the
-    autocorrelation (``taps = max_lag``, ``decimate = 1``) sums
-    ``size - max_lag`` samples per chunk.
+    fast as 2**16 over 8M samples).  Overlap-save keeps ``size - taps + 1``
+    outputs of each block, and the autocorrelation (``taps = max_lag``)
+    sums ``size - max_lag`` samples per chunk.
     """
-    return next_fast_len(max(2 ** 14, 4 * taps, taps + decimate))
+    return next_fast_len(max(2 ** 14, 4 * taps))
 
 
-def _overlap_save(read, n: int, h: np.ndarray, decimate: int, offset: int) -> np.ndarray:
+def _overlap_save(read, n: int, h: np.ndarray) -> np.ndarray:
     """The one filter loop: reflect-padded FFT convolution by overlap-save.
 
     Filters the ``n`` samples ``read`` returns with ``h`` in transforms of
-    ``_block_size`` points and returns the ``n // decimate`` outputs at
-    ``offset``, ``offset + decimate``, ... of the group-delay compensated
-    full-rate output.
+    ``_block_size`` points and returns the ``n`` group-delay compensated
+    outputs.
     """
     taps = h.size
     half = taps // 2
-    size = _block_size(taps, decimate)
-    count = n // decimate
-    per_block = (size - taps + 1) // decimate
+    size = _block_size(taps)
+    per_block = size - taps + 1
     spectrum = rfft(h, size)
-    keep = taps - 1 + offset
-    out = np.empty(count)
-    for first in range(0, count, per_block):
-        last = min(count, first + per_block)
-        # the padded input [start, stop) yields outputs first..last-1
-        start = first * decimate
-        stop = (last - 1) * decimate + offset + taps
-        lo = max(start - half, 0)
-        segment = _reflected(read(lo, min(stop - half, n)), lo, n, half, start, stop)
+    out = np.empty(n)
+    for first in range(0, n, per_block):
+        last = min(n, first + per_block)
+        # the padded input [first, stop) yields outputs first..last-1
+        stop = last - 1 + taps
+        lo = max(first - half, 0)
+        segment = _reflected(read(lo, min(stop - half, n)), lo, n, half, first, stop)
         full = irfft(rfft(segment, size) * spectrum, size)
-        out[first:last] = full[keep:keep + (last - first) * decimate:decimate]
+        out[first:last] = full[taps - 1:taps - 1 + last - first]
     return out
 
 
@@ -226,18 +325,12 @@ class SampleStream:
         return self.size
 
 
-def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
-            decimate: int = 1, sample_phase: float = 0.5) -> np.ndarray:
+def lowpass(samples, rate: float, cutoff: float, taps: int = 201) -> np.ndarray:
     """Low-pass filter by FFT convolution, group delay compensated.
 
     ``samples`` is a 1-d array or a ``SampleStream``; either runs over
-    cache-sized overlap-save blocks.  ``decimate = 1`` returns a sequence
-    of the input length.  An integer ``decimate > 1`` keeps one output per
-    ``decimate`` inputs, the one at ``sample_phase`` in [0, 1) of each
-    period (0.5 = mid-pulse), for the ``len(samples) // decimate`` whole
-    periods; it equals the full output strided from offset
-    ``min(round(sample_phase * decimate), decimate - 1)`` to within
-    rounding.
+    cache-sized overlap-save blocks and returns a sequence of the input
+    length.
     """
     if isinstance(samples, SampleStream):
         read, n = samples.read, samples.size
@@ -246,16 +339,10 @@ def lowpass(samples, rate: float, cutoff: float, taps: int = 201, *,
         if x.ndim != 1:
             raise ValueError("samples must be 1-d")
         read, n = (lambda lo, hi: x[lo:hi]), x.size
-    if isinstance(decimate, bool) or decimate != int(decimate) or decimate < 1:
-        raise ValueError(f"decimate must be a positive integer, got {decimate!r}")
-    decimate = int(decimate)
-    if not 0.0 <= sample_phase < 1.0:
-        raise ValueError("sample_phase must lie in [0, 1)")
     h = design_lowpass(rate, cutoff, taps)
     if n <= taps // 2:
         raise ValueError(f"need more than taps//2 = {taps // 2} samples, got {n}")
-    offset = min(int(round(sample_phase * decimate)), decimate - 1)
-    return _overlap_save(read, n, h, decimate, offset)
+    return _overlap_save(read, n, h)
 
 
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
@@ -334,7 +421,7 @@ def autocorrelation(samples, max_lag: int = 400) -> AutocorrelationReport:
     if n < 16 or max_lag >= n / 10:
         raise ValueError(f"need n > 10 * max_lag samples, got n={n}, max_lag={max_lag}")
     mean = x.mean()
-    size = _block_size(max_lag, 1)
+    size = _block_size(max_lag)
     step = size - max_lag
     cross = np.zeros(size // 2 + 1, dtype=complex)
     for first in range(0, n, step):

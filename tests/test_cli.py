@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sdiqrng import cli, detector, entropy
+from sdiqrng import cli, detector, dsp, entropy
 from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
@@ -648,6 +648,32 @@ def test_extract_too_short_for_one_hash_block_exits_2(tmp_path, capsys):
     assert "1000 samples cannot fill one block of 1335" in capsys.readouterr().err
     assert not (out / "output.bits").exists()
     assert not (out / "accounting.txt").exists()
+
+
+def test_failed_extract_writes_no_seed_file(tmp_path, capsys):
+    # the seed file is written only beside the output bits it hashed
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("[dsp]\nenabled = false\n\n[simulate]\npulses = 1000\n\n"
+                        "[extractor]\nh_min_override = 5.55\n")
+    out = tmp_path / "out"
+    run_pipeline(str(cfg_path), out, ("simulate",))
+    assert main(["extract", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not (out / "toeplitz.seed").exists()
+
+
+def test_chain_without_a_noise_factor_exits_2(tmp_path, capsys, monkeypatch):
+    # no accepted [dsp] setting was found whose noise spectrum vanishes, so
+    # the factor's spectrum is reported as not positive
+    cfg_path = write_cfg(tmp_path)
+    dsp.pulse_rate_filters.cache_clear()
+    monkeypatch.setattr(dsp, "_min_phase_factor", lambda r, size: None)
+    try:
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    finally:
+        monkeypatch.undo()
+        dsp.pulse_rate_filters.cache_clear()
+    err = capsys.readouterr().err
+    assert "error (config): dsp:" in err and "dsp.oversample" in err
 
 
 def test_unwritable_artifact_path_exits_2(tmp_path, capsys):

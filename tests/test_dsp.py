@@ -6,9 +6,11 @@ the time-domain measurements have an independent oracle.  scipy.signal is a
 test-only oracle: the numpy design must equal ``firwin`` bit for bit,
 ``lowpass`` must equal ``fftconvolve`` of the reflect-padded input to within
 rounding, and ``scipy.fft`` is the oracle for ``next_fast_len``.  The
-decimating ``lowpass`` is checked against that ``fftconvolve`` output
-strided by hand, and the blocked ``autocorrelation`` against the per-lag
-sums of its definition.
+pulse-rate filters are checked against the oversampled chain they replace:
+a flat-top wave filtered at the full rate by ``fftconvolve`` and strided by
+hand, and white noise through the same taps for the noise factor's
+autocovariance.  The blocked ``autocorrelation`` is checked against the
+per-lag sums of its definition.
 """
 
 import math
@@ -25,8 +27,10 @@ from sdiqrng.dsp import (
     design_lowpass,
     lowpass,
     next_fast_len,
+    pulse_rate_filters,
     remove_low_frequency,
 )
+from sdiqrng.exceptions import ConfigError
 
 
 def oracle_response(h, freq, rate):
@@ -182,77 +186,177 @@ def test_group_delay_compensated_impulse():
                                y[500 - 1:500 - 90:-1], atol=1e-12)
 
 
-def _strided(x, rate, cutoff, taps, decimate, sample_phase):
-    """Oracle for the decimating lowpass: the full-rate output by
-    ``fftconvolve`` of the reflect-padded input, then stride."""
-    offset = min(int(round(sample_phase * decimate)), decimate - 1)
-    full = ssig.fftconvolve(np.pad(x, taps // 2, mode="reflect"),
+def _offset(sample_phase, decimate):
+    return min(int(round(sample_phase * decimate)), decimate - 1)
+
+
+def _full_rate(amplitudes, rate, cutoff, taps, decimate, duty):
+    """The flat-top wave of ``amplitudes`` at ``decimate`` samples per pulse,
+    filtered at the full rate by ``fftconvolve`` of the reflect-padded wave."""
+    width = max(1, int(round(decimate * duty)))
+    start = (decimate - width) // 2
+    pulses = np.zeros((amplitudes.size, decimate))
+    pulses[:, start:start + width] = amplitudes[:, None]
+    return ssig.fftconvolve(np.pad(pulses.ravel(), taps // 2, mode="reflect"),
                             design_lowpass(rate, cutoff, taps), mode="valid")
-    return full[offset:(x.size // decimate) * decimate:decimate]
+
+
+def _strided(amplitudes, rate, cutoff, taps, decimate, sample_phase, duty=0.5):
+    """Oracle for the pulse-rate signal filter: the full-rate output, then
+    one sample per pulse."""
+    full = _full_rate(amplitudes, rate, cutoff, taps, decimate, duty)
+    return full[_offset(sample_phase, decimate)::decimate]
 
 
 @pytest.mark.parametrize("taps", [5, 257, 801])
 @pytest.mark.parametrize("decimate", [2, 4, 8, 16])
 def test_decimating_lowpass_equals_full_output_strided(decimate, taps):
+    # the signal filter over the amplitudes equals the oversampled chain at
+    # every pulse whose full-rate window stays clear of the reflect padding
     rng = np.random.default_rng(100 * decimate + taps)
-    block = (dsp._block_size(taps, decimate) - taps + 1) // decimate * decimate
-    lengths = (taps // 2 + 1,          # every output reaches into the padding
-               1003,                   # shorter than one block
-               3 * block,              # a whole number of blocks
-               2 * block + 5 * decimate + 3)
-    for n in lengths:
-        x = rng.normal(size=n)
+    for n in (taps // decimate + 3, 1003):
+        amplitudes = rng.normal(size=n)
         for phase in (0.0, 0.5, 0.99):
-            got = lowpass(x, 8.0, 2.8, taps, decimate=decimate, sample_phase=phase)
-            ref = _strided(x, 8.0, 2.8, taps, decimate, phase)
-            assert got.shape == (n // decimate,)
-            # every output, the reflect-padded edge outputs included
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            for duty in (0.5, 1.0, 0.01):
+                signal, _ = pulse_rate_filters(8.0 / decimate, decimate, 2.8, taps,
+                                               duty, phase)
+                pad = signal.size // 2
+                assert pad == -(-(taps // 2) // decimate)
+                got = np.correlate(amplitudes, signal, "valid")
+                ref = _strided(amplitudes, 8.0, 2.8, taps, decimate, phase, duty)
+                assert got.shape == (n - 2 * pad,)
+                # relative to the input: at a short duty a few outputs are 0
+                np.testing.assert_allclose(got, ref[pad:n - pad], rtol=0,
+                                           atol=1e-12 * np.abs(amplitudes).max())
 
 
 def test_decimate_index_arithmetic():
-    def kept(x, decimate, phase, taps=5):
-        return (lowpass(x, 8.0, 2.8, taps, decimate=decimate, sample_phase=phase),
-                lowpass(x, 8.0, 2.8, taps))
+    # one pulse of unit amplitude: the signal taps are its full-rate
+    # response read at the kept offset of each period, and that offset is
+    # min(round(sample_phase * oversample), oversample - 1)
+    def response(decimate, phase, taps=201, duty=0.5):
+        signal, _ = pulse_rate_filters(8.0 / decimate, decimate, 2.8, taps, duty, phase)
+        pad = signal.size // 2
+        amplitudes = np.zeros(4 * pad + 1)    # no reflection reaches pulses pad..3 pad
+        amplitudes[2 * pad] = 1.0
+        ref = _strided(amplitudes, 8.0, 2.8, taps, decimate, phase, duty)
+        # pulse p sees the amplitude at lag 2 pad - p
+        np.testing.assert_allclose(signal, ref[pad:3 * pad + 1][::-1], rtol=0, atol=1e-14)
+        return signal
 
-    rng = np.random.default_rng(29)
-    got, full = kept(rng.normal(size=800), 800, 0.5, taps=201)
-    np.testing.assert_allclose(got, full[[400]], rtol=0, atol=1e-12)
-    got, full = kept(rng.normal(size=32), 8, 0.0)
-    np.testing.assert_allclose(got, full[[0, 8, 16, 24]], rtol=0, atol=1e-12)
-    # phase just below 1 stays inside the pulse period
-    got, full = kept(rng.normal(size=16), 8, 0.99)
-    np.testing.assert_allclose(got, full[[7, 15]], rtol=0, atol=1e-12)
-    # output length is the whole number of pulses
-    assert kept(rng.normal(size=805), 8, 0.5)[0].size == 100
-    # decimate = 1 ignores the phase and is the full output itself
-    x = rng.normal(size=64)
-    assert np.array_equal(lowpass(x, 8.0, 2.8, 5, decimate=1, sample_phase=0.9),
-                          lowpass(x, 8.0, 2.8, 5))
+    assert _offset(0.5, 800) == 400 and _offset(0.0, 8) == 0
+    assert _offset(0.99, 8) == 7      # a phase just below 1 stays in the period
+    assert _offset(0.75, 2) == 1      # round half to even, then clamped
+    for decimate, phase in ((800, 0.5), (8, 0.0), (8, 0.99), (2, 0.75), (3, 0.5)):
+        response(decimate, phase)
+    # at one sample per pulse the phase has no sample to choose and the
+    # signal filter is the low-pass itself
+    signal = response(1, 0.9, taps=5, duty=1.0)
+    assert np.array_equal(signal, design_lowpass(8.0, 2.8, 5))
+    assert np.array_equal(pulse_rate_filters(8.0, 1, 2.8, 5, 1.0, 0.0)[0], signal)
 
 
 def test_decimate_keeps_the_mid_pulse_sample():
-    x = np.zeros(8 * 100)
-    x[8 * 50 + 4] = 1.0     # impulse at the middle of pulse 50
-    full = lowpass(x, 8.0, 2.8, 201)
-    mid = lowpass(x, 8.0, 2.8, 201, decimate=8, sample_phase=0.5)
-    assert mid.size == 100
-    assert int(np.argmax(mid)) == 50
-    assert mid[50] == pytest.approx(full.max(), abs=1e-12)
-    start = lowpass(x, 8.0, 2.8, 201, decimate=8, sample_phase=0.0)
-    assert start.max() < mid.max()
+    # a flat top centred in its period peaks at lag 0 when sampled mid-pulse
+    signal, _ = pulse_rate_filters(1.0, 8, 2.8, 201, 0.5, 0.5)
+    pad = signal.size // 2
+    assert signal.size == 2 * 13 + 1 and int(np.argmax(signal)) == pad
+    amplitudes = np.zeros(4 * pad + 1)
+    amplitudes[2 * pad] = 1.0
+    peak = _full_rate(amplitudes, 8.0, 2.8, 201, 8, 0.5).max()
+    assert signal[pad] == pytest.approx(peak, abs=1e-12)
+    start, _ = pulse_rate_filters(1.0, 8, 2.8, 201, 0.5, 0.0)
+    assert start[pad] < signal[pad]
+    # the taps are read-only: they are cached and shared by every caller
+    with pytest.raises(ValueError):
+        signal[0] = 1.0
 
 
 def test_decimate_rejects_bad_arguments():
-    x = np.arange(10.0)
-    for decimate in (0, -8, 2.5, True):
-        with pytest.raises(ValueError, match="decimate"):
-            lowpass(x, 10.0, 2.0, 5, decimate=decimate)
+    for oversample in (0, -8, 2.5, True):
+        with pytest.raises(ValueError, match="oversample"):
+            pulse_rate_filters(1.0, oversample, 0.4, 5, 0.5, 0.5)
     for phase in (1.0, -0.1):
         with pytest.raises(ValueError, match="sample_phase"):
-            lowpass(x, 10.0, 2.0, 5, decimate=2, sample_phase=phase)
+            pulse_rate_filters(1.0, 2, 0.4, 5, 0.5, phase)
+    for duty in (0.0, 1.5):
+        with pytest.raises(ValueError, match="pulse_duty"):
+            pulse_rate_filters(1.0, 2, 0.4, 5, duty, 0.5)
     with pytest.raises(ValueError, match="rate"):
-        lowpass(x, -10.0, 2.0, 5, decimate=2)
+        pulse_rate_filters(-10.0, 2, 2.0, 5, 0.5, 0.5)
+
+
+def _noise_autocovariance(h, decimate):
+    """sum_i h_i h_{i + k * decimate} for k = 0..(taps - 1) // decimate."""
+    return np.array([np.dot(h[:h.size - k], h[k:]) for k in range(0, h.size, decimate)])
+
+
+def _lag_covariance_bound(r, n):
+    """Four standard errors of a lag covariance estimate from ``n`` samples
+    of a Gaussian MA process with autocovariance ``r``: Bartlett's
+    n var(c_k) = sum_j gamma_j^2 + gamma_{j+k} gamma_{j-k} is at most
+    2 sum_j gamma_j^2, with equality at lag 0."""
+    return 4.0 * math.sqrt(2.0 * (r[0] ** 2 + 2.0 * np.sum(r[1:] ** 2)) / n)
+
+
+# (pulse rate, oversample, cutoff, taps, duty, phase): the defaults, one
+# sample per pulse, two, a full duty cycle, phases 0 and 0.75, and 20 MHz
+# cutoffs at oversample 8 and 2, whose decimated noise spectra dip to 1.5e-6
+# and 4e-11 of r0 (the second needs a 2**18-point cepstrum)
+FACTOR_POINTS = [(50e6, 8, 140e6, 257, 0.5, 0.5), (50e6, 1, 20e6, 257, 0.5, 0.5),
+                 (50e6, 2, 40e6, 257, 0.5, 0.5), (50e6, 8, 140e6, 257, 1.0, 0.5),
+                 (50e6, 8, 140e6, 257, 0.5, 0.0), (50e6, 8, 140e6, 257, 0.5, 0.75),
+                 (50e6, 8, 20e6, 257, 0.5, 0.5), (50e6, 2, 20e6, 257, 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("point", FACTOR_POINTS)
+def test_noise_factor_reproduces_the_decimated_autocovariance(point):
+    rate, decimate, cutoff, taps, duty, phase = point
+    _, factor = pulse_rate_filters(*point)
+    r = _noise_autocovariance(design_lowpass(decimate * rate, cutoff, taps), decimate)
+    assert factor.size == r.size == (taps - 1) // decimate + 1
+    acov = np.array([np.dot(factor[:factor.size - k], factor[k:])
+                     for k in range(factor.size)])
+    np.testing.assert_allclose(acov, r, rtol=0, atol=1e-14 * r[0])
+    if decimate == 1:
+        assert np.array_equal(factor, design_lowpass(rate, cutoff, taps))
+
+
+def test_noise_autocovariance_is_that_of_white_noise_through_the_chain():
+    # the law the factor reproduces, against the oversampled chain itself:
+    # white noise at 8 samples per pulse, low-passed at the full rate and
+    # kept once per pulse
+    h = design_lowpass(400e6, 140e6, 257)
+    r = _noise_autocovariance(h, 8)
+    white = np.random.default_rng(53).normal(size=8 * 400_000)
+    kept = ssig.fftconvolve(white, h, mode="valid")[4::8]
+    n = kept.size
+    sample = np.array([np.dot(kept[:n - k], kept[k:]) / n for k in range(r.size)])
+    assert np.all(np.abs(sample - r) < _lag_covariance_bound(r, n)), sample - r
+
+
+def test_noise_factor_that_misses_its_autocovariance_is_a_config_error(monkeypatch):
+    # no accepted setting was found whose factor misses, so a factor is
+    # perturbed by 1e-9 to exercise the check, and a spectrum is made negative
+    point = (50e6, 8, 140e6, 257, 0.5, 0.5)
+    exact = dsp._min_phase_factor
+    pulse_rate_filters.cache_clear()
+    try:
+        monkeypatch.setattr(dsp, "_min_phase_factor",
+                            lambda r, size: exact(r, size) * (1.0 + 1e-9))
+        with pytest.raises(ConfigError, match="dsp.oversample, dsp.lowpass_cutoff"
+                                              " or dsp.lowpass_taps") as info:
+            pulse_rate_filters(*point)
+        assert "residual" in str(info.value)
+        monkeypatch.setattr(dsp, "_min_phase_factor", lambda r, size: None)
+        with pytest.raises(ConfigError, match="not positive"):
+            pulse_rate_filters(*point)
+    finally:
+        monkeypatch.undo()
+        pulse_rate_filters.cache_clear()
+    r = np.array([1.0, 0.6])          # S(w) = 1 + 1.2 cos(w) dips below 0
+    assert exact(r, 2 ** 14) is None
+    assert pulse_rate_filters(*point)[1].size == 33
 
 
 def test_notch_removes_dc_offset():
@@ -299,8 +403,7 @@ def test_full_chain_variance_bookkeeping():
     white = rng.normal(size=1 << 21)
     inband = lowpass(white, input_rate, 100e6, 1001)
     pre = np.var(inband[1000:-1000])
-    per_pulse = lowpass(inband, input_rate, 140e6, 257,
-                        decimate=int(input_rate // pulse_rate), sample_phase=0.5)
+    per_pulse = lowpass(inband, input_rate, 140e6, 257)[4::int(input_rate // pulse_rate)]
     cleaned = remove_low_frequency(per_pulse, pulse_rate, 25e6, 24.5e6, 801)
     post = np.var(cleaned[400:-400])
     assert post == pytest.approx(pre, rel=0.05)
