@@ -1,12 +1,13 @@
 """Atomic file writes (temp file in the target directory, then rename), the
-append-only log line, the artifacts' UTC timestamp format, and the two text
+append-only log line, the artifacts' UTC timestamp format, the two text
 artifact layouts: "key: value" reports (written and read back) and commented
-CSVs."""
+CSVs, and the one worker pool every stage fans its independent tasks out on."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 
@@ -81,3 +82,21 @@ def write_csv(path, comments, header, rows) -> None:
     lines = [f"# {c}" for c in comments] + [",".join(header)]
     lines += [",".join(map(str, row)) for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def ordered_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, the tasks spread over ``threads``
+    worker threads.
+
+    Results come back in input order, and an exception propagates from the
+    first failing item in input order, so a caller sees the same results and
+    the same error at any thread count.  One thread runs every task in the
+    calling thread, without a pool.
+    """
+    if threads == 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        return list(pool.map(fn, items))
+    finally:   # after a failure, tasks not yet started never start
+        pool.shutdown(cancel_futures=True)

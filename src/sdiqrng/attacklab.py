@@ -92,11 +92,18 @@ def random_pure_bipartite(dim_e: int, dim_a: int,
 def phase_average_A(state: BipartiteState) -> BipartiteState:
     """Average over a uniformly random LO-referenced phase rotation of A.
 
-    Every A coherence ``n != m`` is zeroed.
+    Every A coherence ``n != m`` is zeroed.  The average of a valid state is
+    valid by construction (Hermitian, trace kept, and PSD, each A block a
+    principal submatrix of ``rho``), so the result is built without
+    ``BipartiteState``'s checks and their eigendecomposition.
     """
     t = state.tensor() * np.eye(state.dim_a)[None, :, None, :]
     d = state.dim_e * state.dim_a
-    return BipartiteState(state.dim_e, state.dim_a, t.reshape(d, d))
+    averaged = object.__new__(BipartiteState)
+    for name, value in (("dim_e", state.dim_e), ("dim_a", state.dim_a),
+                        ("rho", t.reshape(d, d))):
+        object.__setattr__(averaged, name, value)
+    return averaged
 
 
 _GL_NODES = 200  # Gauss-Legendre points per bin in the overlap integrals

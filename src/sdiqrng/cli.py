@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, attacklab, calibration, detector, dsp, entropy, extractor, states
-from ._io import (iso_utc, read_report, write_bytes_atomic, write_csv, write_report,
-                  write_text_atomic)
+from ._io import (iso_utc, ordered_map, read_report, write_bytes_atomic, write_csv,
+                  write_report, write_text_atomic)
 from .config import RunConfig, load_config, substream
 from .exceptions import (CalibrationError, ConfigError, InfeasiblePlanError,
                          SecurityModelViolation)
@@ -72,22 +72,29 @@ def _integer_counts(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _write_histogram_csv(path: Path, codes: np.ndarray,
+def _write_histogram_csv(path: Path, counts: np.ndarray,
                          config: detector.MeasurementConfig) -> None:
-    counts = _integer_counts(codes, config.code_min, config.code_max)
-    # integer codes sum exactly, so this equals np.std(codes.astype(float))
-    sigma_codes = float(np.std(codes, dtype=np.float64))
+    """Write the raw code histogram from ``counts``, the count of each code
+    ``config.code_min``..``config.code_max``, beside a Gaussian of the width
+    the codes measure."""
+    codes = range(config.code_min, config.code_max + 1)
+    per_code = counts.tolist()
+    # exact integer moments, so that the variance is rounded once, in the
+    # true division, before the sqrt
+    n = sum(per_code)
+    s1 = sum(k * c for k, c in zip(codes, per_code))
+    s2 = sum(k * k * c for k, c in zip(codes, per_code))
+    sigma_codes = math.sqrt((n * s2 - s1 * s1) / (n * n))
     edges = np.arange(config.code_min, config.code_max + 2) - 0.5
     if sigma_codes > 0:
         cdf = 0.5 * (1.0 + states._erf(edges / (sigma_codes * math.sqrt(2.0))))
-        reference = codes.size * np.diff(cdf)
+        reference = n * np.diff(cdf)
     else:
         reference = np.zeros(counts.size)
     write_csv(path, ["raw ADC code histogram against a Gaussian of the measured width",
-                     f"n_samples={codes.size} sigma_codes={sigma_codes!r}"],
+                     f"n_samples={n} sigma_codes={sigma_codes!r}"],
               ["code", "count", "gaussian_reference"],
-              zip(range(config.code_min, config.code_max + 1), counts.tolist(),
-                  reference.tolist()))
+              zip(codes, per_code, reference.tolist()))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -97,6 +104,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     det = cfg.detector
     ts = iso_utc(cfg.run.timestamp)
     run_id = f"{cfg.run.rng_seed:016x}"
+    autocorr_needed = cfg.dsp.autocorr_samples
 
     def write(name: str, b: int, analog: np.ndarray) -> tuple[np.ndarray, int]:
         codes, clipped = detector.quantize(analog, det)
@@ -106,26 +114,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
                                  timestamp=ts, clipped=clipped))
         return codes, clipped
 
-    autocorr_codes: list[np.ndarray] = []
-    autocorr_needed = cfg.dsp.autocorr_samples
-    raw_hist_codes: list[np.ndarray] = []
-    total_clipped = 0
-    for b in range(cfg.simulate.blocks):
+    def simulate_block(b: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Write block b; return its clipped count, its raw code counts and
+        its share of the autocorrelation's leading codes."""
         rng = substream(cfg.run.rng_seed, f"simulate-{b}")
         raw, filtered = detector.measure_pulses(cfg.source, det, cfg.simulate.pulses,
                                                 rng, cfg.dsp)
-        raw_codes, clipped = write("raw", b, raw)
-        codes = raw_codes
+        codes, clipped = write("raw", b, raw)
+        counts = _integer_counts(codes, det.code_min, det.code_max)
         if cfg.dsp.enabled:
+            del raw, codes   # freed before the filtered stream is quantized
             codes, clipped = write("filtered", b, filtered)
-        del raw, filtered   # freed before the next block's chain runs
-        total_clipped += clipped
-        raw_hist_codes.append(raw_codes)
-        if sum(c.size for c in autocorr_codes) < autocorr_needed:
-            autocorr_codes.append(codes)
+        # every block holds as many codes: block b's begin at code
+        # b * codes.size of the run
+        keep = min(codes.size, max(0, autocorr_needed - b * codes.size))
+        return clipped, counts, codes[:keep].copy()
 
-    total = cfg.simulate.blocks * cfg.simulate.pulses
-    ac = np.concatenate(autocorr_codes)[:autocorr_needed]
+    results = ordered_map(simulate_block, range(cfg.simulate.blocks), cfg.run.threads)
+    total_clipped = sum(clipped for clipped, _, _ in results)
+    raw_counts = sum(counts for _, counts, _ in results)
+    ac = np.concatenate([codes for _, _, codes in results])
     if ac.size > 10 * cfg.dsp.autocorr_max_lag:
         _write_autocorrelation_csv(out / "autocorrelation.csv", ac,
                                    cfg.dsp.autocorr_max_lag)
@@ -133,10 +141,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         (out / "autocorrelation.csv").unlink(missing_ok=True)
         print(f"note: only {ac.size} samples simulated, skipping the "
               f"{cfg.dsp.autocorr_max_lag}-lag autocorrelation diagnostic")
-    _write_histogram_csv(out / "histogram_raw_vs_vacuum.csv",
-                         np.concatenate(raw_hist_codes), det)
+    _write_histogram_csv(out / "histogram_raw_vs_vacuum.csv", raw_counts, det)
     print(f"simulate: {cfg.simulate.blocks} block(s) x {cfg.simulate.pulses} pulses "
           f"-> {blocks_dir}")
+    total = cfg.simulate.blocks * cfg.simulate.pulses
     print(f"simulate: {total_clipped} of {total} samples clipped")
     return 0
 
@@ -305,7 +313,7 @@ def cmd_test(cfg: RunConfig) -> int:
     bits = _read_output_bits(out)
     try:
         report = battery.run_battery(bits, cfg.stats.string_bits,
-                                     alpha=cfg.stats.alpha)
+                                     alpha=cfg.stats.alpha, threads=cfg.run.threads)
     except ValueError as exc:
         raise ConfigError(f"stats: {exc}") from None
     write_text_atomic(out / "battery.txt", report.to_text())
@@ -450,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rng-seed", metavar="UINT64", type=int,
                         help="global random seed (overrides run.rng_seed)")
     common.add_argument("--threads", metavar="N", type=int,
-                        help="worker threads for extraction (overrides run.threads)")
+                        help="worker threads for simulate, extract and test; simulate "
+                             "holds one block per worker (overrides run.threads)")
     parser = argparse.ArgumentParser(
         prog="sdiqrng",
         description="Simulator and post-processing toolkit for a vacuum-noise "

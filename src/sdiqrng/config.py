@@ -47,6 +47,8 @@ __all__ = ["RunConfig", "load_config", "substream"]
 class RunSettings:
     out_dir: str = "run-artifacts"
     rng_seed: int = 20260815
+    # worker threads for simulate, extract and test; simulate holds one
+    # block's working set per worker
     threads: int = 1
     timestamp: float = 0.0
 

@@ -53,11 +53,13 @@ from entropy accounting.
 Low-frequency drift removal works entirely with the one low-pass primitive:
 modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
 At the default ``f_mod = rate/2`` the carrier is exactly (-1)**k, the two
-spectral images coincide, and the re-modulation factor is 1; for
-``f_mod < rate/2`` each cosine halves the passband amplitude and the
-re-modulation carries the conventional factor 2.  Net effect either way: a
-linear-phase high-pass whose stop band is the original band below
-``rate/2 - cutoff``.  The modulated input is a ``SampleStream`` and the
+spectral images coincide, and the re-modulation factor is 1: the net effect
+is a linear-phase high-pass whose stop band is the original band below
+``rate/2 - cutoff``.  For ``f_mod < rate/2`` each cosine halves the passband
+amplitude and the re-modulation carries the conventional factor 2, but it
+also leaves an image of the band at f +- 2*f_mod that aliases back into the
+band, so the output is not a high-passed copy of the input (see
+``remove_low_frequency``).  The modulated input is a ``SampleStream`` and the
 carrier is made block by block, so the notch also runs over cache-sized
 blocks: the default 16001-tap notch over a million pulses is 21 transforms
 of 64800 points, not one of 1.08M points, and its output moves only by
@@ -349,9 +351,17 @@ def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
                          post_mod_lowpass_cutoff: float, taps: int = 801) -> np.ndarray:
     """Suppress DC and drift below ``pulse_rate/2 - post_mod_lowpass_cutoff``.
 
-    Modulate to move low frequencies up to Nyquist, low-pass them away,
-    modulate back.  White-noise variance in the kept band is preserved
-    (the Hamming stop band gives >= 50 dB suppression of the notched band).
+    Modulate to move low frequencies up to ``modulation_freq``, low-pass
+    them away, modulate back.  White-noise variance in the kept band is
+    preserved only at ``modulation_freq == pulse_rate/2``, where the
+    carrier is (-1)**k and both images of the band coincide (the Hamming
+    stop band gives >= 50 dB suppression of the notched band).  Below that,
+    modulating back also shifts the band to f +- 2*modulation_freq, and
+    that image aliases back into the band: a shifted copy of the band is
+    added to the output.  On white noise at a 50 MHz pulse rate with 801
+    taps, the output/input variance ratio was 0.98 at (modulation_freq,
+    cutoff) = (25e6, 24.5e6), the notched 2% of the band removed, but 1.46
+    at (24.5e6, 24.495e6) and 1.09 at (20e6, 19.9e6).
     The carrier is computed block by block, as the low-pass reads the
     modulated input and as its output is modulated back.
     """

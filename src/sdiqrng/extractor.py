@@ -12,9 +12,10 @@ distance ``epsilon`` of uniform given the certified min-entropy.
 ``plan_extraction`` searches for the smallest N whose budget meets the
 requested output bits per sample.
 
-Hashing has one FFT route and a naive oracle, kept deliberately independent
-and required to agree bit for bit.  The oracle is a GF(2) row-times-vector
-product (AND then XOR-reduce, no floating point).  The FFT route reads
+Hashing has one FFT route.  The tests keep a naive oracle beside it
+(``tests/naive_toeplitz.py``), deliberately independent and required to
+agree bit for bit: a GF(2) row-times-vector product (AND then XOR-reduce,
+no floating point).  The FFT route reads
 every output parity off an integer count: ``(T x)[i]`` is coefficient
 ``n - 1 + i`` of the linear convolution of the seed with ``x``.  The seed's
 spectrum ``rfft(seed, L)`` (``numpy.fft``, as in ``dsp``) is computed once
@@ -54,14 +55,13 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from numpy.lib.stride_tricks import sliding_window_view
 
+from ._io import ordered_map
 from .dsp import next_fast_len
 from .entropy import equivalent_bit_rate
 from .exceptions import InfeasiblePlanError, SecurityModelViolation
@@ -72,8 +72,6 @@ _BATCH_BLOCKS = 8
 _MAX_ROUNDING_RESIDUAL = 0.25
 # blocks shorter than this pack two to a transform row (counts below 2**36)
 _PACK_TWO_BELOW = 1 << 18
-# memory for one chunk of explicit Toeplitz rows in the naive route
-_NAIVE_CHUNK_BYTES = 64 << 20
 
 __all__ = [
     "ExtractionPlan",
@@ -239,24 +237,6 @@ def _check_bits(name: str, bits: np.ndarray) -> None:
         raise ValueError(f"{name} bits must be 0/1")
 
 
-def _naive_chunk_rows(n: int) -> int:
-    """Toeplitz rows per chunk so that one chunk of n-bit rows fits the budget."""
-    return max(1, _NAIVE_CHUNK_BYTES // n)
-
-
-def _toeplitz_naive(x: np.ndarray, seed: np.ndarray, m: int) -> np.ndarray:
-    """Reference route: explicit rows, AND, XOR-reduce.  Pure GF(2)."""
-    n = x.size
-    windows = sliding_window_view(seed, n)  # windows[i] = seed[i : i + n]
-    out = np.empty(m, dtype=np.uint8)
-    chunk = _naive_chunk_rows(n)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        rows = windows[start:stop, ::-1]     # row i of T = reversed window i
-        out[start:stop] = np.bitwise_xor.reduce(rows & x, axis=1)
-    return out
-
-
 class _Workspace:
     """One thread's transform buffers for hashing n-bit blocks down to m
     bits, up to ``blocks`` blocks per pass, reused from pass to pass.
@@ -327,7 +307,7 @@ def toeplitz_hash(input_bits, seed: ToeplitzSeed, m: int, *,
     any other length is an error.
 
     Hashing runs on the FFT route; tests hold it bit-identical to the
-    ``_toeplitz_naive`` oracle across sizes.  The seed must be a
+    naive oracle of ``tests/naive_toeplitz.py`` across sizes.  The seed must be a
     ``ToeplitzSeed``, which had its bits checked when it was made and
     carries its FFT spectrum across calls; anything else raises TypeError.
     When ``residual`` is given, a one-element float array, the worst rounding
@@ -433,10 +413,10 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
 
     m = plan.output_bits
     n_batches = -(-n_blocks // _BATCH_BLOCKS)
-    seed.spectrum  # computed here, once, so pool threads only read it
+    seed.spectrum  # computed here, once, so worker threads only read it
     out = np.empty((n_blocks * m + 7) // 8, dtype=np.uint8)
     residuals = np.zeros(n_batches)
-    workers = threading.local()  # one workspace per pool thread, freed with the call
+    workers = threading.local()  # one workspace per worker thread, freed with the call
 
     def hash_batch(batch: int) -> None:
         first = batch * _BATCH_BLOCKS
@@ -455,8 +435,7 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
         # a batch starts at bit first * m, a multiple of 8 * m: byte batch * m
         out[batch * m:batch * m + (hashed.size + 7) // 8] = np.packbits(hashed)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(hash_batch, range(n_batches)))
+    ordered_map(hash_batch, range(n_batches), threads)
 
     report = AccountingReport(
         samples_in=n_samples, samples_used=used, blocks=n_blocks,

@@ -184,6 +184,8 @@ _GUIDE_BUCKETS = 1 << 17
 # short for 8%; the other 0.7%, in tail buckets, are binary searched.  One
 # step ran faster than 0, 2 or 4.
 _GUIDE_STEPS = 1
+# draws ``_fock_quantile`` maps per pass
+_QUANTILE_SLICE = 1 << 16
 
 
 @lru_cache(maxsize=64)
@@ -225,24 +227,32 @@ def _fock_quantile(n: int, u: np.ndarray) -> np.ndarray:
     and just above it np.interp returns inf as well.  Strictly inside a gap
     ``u - cdf[j] > 0``, so the formula is never NaN there and arr_interp's
     NaN retry cannot change a result.
+
+    ``u`` is worked through ``_QUANTILE_SLICE`` draws at a time; each value
+    depends on its own draw only, so the temporaries stay a few MB at any
+    size.
     """
     cdf, grid, guide = _fock_inverse_cdf(n)
-    # j + 1 is clipped because u = 1 lands on the last node, which has no
-    # right neighbour; the binary search and the node branch answer it
-    j = guide.take((u * _GUIDE_BUCKETS).astype(np.intp)).astype(np.intp)
-    for _ in range(_GUIDE_STEPS):
-        j += cdf.take(j + 1, mode="clip") <= u
-    right = cdf.take(j + 1, mode="clip")
-    wide = np.flatnonzero(right <= u)
-    if wide.size:
-        j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
-        right[wide] = cdf.take(j[wide] + 1, mode="clip")
-    left = cdf.take(j)
-    q = grid.take(j)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = (grid.take(j + 1, mode="clip") - q) / (right - left)
-        out = slope * (u - left) + q
-    return np.where(u == left, q, out)
+    out = np.empty(u.shape)
+    for first in range(0, u.size, _QUANTILE_SLICE):
+        part = u[first:first + _QUANTILE_SLICE]
+        # j + 1 is clipped because u = 1 lands on the last node, which has
+        # no right neighbour; the binary search and the node branch answer it
+        j = guide.take((part * _GUIDE_BUCKETS).astype(np.intp)).astype(np.intp)
+        for _ in range(_GUIDE_STEPS):
+            j += cdf.take(j + 1, mode="clip") <= part
+        right = cdf.take(j + 1, mode="clip")
+        wide = np.flatnonzero(right <= part)
+        if wide.size:
+            j[wide] = np.searchsorted(cdf, part[wide], side="right") - 1
+            right[wide] = cdf.take(j[wide] + 1, mode="clip")
+        left = cdf.take(j)
+        q = grid.take(j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (grid.take(j + 1, mode="clip") - q) / (right - left)
+            value = slope * (part - left) + q
+        out[first:first + part.size] = np.where(part == left, q, value)
+    return out
 
 
 def sample_quadrature(state, theta, rng: np.random.Generator, size=None):

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
+from ._io import ordered_map
+
 __all__ = [
     "frequency_test",
     "block_frequency_test",
@@ -216,7 +218,8 @@ def spectral_test(bits, *, work: tuple[np.ndarray, np.ndarray] | None = None) ->
 
     ``work`` is the ``(signs, spectrum)`` pair of ``_spectral_work(len(bits))``
     that the +-1 sequence and its transform are written into; ``run_battery``
-    passes one pair to every string, so each string reuses the same memory.
+    passes one pair to every string of a span, so those strings reuse the
+    same memory.
     """
     bits = _check_bits(bits, 8, "spectral")
     n = bits.size
@@ -373,44 +376,61 @@ def _uniformity_p(p_values: np.ndarray) -> float:
     return float(gammaincc(4.5, chi2 / 2.0))
 
 
-def run_battery(bits, string_bits: int, *, alpha: float = 0.01) -> BatteryReport:
+def run_battery(bits, string_bits: int, *, alpha: float = 0.01,
+                threads: int = 1) -> BatteryReport:
     """Split ``bits`` into strings and apply every implemented statistic.
 
     ``bits`` is checked once, whole; each string is then a ``uint8`` view.
+    The strings are tested in ``threads`` contiguous spans, one per worker,
+    each with its own spectral-test buffers; the p-values come back in
+    string order.
     """
     bits = _check_bits(bits, 0, "battery")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
     if string_bits < 100:
         raise ValueError("string_bits must be >= 100")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     n_strings = bits.size // int(string_bits)
     if n_strings < 10:
         raise ValueError(
             f"need at least 10 strings for proportion statistics, got {n_strings}")
     strings = bits[: n_strings * string_bits].reshape(n_strings, string_bits)
 
-    spectral_work = _spectral_work(int(string_bits))
-    # (test, shortest string it runs on, function, the statistic of each p-value)
-    tests = (
-        ("frequency", 100, frequency_test, ("frequency",)),
-        ("block-frequency", 128, block_frequency_test, ("block-frequency",)),
-        ("runs", 100, runs_test, ("runs",)),
-        ("longest-run", 128, longest_run_test, ("longest-run",)),
-        ("spectral", 1000, lambda row: spectral_test(row, work=spectral_work),
-         ("spectral",)),
-        ("approximate-entropy", 256, approximate_entropy_test, ("approximate-entropy",)),
-        ("cumulative-sums", 100, cumulative_sums_test,
-         ("cumulative-sums-forward", "cumulative-sums-backward")),
-        ("serial", 32, serial_test, ("serial-1", "serial-2")),
-    )
+    def battery(work) -> tuple:
+        """(test, shortest string it runs on, function, the statistic of each
+        p-value), the spectral test writing into ``work``."""
+        return (
+            ("frequency", 100, frequency_test, ("frequency",)),
+            ("block-frequency", 128, block_frequency_test, ("block-frequency",)),
+            ("runs", 100, runs_test, ("runs",)),
+            ("longest-run", 128, longest_run_test, ("longest-run",)),
+            ("spectral", 1000, lambda row: spectral_test(row, work=work), ("spectral",)),
+            ("approximate-entropy", 256, approximate_entropy_test,
+             ("approximate-entropy",)),
+            ("cumulative-sums", 100, cumulative_sums_test,
+             ("cumulative-sums-forward", "cumulative-sums-backward")),
+            ("serial", 32, serial_test, ("serial-1", "serial-2")),
+        )
+
+    listed = battery(None)   # read for its names and lengths, never called
+    skipped = [name for name, shortest, _, _ in listed if string_bits < shortest]
+    run = [p_names for name, _, _, p_names in listed if name not in skipped]
+
+    def test_rows(rows: np.ndarray) -> list[np.ndarray]:
+        """Each run test's p-values on ``rows``, a (strings, p-values) array."""
+        work = _spectral_work(int(string_bits))   # this span's own: never shared
+        return [np.array([test(row) for row in rows], dtype=float).reshape(len(rows), -1)
+                for name, _, test, _ in battery(work) if name not in skipped]
+
+    parts = min(threads, n_strings)
+    edges = [n_strings * i // parts for i in range(parts + 1)]
+    per_span = ordered_map(test_rows, [strings[a:b] for a, b in zip(edges, edges[1:])],
+                           threads)
     collected: dict[str, np.ndarray] = {}
-    skipped: list[str] = []
-    for name, shortest, test, p_names in tests:
-        if string_bits < shortest:
-            skipped.append(name)
-            continue
-        p_values = np.array([test(row) for row in strings], dtype=float)
-        collected.update(zip(p_names, p_values.reshape(n_strings, -1).T))
+    for p_names, *spans in zip(run, *per_span):
+        collected.update(zip(p_names, np.concatenate(spans).T))
 
     p_hat = 1.0 - alpha
     bound = p_hat - 3.0 * math.sqrt(p_hat * alpha / n_strings)

@@ -99,6 +99,25 @@ def test_phase_average_idempotent_and_trace_preserving():
     assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim_e", range(2, 17))
+def test_phase_average_is_a_valid_state_at_every_equivalence_size(dim_e):
+    # phase_average_A skips BipartiteState's checks: its output must pass
+    # them anyway, at every size verify can draw (equivalence_dim_max is
+    # 8 by default and at most 16)
+    rng = np.random.default_rng(dim_e)
+    for dim_a in range(2, 17):
+        pure = [random_pure_bipartite(dim_e, dim_a, rng) for _ in range(2)]
+        weights = rng.dirichlet(np.ones(2))
+        mixed = BipartiteState(dim_e, dim_a,
+                               sum(w * st.rho for w, st in zip(weights, pure)))
+        for st in (*pure, mixed):
+            rho = phase_average_A(st).rho
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+            assert abs(np.trace(rho) - 1.0) <= 1e-10
+            assert np.linalg.eigvalsh(rho).min() >= -1e-10
+            BipartiteState(dim_e, dim_a, rho)   # and the checks themselves pass
+
+
 def test_separability_witness_for_averaged_tmsv():
     avg = phase_average_A(correlated_tmsv(0.5, 16))
     t = avg.tensor()

@@ -4,7 +4,9 @@ import hashlib
 import math
 import re
 import shutil
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -126,6 +128,7 @@ def test_simulate_artifacts(pipeline):
     assert block.timestamp == "2026-08-15T00:00:00Z"
 
     ac = (out / "autocorrelation.csv").read_text().splitlines()
+    assert ac[1].startswith("# n_samples=2000 ")   # dsp.autocorr_samples
     assert ac[2] == "lag,coefficient"
     assert len(ac) == 3 + 51  # lags 0..50
     assert ac[3].startswith("0,1.0")
@@ -254,7 +257,10 @@ def test_verify_artifacts(pipeline):
 
 
 def test_seed_file_flag_reproduces_output(pipeline, tmp_path):
-    root, cfg_path, out = pipeline
+    root, cfg_path, shared = pipeline
+    # a copy: extracting with a seed file rewrites accounting.txt's provenance
+    out = tmp_path / "artifacts"
+    shutil.copytree(shared, out)
     expected = (out / "output.bits").read_bytes()
     seed_path = out / "toeplitz.seed"
     code = main(["extract", "--config", cfg_path, "--out", str(out),
@@ -270,13 +276,59 @@ def test_seed_file_flag_reproduces_output(pipeline, tmp_path):
     assert (out / "output.bits").read_bytes() == expected  # nothing clobbered
 
 
-def test_threads_flag_does_not_change_output(pipeline):
+def _tree_digests(root):
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_threads_flag_does_not_change_output(tmp_path):
+    # simulate's blocks, extract's batches and the battery's strings run on
+    # the workers, calibrate ignores them: every artifact keeps its bytes
+    cfg_path = write_cfg(tmp_path)
+    trees = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads-{threads}"
+        for command in ("simulate", "calibrate", "extract", "test"):
+            assert main([command, "--config", cfg_path, "--out", str(out),
+                         "--threads", threads]) == 0
+        trees.append(_tree_digests(out))
+    assert trees[0] == trees[1]
+    assert len(trees[0]) == 14   # 4 blocks, 2 CSVs, 3 calibration, 3 extract, 2 battery
+
+
+def test_histogram_width_is_the_exact_std_of_the_raw_codes(pipeline):
     root, cfg_path, out = pipeline
-    expected = (out / "output.bits").read_bytes()
-    code = main(["extract", "--config", cfg_path, "--out", str(out),
-                 "--threads", "4"])
-    assert code == 0
-    assert (out / "output.bits").read_bytes() == expected
+    cfg = load_config(cfg_path)
+    codes = np.concatenate([
+        detector.read_block(out / "blocks" / f"raw_{b:04d}.bin", cfg.detector).codes
+        for b in range(2)]).astype(np.int64)
+    n, s1, s2 = codes.size, int(codes.sum()), int((codes * codes).sum())
+    exact = math.sqrt(Fraction(n * s2 - s1 * s1, n * n))   # one rounding, then sqrt
+    hist = (out / "histogram_raw_vs_vacuum.csv").read_text().splitlines()
+    assert hist[1] == f"# n_samples={n} sigma_codes={exact!r}"
+    assert math.isclose(exact, float(np.std(codes.astype(float))), rel_tol=1e-14)
+
+
+def test_simulate_memory_does_not_grow_with_the_blocks(tmp_path):
+    # the histogram is summed block by block from code counts: simulate holds
+    # no raw code of earlier blocks (the autocorrelation input is fixed here)
+    def peak(blocks):
+        cfg_path = tmp_path / f"mem-{blocks}.cfg"
+        cfg_path.write_text("[dsp]\nenabled = false\nautocorr_samples = 20000\n"
+                            "autocorr_max_lag = 50\n"
+                            f"[simulate]\nblocks = {blocks}\npulses = 50000\n")
+        cfg = load_config(str(cfg_path),
+                          overrides={"run.out_dir": str(tmp_path / f"mem-{blocks}")})
+        tracemalloc.start()
+        try:
+            cli.cmd_simulate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)   # warm the caches
+    # holding the raw codes of the six more blocks alone would add 300 kB
+    assert peak(8) - peak(2) < 256 << 10
 
 
 def test_reproducible_runs_and_seed_sensitivity(pipeline, tmp_path):

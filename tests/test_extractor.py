@@ -1,8 +1,9 @@
 """Tests for extraction planning and Toeplitz hashing.
 
 The hashing oracle here is a deliberately naive pure-Python double loop
-over T[i][j] = seed[i + (n-1) - j]; the package's two vectorized routes
-must agree with it bit for bit.  Plan sizes are re-derived by a brute
+over T[i][j] = seed[i + (n-1) - j]; the package's FFT route and the
+vectorized naive oracle of ``naive_toeplitz`` must agree with it bit for
+bit.  Plan sizes are re-derived by a brute
 search over block sizes.
 """
 
@@ -27,6 +28,8 @@ from sdiqrng.extractor import (
     toeplitz_hash,
     write_seed_file,
 )
+
+from naive_toeplitz import NAIVE_CHUNK_BYTES, naive_chunk_rows, toeplitz_naive
 
 
 def oracle_toeplitz(x_bits, seed_bits, m):
@@ -122,7 +125,7 @@ def test_hash_hand_example():
     # rows of T are [1,1,0,1] and [0,1,1,0]; parities of x against them
     want = np.array([0, 1], dtype=np.uint8)
     np.testing.assert_array_equal(
-        extractor._toeplitz_naive(np.array(x, np.uint8), np.array(seed, np.uint8), 2),
+        toeplitz_naive(np.array(x, np.uint8), np.array(seed, np.uint8), 2),
         want)
     np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(seed, "t"), 2), want)
     np.testing.assert_array_equal(oracle_toeplitz(x, seed, 2), want)
@@ -132,7 +135,7 @@ def test_hash_zero_input_maps_to_zero():
     rng = np.random.default_rng(3)
     seed = rng.integers(0, 2, 64 + 32 - 1, dtype=np.uint8)
     x = np.zeros(64, dtype=np.uint8)
-    assert not np.any(extractor._toeplitz_naive(x, seed, 32))
+    assert not np.any(toeplitz_naive(x, seed, 32))
     assert not np.any(toeplitz_hash(x, ToeplitzSeed(seed, "t"), 32))
 
 
@@ -156,7 +159,7 @@ def test_fast_route_matches_python_oracle():
         x = rng.integers(0, 2, n, dtype=np.uint8)
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         want = oracle_toeplitz(x, seed, m)
-        np.testing.assert_array_equal(extractor._toeplitz_naive(x, seed, m), want)
+        np.testing.assert_array_equal(toeplitz_naive(x, seed, m), want)
         np.testing.assert_array_equal(toeplitz_hash(x, ToeplitzSeed(seed, "t"), m), want)
 
 
@@ -170,7 +173,7 @@ def test_routes_agree_across_random_sizes():
         x = rng.integers(0, 2, n, dtype=np.uint8)
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         np.testing.assert_array_equal(
-            extractor._toeplitz_naive(x, seed, m),
+            toeplitz_naive(x, seed, m),
             toeplitz_hash(x, ToeplitzSeed(seed, "t"), m))
 
 
@@ -239,7 +242,7 @@ def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
 def naive_blocks(x, seed, m):
     """The naive route block by block, concatenated."""
     n = seed.size - m + 1
-    return np.concatenate([extractor._toeplitz_naive(b, seed, m)
+    return np.concatenate([toeplitz_naive(b, seed, m)
                            for b in x.reshape(-1, n)])
 
 
@@ -312,16 +315,16 @@ def test_toeplitz_hash_rejects_a_bare_seed_array():
 
 
 def test_naive_chunk_is_capped_by_bytes():
-    budget = extractor._NAIVE_CHUNK_BYTES
+    budget = NAIVE_CHUNK_BYTES
     assert 32 << 20 <= budget <= 128 << 20
     # a 16M-bit block gets 4 rows (64 MiB), not the 32 GB of 2048 rows
     n = 16 * 2 ** 20
-    rows = extractor._naive_chunk_rows(n)
+    rows = naive_chunk_rows(n)
     assert rows * n <= budget
     assert (rows + 1) * n > budget
-    assert extractor._naive_chunk_rows(budget + 1) == 1
-    assert extractor._naive_chunk_rows(10 ** 12) == 1
-    assert extractor._naive_chunk_rows(1) == budget
+    assert naive_chunk_rows(budget + 1) == 1
+    assert naive_chunk_rows(10 ** 12) == 1
+    assert naive_chunk_rows(1) == budget
 
 
 def test_serialize_samples_twos_complement_msb_first():

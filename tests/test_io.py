@@ -1,8 +1,12 @@
-"""Byte-exact layouts of the two text artifact writers and the log append."""
+"""Byte-exact layouts of the two text artifact writers and the log append,
+and the order and errors of the worker pool."""
+
+import threading
+import time
 
 import pytest
 
-from sdiqrng._io import append_line, write_csv, write_report
+from sdiqrng._io import append_line, ordered_map, write_csv, write_report
 
 
 def test_report_layout(tmp_path):
@@ -37,3 +41,31 @@ def test_append_line_writes_the_header_once_and_checks_it(tmp_path):
     with pytest.raises(ValueError, match="first line"):
         append_line(path, "3,4", header="# v2: a,b")
     assert path.read_bytes() == b"1,2\n"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_ordered_map_keeps_input_order(threads):
+    # later items finish first on a pool; results still come back in order
+    def slow_square(i):
+        time.sleep(0.002 * (6 - i))
+        return i * i
+
+    assert ordered_map(slow_square, range(6), threads) == [i * i for i in range(6)]
+    assert ordered_map(slow_square, [], threads) == []
+
+
+def test_ordered_map_runs_one_thread_in_the_caller():
+    seen = ordered_map(lambda _: threading.get_ident(), range(3), 1)
+    assert seen == [threading.get_ident()] * 3
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ordered_map_raises_the_first_failure_in_input_order(threads):
+    def fail_from_two(i):
+        if i >= 2:
+            time.sleep(0.01 if i == 2 else 0.0)   # item 3 fails first in time
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 2"):
+        ordered_map(fail_from_two, range(5), threads)

@@ -208,6 +208,20 @@ def test_fock_quantile_equals_interp_oracle(n):
         assert np.any(np.isnan(formula) & (j < cdf.size - 1))
 
 
+@pytest.mark.parametrize("n", [0, 1, 20])
+def test_sliced_fock_quantile_equals_interp_across_slice_edges(n):
+    # _fock_quantile maps u a slice at a time: a size that is no multiple of
+    # the slice, with 0 and 1 at the ends of the array and of every slice
+    cdf, grid, _ = states._fock_inverse_cdf(n)
+    width = states._QUANTILE_SLICE
+    u = np.random.default_rng(n).random(3 * width + 5)
+    for edge in (0, width - 1, width, 2 * width - 1, 2 * width, 3 * width):
+        u[edge] = float(edge % 2)
+    u[-2:] = (0.0, 1.0)
+    assert np.array_equal(states._fock_quantile(n, u), np.interp(u, cdf, grid))
+    assert np.array_equal(states._fock_quantile(n, u[:7]), np.interp(u[:7], cdf, grid))
+
+
 def test_fock_and_mixture_draws_match_interp_reference():
     seed, size = 20240611, 200_000
     for state in (Fock(3), Mixture(((0.2, 0), (0.5, 1), (0.3, 4)))):

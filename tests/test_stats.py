@@ -7,6 +7,7 @@ comparisons are pinned tight.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -559,3 +560,34 @@ def test_spectral_buffers_reused_across_strings_equal_parent_formula(string_bits
     expect = [parent_spectral(row) for row in strings]
     assert np.array_equal(spectral, expect)
     assert [spectral_test(row) for row in strings] == expect
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_battery_on_workers_equals_one_thread(threads):
+    # strings split into contiguous spans, one per worker, each with its own
+    # spectral buffers: every statistic is bitwise the one-thread battery,
+    # also with the workers switched as often as the interpreter allows
+    rng = np.random.default_rng(56 + threads)
+    strings = rng.integers(0, 2, (13, 4097)).astype(np.uint8)
+    strings[1::4] = 1
+    strings[2::4] = rng.random((3, 4097)) < 0.45
+    one = run_battery(strings.ravel(), 4097)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = run_battery(strings.ravel(), 4097, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.to_text() == one.to_text()
+    assert many.skipped == one.skipped
+    assert [r.name for r in many.results] == [r.name for r in one.results]
+    for r, e in zip(many.results, one.results):
+        assert np.array_equal(r.p_values, e.p_values), r.name
+        assert (r.proportion, r.proportion_bound, r.uniformity_p, r.passed) == (
+            e.proportion, e.proportion_bound, e.uniformity_p, e.passed)
+
+
+def test_battery_rejects_no_threads():
+    bits = np.random.default_rng(57).integers(0, 2, 2000).astype(np.uint8)
+    with pytest.raises(ValueError, match="threads"):
+        run_battery(bits, 200, threads=0)
