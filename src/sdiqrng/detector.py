@@ -236,9 +236,11 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     taps give the noise, so no filter transient reaches the output.  The
     draws come in this order: the phases of all ``n_sim`` pulses, their
     quadratures, then the normals (none when both noise variances are 0).
-    Returns two per-pulse analog streams: the low-passed stream before
-    drift removal, and the final filtered stream, with the notch's
-    transients trimmed.
+    Returns two per-pulse analog streams of ``count`` samples: the
+    low-passed stream before drift removal, and the final filtered stream.
+    The notch runs in valid mode over all ``count + 2 * pad_notch``
+    low-passed samples, so its ``count`` outputs are centred on the raw
+    stream's samples and none reads past the simulated pulses.
     """
     states.validate_state(state)
     if count <= 0:
@@ -281,10 +283,9 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
     raw = per_pulse[pad_notch:pad_notch + count]
     if not chain.notch_enabled:
         return raw, raw
-    notched = dsp.remove_low_frequency(per_pulse, config.pulse_rate,
-                                       chain.modulation_freq, chain.notch_cutoff,
-                                       chain.notch_taps)
-    return raw, notched[pad_notch:pad_notch + count]
+    return raw, dsp.remove_low_frequency(per_pulse, config.pulse_rate,
+                                         chain.modulation_freq, chain.notch_cutoff,
+                                         chain.notch_taps)
 
 
 _NOISE_BLOCK = 2 ** 16   # pulses of filtered noise made at a time

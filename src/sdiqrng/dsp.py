@@ -37,34 +37,28 @@ rate, derived once from the same ``design_lowpass`` taps ``h``:
   is not positive, or a factor that never matches, is a ``ConfigError``
   naming the ``[dsp]`` keys.
 
-``lowpass`` is the one filter engine at a single rate, and one private
-overlap-save loop serves every call: FFT convolution on ``numpy.fft`` of the
-reflect-padded input, group delay compensated, so no stage has to import
-scipy.  Transform sizes come from ``next_fast_len``, the smallest 5-smooth
-length, the same choice as scipy's ``next_fast_len(n, real=True)``.  Every
-call runs over fixed cache-sized blocks: only the edge blocks are reflect
-padded, and no padded copy of the input is ever built.  The result has the
-input length and equals ``scipy.signal.fftconvolve`` of the reflect-padded
-input to within rounding.  The input may be an array or a ``SampleStream``
-that produces its samples as the blocks read them.  The first and last
-``taps // 2`` outputs are contaminated by the padding and must be excluded
-from entropy accounting.
+Low-frequency drift removal, ``remove_low_frequency``, is the one filter
+loop at a single rate: modulate by a carrier, low-pass close to Nyquist with
+the taps of ``design_lowpass``, re-modulate.  It runs valid-mode
+overlap-save on ``numpy.fft``, so no stage has to import scipy: each
+cache-sized block of the input is modulated, transformed at ``next_fast_len``
+points (the smallest 5-smooth length, the same choice as scipy's
+``next_fast_len(n, real=True)``), multiplied by the taps' spectrum and
+transformed back, and only the outputs whose window lies wholly inside the
+input are kept.  ``n`` samples give ``n - taps + 1`` outputs, output ``j``
+centred on sample ``j + taps // 2``; nothing is padded, so no output reads
+a sample that was not measured.
 
-Low-frequency drift removal works entirely with the one low-pass primitive:
-modulate by cos(2*pi*f_mod*k/rate), low-pass close to Nyquist, re-modulate.
 At the default ``f_mod = rate/2`` the carrier is exactly (-1)**k, the two
 spectral images coincide, and the re-modulation factor is 1: the net effect
 is a linear-phase high-pass whose stop band is the original band below
-``rate/2 - cutoff``.  For ``f_mod < rate/2`` each cosine halves the passband
-amplitude and the re-modulation carries the conventional factor 2, but it
-also leaves an image of the band at f +- 2*f_mod that aliases back into the
-band, so the output is not a high-passed copy of the input (see
-``remove_low_frequency``).  The modulated input is a ``SampleStream`` and the
-carrier is made block by block, so the notch also runs over cache-sized
-blocks: the default 16001-tap notch over a million pulses is 21 transforms
-of 64800 points, not one of 1.08M points, and its output moves only by
-rounding (at most 4.6e-14 analog units at the default config, no ADC code
-changed).
+``rate/2 - cutoff``.  For ``f_mod < rate/2`` each cosine halves the
+passband amplitude and the re-modulation carries the conventional factor 2,
+but it also leaves an image of the band at f +- 2*f_mod that aliases back
+into the band, so the output is not a high-passed copy of the input (see
+``remove_low_frequency``).  The carrier is made block by block: the default
+16001-tap notch over a million pulses is 21 transforms of 64800 points, not
+one of 1.08M points.
 
 Choosing the notch involves a real trade-off worth knowing about: removing
 a band of relative width ``a = (rate/2 - cutoff) / (rate/2)`` from white
@@ -81,7 +75,6 @@ so its work space is a few chunks however long the input is.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,8 +86,6 @@ from .exceptions import ConfigError
 __all__ = [
     "design_lowpass",
     "pulse_rate_filters",
-    "lowpass",
-    "SampleStream",
     "remove_low_frequency",
     "autocorrelation",
     "AutocorrelationReport",
@@ -146,7 +137,8 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
     """Hamming windowed-sinc FIR with its -3 dB point at ``cutoff``.
 
     The design frequency is bisected so that |H(cutoff)| = 2**-0.5 within
-    1e-6; DC gain is unity.  Raises ValueError when the tap count cannot
+    1e-6; DC gain is unity.  The taps are read-only: they are cached and
+    shared by every caller.  Raises ValueError when the tap count cannot
     realize the requested cutoff (transition band would cross Nyquist).
     """
     _validate_filter_args(rate, cutoff, taps)
@@ -176,7 +168,9 @@ def design_lowpass(rate: float, cutoff: float, taps: int) -> np.ndarray:
             hi = mid
         if hi - lo < 1e-9 * nyq:
             break
-    return _hamming_sinc(rate, 0.5 * (lo + hi), taps)
+    h = _hamming_sinc(rate, 0.5 * (lo + hi), taps)
+    h.flags.writeable = False
+    return h
 
 
 @lru_cache(maxsize=32)
@@ -259,20 +253,6 @@ def _checked_factor(r: np.ndarray) -> np.ndarray:
         + "; change dsp.oversample, dsp.lowpass_cutoff or dsp.lowpass_taps")
 
 
-def _reflected(window: np.ndarray, lo: int, n: int, half: int,
-               start: int, stop: int) -> np.ndarray:
-    """``np.pad(x, half, mode="reflect")[start:stop]`` from ``window``.
-
-    ``window`` is ``x[lo:min(stop - half, n)]`` with ``lo = max(start - half, 0)``
-    for an ``x`` of ``n`` samples; it holds every sample the padding reflects.
-    """
-    if start >= half and stop <= half + n:
-        return window
-    head = half - np.arange(start, min(stop, half))           # lo == 0 here
-    tail = 2 * (n - 1) + half - lo - np.arange(max(start, half + n), stop)
-    return np.concatenate((window[head], window, window[tail]))
-
-
 def _block_size(taps: int) -> int:
     """Transform length of one cache-sized block for a kernel of ``taps`` samples.
 
@@ -284,75 +264,15 @@ def _block_size(taps: int) -> int:
     return next_fast_len(max(2 ** 14, 4 * taps))
 
 
-def _overlap_save(read, n: int, h: np.ndarray) -> np.ndarray:
-    """The one filter loop: reflect-padded FFT convolution by overlap-save.
-
-    Filters the ``n`` samples ``read`` returns with ``h`` in transforms of
-    ``_block_size`` points and returns the ``n`` group-delay compensated
-    outputs.
-    """
-    taps = h.size
-    half = taps // 2
-    size = _block_size(taps)
-    per_block = size - taps + 1
-    spectrum = rfft(h, size)
-    out = np.empty(n)
-    for first in range(0, n, per_block):
-        last = min(n, first + per_block)
-        # the padded input [first, stop) yields outputs first..last-1
-        stop = last - 1 + taps
-        lo = max(first - half, 0)
-        segment = _reflected(read(lo, min(stop - half, n)), lo, n, half, first, stop)
-        full = irfft(rfft(segment, size) * spectrum, size)
-        out[first:last] = full[taps - 1:taps - 1 + last - first]
-    return out
-
-
-class SampleStream:
-    """``size`` input samples that ``read(lo, hi)`` produces on demand.
-
-    ``lowpass`` reads samples ``lo..hi-1`` block by block, and neither end
-    ever moves backwards from one call to the next, so ``read`` only has to
-    hold the samples from the last ``lo`` on.  A plain class: a dataclass
-    would add about 0.7 ms to every stage's import.
-    """
-
-    __slots__ = ("read", "size")
-
-    def __init__(self, read: Callable[[int, int], np.ndarray], size: int):
-        self.read = read
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def lowpass(samples, rate: float, cutoff: float, taps: int = 201) -> np.ndarray:
-    """Low-pass filter by FFT convolution, group delay compensated.
-
-    ``samples`` is a 1-d array or a ``SampleStream``; either runs over
-    cache-sized overlap-save blocks and returns a sequence of the input
-    length.
-    """
-    if isinstance(samples, SampleStream):
-        read, n = samples.read, samples.size
-    else:
-        x = np.asarray(samples, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("samples must be 1-d")
-        read, n = (lambda lo, hi: x[lo:hi]), x.size
-    h = design_lowpass(rate, cutoff, taps)
-    if n <= taps // 2:
-        raise ValueError(f"need more than taps//2 = {taps // 2} samples, got {n}")
-    return _overlap_save(read, n, h)
-
-
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
-                         post_mod_lowpass_cutoff: float, taps: int = 801) -> np.ndarray:
+                         post_mod_lowpass_cutoff: float, taps: int) -> np.ndarray:
     """Suppress DC and drift below ``pulse_rate/2 - post_mod_lowpass_cutoff``.
 
     Modulate to move low frequencies up to ``modulation_freq``, low-pass
-    them away, modulate back.  White-noise variance in the kept band is
+    them away, modulate back.  Returns the ``samples.size - taps + 1``
+    valid outputs: output ``j`` is centred on sample ``j + taps // 2`` and
+    reads only samples ``j .. j + taps - 1``, so fewer than ``taps``
+    samples are a ValueError.  White-noise variance in the kept band is
     preserved only at ``modulation_freq == pulse_rate/2``, where the
     carrier is (-1)**k and both images of the band coincide (the Hamming
     stop band gives >= 50 dB suppression of the notched band).  Below that,
@@ -362,17 +282,16 @@ def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
     taps, the output/input variance ratio was 0.98 at (modulation_freq,
     cutoff) = (25e6, 24.5e6), the notched 2% of the band removed, but 1.46
     at (24.5e6, 24.495e6) and 1.09 at (20e6, 19.9e6).
-    The carrier is computed block by block, as the low-pass reads the
-    modulated input and as its output is modulated back.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("samples must be 1-d")
     nyq = pulse_rate / 2.0
-    if modulation_freq > nyq:
-        raise ValueError(f"modulation_freq {modulation_freq} above Nyquist {nyq}")
-    if modulation_freq <= 0:
-        raise ValueError("modulation_freq must be positive")
+    if not 0 < modulation_freq <= nyq:
+        raise ValueError(f"modulation_freq must lie in (0, {nyq}], got {modulation_freq}")
+    h = design_lowpass(pulse_rate, post_mod_lowpass_cutoff, taps)
+    if x.size < taps:
+        raise ValueError(f"need at least taps = {taps} samples, got {x.size}")
     if modulation_freq == nyq:
         gain = 1.0  # images coincide at Nyquist: no cosine amplitude splitting
 
@@ -386,12 +305,18 @@ def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
         def carrier(lo: int, hi: int) -> np.ndarray:
             return np.cos(2.0 * np.pi * modulation_freq * np.arange(lo, hi) / pulse_rate)
 
-    shifted = lowpass(SampleStream(lambda lo, hi: x[lo:hi] * carrier(lo, hi), x.size),
-                      pulse_rate, post_mod_lowpass_cutoff, taps)
-    for lo in range(0, x.size, 2 ** 16):
-        hi = min(x.size, lo + 2 ** 16)
-        shifted[lo:hi] *= gain * carrier(lo, hi)
-    return shifted
+    half = taps // 2
+    size = _block_size(taps)
+    per_block = size - taps + 1
+    spectrum = rfft(h, size)
+    out = np.empty(x.size - taps + 1)
+    for first in range(0, out.size, per_block):
+        last = min(out.size, first + per_block)
+        stop = last + taps - 1
+        full = irfft(rfft(x[first:stop] * carrier(first, stop), size) * spectrum, size)
+        out[first:last] = full[taps - 1:taps - 1 + last - first]
+        out[first:last] *= gain * carrier(first + half, last + half)
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from reference_notch import reference_notch
 from sdiqrng.detector import (
     MeasurementConfig,
     RawSampleBlock,
@@ -221,11 +222,13 @@ def test_measure_pulses_chain_streams_have_count_samples(notch):
 
 
 def _full_rate_chain(cfg, count, rng, chain):
-    """The oversampled chain built step by step: a zero pulse matrix with
-    the flat tops, white noise of the summed variance at the input rate, the
-    full-rate low-pass, then one sample per pulse and the notch."""
+    """The oversampled chain built step by step from ``np.convolve``: a zero
+    pulse matrix with the flat tops, white noise of the summed variance at
+    the input rate, the full-rate low-pass, then one sample per pulse and
+    the notch from its definition."""
     ratio = chain.oversample
-    pad_lp = -(-(chain.lowpass_taps // 2) // ratio)
+    half = chain.lowpass_taps // 2
+    pad_lp = -(-half // ratio)
     pad_notch = chain.notch_taps // 2 if chain.notch_enabled else 0
     n_sim = count + 2 * (pad_lp + pad_notch)
     theta = draw_phases(cfg, n_sim, rng)
@@ -239,16 +242,18 @@ def _full_rate_chain(cfg, count, rng, chain):
     variance = cfg.electronic_noise_var + cfg.excess_noise_var
     if variance > 0:
         wave += rng.normal(0.0, math.sqrt(variance), wave.size)
-    full = dsp.lowpass(wave, ratio * cfg.pulse_rate, chain.lowpass_cutoff,
-                       chain.lowpass_taps)
+    h = dsp.design_lowpass(ratio * cfg.pulse_rate, chain.lowpass_cutoff,
+                           chain.lowpass_taps)
+    # valid output i is centred on input sample i + half
+    full = np.convolve(wave, h, "valid")
     offset = min(int(round(chain.sample_phase * ratio)), ratio - 1)
-    per_pulse = full[offset::ratio][pad_lp:pad_lp + count + 2 * pad_notch]
+    first = pad_lp * ratio + offset - half
+    per_pulse = full[first::ratio][:count + 2 * pad_notch]
     raw = per_pulse[pad_notch:pad_notch + count]
     if not chain.notch_enabled:
         return raw, raw
-    notched = dsp.remove_low_frequency(per_pulse, cfg.pulse_rate, chain.modulation_freq,
-                                       chain.notch_cutoff, chain.notch_taps)
-    return raw, notched[pad_notch:pad_notch + count]
+    return raw, reference_notch(per_pulse, cfg.pulse_rate, chain.modulation_freq,
+                                chain.notch_cutoff, chain.notch_taps)
 
 
 def _noise_law(cfg, chain):

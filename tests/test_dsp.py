@@ -3,14 +3,14 @@
 Frequency-domain expectations are computed in the test from the definitional
 DFT of the designed taps (and cross-checked against scipy.signal.freqz), so
 the time-domain measurements have an independent oracle.  scipy.signal is a
-test-only oracle: the numpy design must equal ``firwin`` bit for bit,
-``lowpass`` must equal ``fftconvolve`` of the reflect-padded input to within
-rounding, and ``scipy.fft`` is the oracle for ``next_fast_len``.  The
-pulse-rate filters are checked against the oversampled chain they replace:
-a flat-top wave filtered at the full rate by ``fftconvolve`` and strided by
-hand, and white noise through the same taps for the noise factor's
-autocovariance.  The blocked ``autocorrelation`` is checked against the
-per-lag sums of its definition.
+test-only oracle: the numpy design must equal ``firwin`` bit for bit, and
+``scipy.fft`` is the oracle for ``next_fast_len``.  The drift notch must
+equal, to within rounding, the carrier times ``np.convolve`` of the
+modulated input in valid mode.  The pulse-rate filters are checked against
+the oversampled chain they replace: a flat-top wave filtered at the full
+rate by ``fftconvolve`` and strided by hand, and white noise through the
+same taps for the noise factor's autocovariance.  The blocked
+``autocorrelation`` is checked against the per-lag sums of its definition.
 """
 
 import math
@@ -20,12 +20,12 @@ import pytest
 import scipy.fft
 from scipy import signal as ssig
 
+from reference_notch import reference_notch
 from sdiqrng import dsp
 from sdiqrng.dsp import (
     AutocorrelationReport,
     autocorrelation,
     design_lowpass,
-    lowpass,
     next_fast_len,
     pulse_rate_filters,
     remove_low_frequency,
@@ -43,9 +43,8 @@ def _tone(freq, rate, n, phase=0.0):
     return np.sin(2.0 * np.pi * freq * t + phase)
 
 
-def _amplitude(x, taps):
-    core = x[taps // 2:x.size - taps // 2]
-    return math.sqrt(2.0 * np.mean(core * core))
+def _amplitude(x):
+    return math.sqrt(2.0 * np.mean(x * x))
 
 
 def test_oracle_matches_freqz():
@@ -55,16 +54,19 @@ def test_oracle_matches_freqz():
                                                               rel=1e-12)
 
 
+# The low-pass runs only inside the Nyquist notch, which moves a tone at f
+# to the low-pass's input at 500 - f Hz (rate 1000 Hz) and back again: a
+# tone at 490 Hz meets the low-pass at 10 Hz, one at 100 Hz meets it at 400.
 def test_lowpass_passband_tone_preserved():
-    x = _tone(10.0, 1000.0, 8000)
-    y = lowpass(x, 1000.0, 100.0, 201)
-    assert _amplitude(y, 201) == pytest.approx(1.0, rel=0.01)
+    x = _tone(490.0, 1000.0, 8000)
+    y = remove_low_frequency(x, 1000.0, 500.0, 100.0, 201)
+    assert _amplitude(y) == pytest.approx(1.0, rel=0.01)
 
 
 def test_lowpass_stopband_tone_attenuated_40db():
-    x = _tone(400.0, 1000.0, 8000)
-    y = lowpass(x, 1000.0, 100.0, 201)
-    measured = _amplitude(y, 201)
+    x = _tone(100.0, 1000.0, 8000)
+    y = remove_low_frequency(x, 1000.0, 500.0, 100.0, 201)
+    measured = _amplitude(y)
     predicted = oracle_response(design_lowpass(1000.0, 100.0, 201),
                                 400.0, 1000.0)
     assert measured <= 0.01  # >= 40 dB down
@@ -72,10 +74,19 @@ def test_lowpass_stopband_tone_attenuated_40db():
 
 
 def test_lowpass_dc_gain_unity():
-    x = np.full(512, 3.7)
-    y = lowpass(x, 1000.0, 100.0, 201)
-    assert np.max(np.abs(y - 3.7)) < 1e-6 * 3.7
+    # (-1)**k is DC at the low-pass's input and comes back unchanged
+    x = 3.7 * (-1.0) ** np.arange(512)
+    y = remove_low_frequency(x, 1000.0, 500.0, 100.0, 201)
+    assert np.max(np.abs(y - x[100:-100])) < 1e-6 * 3.7
     assert abs(np.sum(design_lowpass(1000.0, 100.0, 201)) - 1.0) < 1e-6
+
+
+def test_design_taps_are_read_only():
+    # cached and shared by every caller, so a write must not reach the cache
+    h = design_lowpass(1000.0, 100.0, 201)
+    with pytest.raises(ValueError):
+        h[0] = 5.0
+    assert design_lowpass(1000.0, 100.0, 201)[0] != 5.0
 
 
 @pytest.mark.parametrize("rate,cutoff,taps", [(1000.0, 100.0, 201),
@@ -85,16 +96,6 @@ def test_minus_3db_point_sits_at_cutoff(rate, cutoff, taps):
     h = design_lowpass(rate, cutoff, taps)
     assert oracle_response(h, cutoff, rate) == pytest.approx(
         1.0 / math.sqrt(2.0), abs=2e-6)
-
-
-def test_lowpass_matches_direct_convolution_oracle():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=5000)
-    h = design_lowpass(1000.0, 100.0, 201)
-    direct = np.convolve(np.pad(x, 100, mode="reflect"), h, mode="valid")
-    fft = lowpass(x, 1000.0, 100.0, 201)
-    assert fft.size == direct.size == x.size
-    np.testing.assert_allclose(fft, direct, atol=1e-10)
 
 
 @pytest.mark.parametrize("taps", [5, 201, 257, 801, 16001])
@@ -141,16 +142,26 @@ def test_design_equals_per_step_probe_bisection(rate, cutoff, taps):
     assert np.array_equal(dsp.design_lowpass.__wrapped__(rate, cutoff, taps), expected)
 
 
-@pytest.mark.parametrize("n,rate,cutoff,taps", [(5000, 1000.0, 100.0, 201),
-                                                (100_003, 400e6, 140e6, 257),
-                                                (40_000, 50e6, 24.495e6, 16001)])
-def test_lowpass_equals_scipy_fftconvolve(n, rate, cutoff, taps):
+def _per_block(taps):
+    return dsp._block_size(taps) - taps + 1
+
+
+@pytest.mark.parametrize("modulation_freq", [25e6, 24.5e6])
+@pytest.mark.parametrize("taps,n", [
+    (801, 3 * _per_block(801) + 7),      # three whole blocks and a tail of 7
+    (801, _per_block(801) + 800),        # exactly one block of outputs
+    (801, 801),                          # one output
+    (16001, 2 * _per_block(16001) + 16007),
+    (16001, 16001)])
+def test_notch_matches_direct_convolution_oracle(taps, n, modulation_freq):
     x = np.random.default_rng(n).normal(size=n)
-    padded = np.pad(x, taps // 2, mode="reflect")
-    ref = ssig.fftconvolve(padded, design_lowpass(rate, cutoff, taps), mode="valid")
-    # overlap-save blocks round differently from one whole transform; the
-    # largest deviation on these cases is about 3e-15
-    np.testing.assert_allclose(lowpass(x, rate, cutoff, taps), ref, rtol=0, atol=1e-12)
+    got = remove_low_frequency(x, 50e6, modulation_freq, 24.495e6, taps)
+    ref = reference_notch(x, 50e6, modulation_freq, 24.495e6, taps)
+    assert got.shape == ref.shape == (n - taps + 1,)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    if n == taps:     # one sample fewer has no valid output
+        with pytest.raises(ValueError, match="at least taps"):
+            remove_low_frequency(x[1:], 50e6, modulation_freq, 24.495e6, taps)
 
 
 def test_next_fast_len_equals_scipy():
@@ -166,24 +177,16 @@ def test_next_fast_len_equals_scipy():
         next_fast_len(0)
 
 
-def test_lowpass_linearity():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=2048)
-    y = rng.normal(size=2048)
-    lhs = lowpass(2.5 * x - 1.25 * y, 1000.0, 100.0, 201)
-    rhs = 2.5 * lowpass(x, 1000.0, 100.0, 201) \
-        - 1.25 * lowpass(y, 1000.0, 100.0, 201)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
-
-
 def test_group_delay_compensated_impulse():
+    # output j is centred on sample j + taps // 2: an impulse at sample 500
+    # peaks at output 400
     x = np.zeros(1001)
     x[500] = 1.0
-    y = lowpass(x, 1000.0, 100.0, 201)
-    assert int(np.argmax(y)) == 500
-    # linear phase: the compensated response is symmetric about the impulse
-    np.testing.assert_allclose(y[500 + 1:500 + 90],
-                               y[500 - 1:500 - 90:-1], atol=1e-12)
+    y = remove_low_frequency(x, 1000.0, 500.0, 100.0, 201)
+    assert int(np.argmax(np.abs(y))) == 400
+    # linear phase: the response is symmetric about the impulse
+    np.testing.assert_allclose(y[400 + 1:400 + 90],
+                               y[400 - 1:400 - 90:-1], atol=1e-12)
 
 
 def _offset(sample_phase, decimate):
@@ -364,15 +367,14 @@ def test_notch_removes_dc_offset():
     n = 200_000
     x = rng.normal(size=n) + 5.0
     y = remove_low_frequency(x, 50e6, 25e6, 24.5e6, 801)
-    core = y[400:-400]
-    assert abs(np.mean(core)) < 3.0 / math.sqrt(n)
+    assert abs(np.mean(y)) < 3.0 / math.sqrt(n)
 
 
 def test_notch_preserves_white_noise_variance():
     rng = np.random.default_rng(13)
     x = rng.normal(size=1_000_000)
     y = remove_low_frequency(x, 50e6, 25e6, 24.5e6, 801)
-    ratio = np.var(y[400:-400]) / np.var(x)
+    ratio = np.var(y) / np.var(x)
     assert 0.97 <= ratio <= 1.03
 
 
@@ -380,7 +382,7 @@ def test_notch_attenuates_slow_sine_30db():
     n = 200_000
     x = _tone(50e3, 50e6, n)  # 0.001 of the pulse rate
     y = remove_low_frequency(x, 50e6, 25e6, 24.5e6, 801)
-    measured = _amplitude(y, 801)
+    measured = _amplitude(y)
     # at Nyquist modulation the tone at f is attenuated by |H_lp(nyq - f)|
     predicted = oracle_response(design_lowpass(50e6, 24.5e6, 801),
                                 25e6 - 50e3, 50e6)
@@ -394,18 +396,21 @@ def test_notch_rejects_modulation_above_nyquist():
         remove_low_frequency(x, 50e6, 30e6, 20e6, 801)
     with pytest.raises(ValueError):
         remove_low_frequency(x, 50e6, 0.0, 20e6, 801)
+    with pytest.raises(ValueError):
+        remove_low_frequency(x, 50e6, math.nan, 20e6, 801)
 
 
 def test_full_chain_variance_bookkeeping():
-    """In-band noise keeps its variance through decimating lowpass and notch."""
+    """In-band noise keeps its variance through decimating low-pass and notch."""
     rng = np.random.default_rng(17)
     input_rate, pulse_rate = 400e6, 50e6
     white = rng.normal(size=1 << 21)
-    inband = lowpass(white, input_rate, 100e6, 1001)
-    pre = np.var(inband[1000:-1000])
-    per_pulse = lowpass(inband, input_rate, 140e6, 257)[4::int(input_rate // pulse_rate)]
+    inband = ssig.fftconvolve(white, design_lowpass(input_rate, 100e6, 1001), "valid")
+    pre = np.var(inband)
+    per_pulse = ssig.fftconvolve(inband, design_lowpass(input_rate, 140e6, 257),
+                                 "valid")[4::int(input_rate // pulse_rate)]
     cleaned = remove_low_frequency(per_pulse, pulse_rate, 25e6, 24.5e6, 801)
-    post = np.var(cleaned[400:-400])
+    post = np.var(cleaned)
     assert post == pytest.approx(pre, rel=0.05)
 
 
@@ -478,7 +483,7 @@ def test_design_and_call_rejections():
         design_lowpass(1000.0, 100.0, 200)  # even taps
     with pytest.raises(ValueError):
         design_lowpass(1000.0, 100.0, 3)
-    with pytest.raises(ValueError):
-        lowpass(np.zeros((2, 100)), 1000.0, 100.0, 201)
-    with pytest.raises(ValueError):
-        lowpass(np.zeros(50), 1000.0, 100.0, 201)  # shorter than taps//2
+    with pytest.raises(ValueError, match="1-d"):
+        remove_low_frequency(np.zeros((2, 300)), 1000.0, 500.0, 100.0, 201)
+    with pytest.raises(ValueError, match="at least taps"):
+        remove_low_frequency(np.zeros(200), 1000.0, 500.0, 100.0, 201)
