@@ -80,13 +80,23 @@ class BipartiteState:
         return self.rho.reshape(self.dim_e, self.dim_a, self.dim_e, self.dim_a)
 
 
+def _valid_state(dim_e: int, dim_a: int, rho: np.ndarray) -> BipartiteState:
+    """A ``BipartiteState`` whose ``rho`` is valid by construction, built
+    without the checks and their eigendecomposition."""
+    state = object.__new__(BipartiteState)
+    for name, value in (("dim_e", dim_e), ("dim_a", dim_a), ("rho", rho)):
+        object.__setattr__(state, name, value)
+    return state
+
+
 def random_pure_bipartite(dim_e: int, dim_a: int,
                           rng: np.random.Generator) -> BipartiteState:
-    """Haar-ish random pure state |psi><psi| on E (x) A."""
+    """Haar-ish random pure state |psi><psi| on E (x) A: a unit vector's
+    projector, so it is valid by construction."""
     d = dim_e * dim_a
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    return BipartiteState(dim_e=dim_e, dim_a=dim_a, rho=np.outer(psi, psi.conj()))
+    return _valid_state(dim_e, dim_a, np.outer(psi, psi.conj()))
 
 
 def phase_average_A(state: BipartiteState) -> BipartiteState:
@@ -94,16 +104,11 @@ def phase_average_A(state: BipartiteState) -> BipartiteState:
 
     Every A coherence ``n != m`` is zeroed.  The average of a valid state is
     valid by construction (Hermitian, trace kept, and PSD, each A block a
-    principal submatrix of ``rho``), so the result is built without
-    ``BipartiteState``'s checks and their eigendecomposition.
+    principal submatrix of ``rho``).
     """
     t = state.tensor() * np.eye(state.dim_a)[None, :, None, :]
     d = state.dim_e * state.dim_a
-    averaged = object.__new__(BipartiteState)
-    for name, value in (("dim_e", state.dim_e), ("dim_a", state.dim_a),
-                        ("rho", t.reshape(d, d))):
-        object.__setattr__(averaged, name, value)
-    return averaged
+    return _valid_state(state.dim_e, state.dim_a, t.reshape(d, d))
 
 
 _GL_NODES = 200  # Gauss-Legendre points per bin in the overlap integrals

@@ -263,13 +263,11 @@ def _cross_validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"dsp.lowpass_cutoff ({d.lowpass_cutoff:g}) must be positive and sit "
             f"below the input Nyquist rate ({input_rate / 2.0:g})")
-    if d.notch_enabled:
-        if not 0.0 < d.modulation_freq <= pulse_rate / 2.0:
-            raise ConfigError("dsp.modulation_freq must be positive and cannot "
-                              "exceed pulse Nyquist")
-        if not 0.0 < d.notch_cutoff < pulse_rate / 2.0:
-            raise ConfigError("dsp.notch_cutoff must be positive and sit below "
-                              "pulse Nyquist")
+    if d.notch_enabled and not 0.0 < d.notch_cutoff < d.modulation_freq <= pulse_rate / 2.0:
+        raise ConfigError(
+            f"dsp.notch_cutoff ({d.notch_cutoff:g}) and dsp.modulation_freq "
+            f"({d.modulation_freq:g}) must satisfy 0 < notch_cutoff < "
+            f"modulation_freq <= pulse Nyquist ({pulse_rate / 2.0:g})")
 
 
 def load_config(path: str | None = None, *, overrides: dict | None = None) -> RunConfig:

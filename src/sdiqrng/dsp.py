@@ -38,30 +38,30 @@ rate, derived once from the same ``design_lowpass`` taps ``h``:
   naming the ``[dsp]`` keys.
 
 Low-frequency drift removal, ``remove_low_frequency``, is the one filter
-loop at a single rate: modulate by a carrier, low-pass close to Nyquist with
-the taps of ``design_lowpass``, re-modulate.  It runs valid-mode
+loop at a single rate.  Its textbook form is modulate by the carrier
+(-1)**k, low-pass close to Nyquist with the taps ``h`` of
+``design_lowpass``, modulate back; that is one linear-phase FIR with the
+carrier folded into the taps, ``g_j = (-1)**(j - taps//2) h_j``, a
+high-pass whose stop band is the band ``h`` passes, mirrored about
+Nyquist.  ``h`` is designed at ``cutoff + pulse_rate/2 - modulation_freq``,
+so the stop edge sits at ``modulation_freq - cutoff`` for every accepted
+setting; at the default ``modulation_freq = pulse_rate/2`` that is the
+plain Nyquist notch.  A cosine carrier below Nyquist is not used: it needs
+a gain of 2 on the way back and leaves an image of the band at
+f +- 2*modulation_freq that aliases back in (an 801-tap notch at 24.5 MHz
+raised white-noise variance 1.46x that way).  The filter runs valid-mode
 overlap-save on ``numpy.fft``, so no stage has to import scipy: each
-cache-sized block of the input is modulated, transformed at ``next_fast_len``
-points (the smallest 5-smooth length, the same choice as scipy's
-``next_fast_len(n, real=True)``), multiplied by the taps' spectrum and
+cache-sized block of the input is transformed at ``next_fast_len`` points
+(the smallest 5-smooth length, the same choice as scipy's
+``next_fast_len(n, real=True)``), multiplied by the spectrum of ``g`` and
 transformed back, and only the outputs whose window lies wholly inside the
 input are kept.  ``n`` samples give ``n - taps + 1`` outputs, output ``j``
 centred on sample ``j + taps // 2``; nothing is padded, so no output reads
-a sample that was not measured.
-
-At the default ``f_mod = rate/2`` the carrier is exactly (-1)**k, the two
-spectral images coincide, and the re-modulation factor is 1: the net effect
-is a linear-phase high-pass whose stop band is the original band below
-``rate/2 - cutoff``.  For ``f_mod < rate/2`` each cosine halves the
-passband amplitude and the re-modulation carries the conventional factor 2,
-but it also leaves an image of the band at f +- 2*f_mod that aliases back
-into the band, so the output is not a high-passed copy of the input (see
-``remove_low_frequency``).  The carrier is made block by block: the default
-16001-tap notch over a million pulses is 21 transforms of 64800 points, not
-one of 1.08M points.
+a sample that was not measured.  The default 16001-tap notch over a
+million pulses is 21 transforms of 64800 points, not one of 1.08M points.
 
 Choosing the notch involves a real trade-off worth knowing about: removing
-a band of relative width ``a = (rate/2 - cutoff) / (rate/2)`` from white
+a band of relative width ``a = (modulation_freq - cutoff) / (rate/2)`` from white
 noise leaves lag-k autocorrelation of order ``-sin(pi*a*k)/(pi*k)``, so a
 survives-the-95%-CI spectrum at 1e6 samples needs ``a`` of order 1e-3 or
 less (narrow notch, many taps), while aggressive drift suppression wants a
@@ -266,56 +266,42 @@ def _block_size(taps: int) -> int:
 
 def remove_low_frequency(samples, pulse_rate: float, modulation_freq: float,
                          post_mod_lowpass_cutoff: float, taps: int) -> np.ndarray:
-    """Suppress DC and drift below ``pulse_rate/2 - post_mod_lowpass_cutoff``.
+    """Suppress DC and drift below ``modulation_freq - post_mod_lowpass_cutoff``.
 
-    Modulate to move low frequencies up to ``modulation_freq``, low-pass
-    them away, modulate back.  Returns the ``samples.size - taps + 1``
-    valid outputs: output ``j`` is centred on sample ``j + taps // 2`` and
-    reads only samples ``j .. j + taps - 1``, so fewer than ``taps``
-    samples are a ValueError.  White-noise variance in the kept band is
-    preserved only at ``modulation_freq == pulse_rate/2``, where the
-    carrier is (-1)**k and both images of the band coincide (the Hamming
-    stop band gives >= 50 dB suppression of the notched band).  Below that,
-    modulating back also shifts the band to f +- 2*modulation_freq, and
-    that image aliases back into the band: a shifted copy of the band is
-    added to the output.  On white noise at a 50 MHz pulse rate with 801
-    taps, the output/input variance ratio was 0.98 at (modulation_freq,
-    cutoff) = (25e6, 24.5e6), the notched 2% of the band removed, but 1.46
-    at (24.5e6, 24.495e6) and 1.09 at (20e6, 19.9e6).
+    One linear-phase FIR, ``g_j = (-1)**(j - taps//2) h_j`` with ``h`` the
+    ``design_lowpass`` taps at ``post_mod_lowpass_cutoff + pulse_rate/2 -
+    modulation_freq``: modulating by (-1)**k, low-passing by ``h`` and
+    modulating back, folded into the taps.  Requires
+    ``0 < post_mod_lowpass_cutoff < modulation_freq <= pulse_rate/2``.
+    Returns the ``samples.size - taps + 1`` valid outputs: output ``j`` is
+    centred on sample ``j + taps // 2`` and reads only samples
+    ``j .. j + taps - 1``, so fewer than ``taps`` samples are a ValueError.
+    The notch removes its band and adds nothing: at a 50 MHz pulse rate
+    with 801 taps its white-noise variance ratio, ``sum(g**2)``, is 0.9996
+    at (modulation_freq, cutoff) = (24.5e6, 24.495e6) and 0.9960 at (20e6,
+    19.9e6), where a cosine carrier with gain 2 gave 1.46 and 1.09.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("samples must be 1-d")
     nyq = pulse_rate / 2.0
-    if not 0 < modulation_freq <= nyq:
-        raise ValueError(f"modulation_freq must lie in (0, {nyq}], got {modulation_freq}")
-    h = design_lowpass(pulse_rate, post_mod_lowpass_cutoff, taps)
+    if not 0 < post_mod_lowpass_cutoff < modulation_freq <= nyq:
+        raise ValueError(
+            f"need 0 < cutoff < modulation_freq <= {nyq}, got cutoff "
+            f"{post_mod_lowpass_cutoff} and modulation_freq {modulation_freq}")
+    # grouped so that at Nyquist the design cutoff is exactly the one given
+    h = design_lowpass(pulse_rate, post_mod_lowpass_cutoff + (nyq - modulation_freq), taps)
+    g = h * (-1.0) ** (np.arange(taps) - taps // 2)
     if x.size < taps:
         raise ValueError(f"need at least taps = {taps} samples, got {x.size}")
-    if modulation_freq == nyq:
-        gain = 1.0  # images coincide at Nyquist: no cosine amplitude splitting
-
-        def carrier(lo: int, hi: int) -> np.ndarray:   # (-1)**k
-            wave = np.ones(hi - lo)
-            wave[1 - lo % 2::2] = -1.0
-            return wave
-    else:
-        gain = 2.0
-
-        def carrier(lo: int, hi: int) -> np.ndarray:
-            return np.cos(2.0 * np.pi * modulation_freq * np.arange(lo, hi) / pulse_rate)
-
-    half = taps // 2
     size = _block_size(taps)
     per_block = size - taps + 1
-    spectrum = rfft(h, size)
+    spectrum = rfft(g, size)
     out = np.empty(x.size - taps + 1)
     for first in range(0, out.size, per_block):
         last = min(out.size, first + per_block)
-        stop = last + taps - 1
-        full = irfft(rfft(x[first:stop] * carrier(first, stop), size) * spectrum, size)
+        full = irfft(rfft(x[first:last + taps - 1], size) * spectrum, size)
         out[first:last] = full[taps - 1:taps - 1 + last - first]
-        out[first:last] *= gain * carrier(first + half, last + half)
     return out
 
 

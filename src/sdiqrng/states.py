@@ -102,7 +102,7 @@ class Mixture:
 
 QuantumStateModel = Vacuum | Fock | Thermal | DisplacedSqueezed | Mixture
 
-_MAX_FOCK = 4096
+_MAX_FOCK = 512
 
 
 def validate_state(state: QuantumStateModel) -> None:

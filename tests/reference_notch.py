@@ -1,9 +1,11 @@
 """The drift notch from its definition, the oracle the overlap-save loop of
 ``dsp.remove_low_frequency`` is held to within rounding.
 
-Modulate by the carrier, convolve with the low-pass taps by ``np.convolve``
-in valid mode, and modulate back at each output's centre sample: (-1)**k
-with gain 1 at Nyquist, cos(2*pi*f_mod*k/rate) with gain 2 below it.
+Modulate by (-1)**k, convolve with the low-pass taps designed at
+``cutoff + (rate/2 - modulation_freq)`` by ``np.convolve`` in valid mode,
+and modulate back by (-1)**k at each output's centre sample.  No taps are
+folded and no FFT is taken, so the oracle shares nothing with the
+production loop but the low-pass design.
 """
 
 import numpy as np
@@ -14,11 +16,9 @@ from sdiqrng.dsp import design_lowpass
 def reference_notch(x, rate, modulation_freq, cutoff, taps):
     """The ``x.size - taps + 1`` notch outputs, output j centred on sample
     j + taps // 2."""
-    k = np.arange(x.size)
-    if modulation_freq == rate / 2.0:
-        gain, carrier = 1.0, (-1.0) ** k
-    else:
-        gain, carrier = 2.0, np.cos(2.0 * np.pi * modulation_freq * k / rate)
+    carrier = (-1.0) ** np.arange(x.size)
     half = taps // 2
-    h = design_lowpass(rate, cutoff, taps)
-    return gain * carrier[half:x.size - half] * np.convolve(x * carrier, h, "valid")
+    # grouped as in production, so that at Nyquist the design cutoff is
+    # exactly ``cutoff``
+    h = design_lowpass(rate, cutoff + (rate / 2.0 - modulation_freq), taps)
+    return carrier[half:x.size - half] * np.convolve(x * carrier, h, "valid")

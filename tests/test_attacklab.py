@@ -101,12 +101,15 @@ def test_phase_average_idempotent_and_trace_preserving():
 
 @pytest.mark.parametrize("dim_e", range(2, 17))
 def test_phase_average_is_a_valid_state_at_every_equivalence_size(dim_e):
-    # phase_average_A skips BipartiteState's checks: its output must pass
-    # them anyway, at every size verify can draw (equivalence_dim_max is
-    # 8 by default and at most 16)
+    # random_pure_bipartite and phase_average_A skip BipartiteState's
+    # checks: their output must pass them anyway, at every size verify can
+    # draw (equivalence_dim_max is 8 by default and at most 16)
     rng = np.random.default_rng(dim_e)
     for dim_a in range(2, 17):
         pure = [random_pure_bipartite(dim_e, dim_a, rng) for _ in range(2)]
+        for st in pure:
+            assert (st.dim_e, st.dim_a) == (dim_e, dim_a)
+            BipartiteState(dim_e, dim_a, st.rho)
         weights = rng.dirichlet(np.ones(2))
         mixed = BipartiteState(dim_e, dim_a,
                                sum(w * st.rho for w, st in zip(weights, pure)))

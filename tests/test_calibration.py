@@ -20,11 +20,13 @@ from sdiqrng.calibration import (
     CalibrationResult,
     CalibrationSettings,
     append_log,
+    calibrate,
     current_calibration,
     fingerprint,
     fit_calibration,
     read_log,
 )
+from sdiqrng.config import load_config, substream
 from sdiqrng.detector import ChainSettings, MeasurementConfig, measure_pulses, quantize
 from sdiqrng.exceptions import CalibrationError, StaleCalibrationError
 from sdiqrng.states import Vacuum
@@ -96,6 +98,23 @@ def test_simulated_sweep_recovers_gain_and_noise():
     assert res.delta == pytest.approx(cfg.adc_step / math.sqrt(2.0 * 50.0),
                                       rel=0.01)
     assert res.r_squared > 0.999
+
+
+def test_sub_nyquist_notch_certifies_what_the_chain_without_it_does():
+    # the notch removes a few kHz of the band and adds nothing, so a default
+    # sweep through the 801-tap 24.5 MHz notch fits the same line as one
+    # without the notch (a notch that folds an image back in adds
+    # variance, and certified 0.25 bits/sample more)
+    h_min = {}
+    for notch in ("true", "false"):
+        cfg = load_config(None, overrides={
+            "dsp.notch_enabled": notch, "dsp.notch_taps": "801",
+            "dsp.modulation_freq": "24.5e6", "dsp.notch_cutoff": "24.495e6"})
+        rngs = [substream(cfg.run.rng_seed, f"calibrate-{i}")
+                for i in range(len(cfg.calibration.powers))]
+        result, _ = calibrate(cfg.detector, cfg.dsp, cfg.calibration, rngs, 0.0)
+        h_min[notch] = result.h_min_bits
+    assert h_min["true"] == pytest.approx(h_min["false"], abs=0.01)
 
 
 def test_degenerate_sweeps_rejected():

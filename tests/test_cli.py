@@ -645,10 +645,27 @@ def test_calibration_at_other_settings_does_not_certify(tmp_path, capsys, change
 
 
 def test_verify_beyond_the_supported_fock_index_exits_2(tmp_path, capsys):
+    # psi_0 underflows beyond |q| ~ 38.6, which Fock 769 reaches: at 800 the
+    # bound scan used to fail on wavefunctions that had lost their mass
     cfg_path = tmp_path / "verify.cfg"
-    cfg_path.write_text("[verify]\nfock_n_max = 5000\ndeltas = 1.0\nequivalence_states = 1\n")
-    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 2
-    assert "fock_n_max must lie in [1, 4096]" in capsys.readouterr().err
+    for n, delta in ((5000, 1.0), (800, 0.1)):
+        cfg_path.write_text(f"[verify]\nfock_n_max = {n}\ndeltas = {delta}\n"
+                            "equivalence_states = 1\n")
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 2
+        assert "fock_n_max must lie in [1, 512]" in capsys.readouterr().err
+
+
+def test_notch_cutoff_at_or_above_modulation_freq_exits_2(tmp_path, capsys):
+    for modulation_freq, cutoff in (("20e6", "24e6"), ("24.5e6", "24.5e6")):
+        cfg_path = tmp_path / "notch.cfg"
+        cfg_path.write_text(CFG_TEMPLATE.format(seed=SEED).replace(
+            "modulation_freq = 24.5e6\nnotch_cutoff = 24.495e6",
+            f"modulation_freq = {modulation_freq}\nnotch_cutoff = {cutoff}"))
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "dsp.notch_cutoff" in err and "dsp.modulation_freq" in err
 
 
 def test_negative_phase_width_exits_2(tmp_path, capsys):

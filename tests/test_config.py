@@ -223,7 +223,7 @@ def test_detector_policies_and_validation(tmp_path):
     ("[verify]\nequivalence_dim_max = 17", "equivalence_dim_max"),
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
     ("[verify]\ndeltas =", "deltas"),
-    ("[verify]\nfock_n_max = 5000", r"fock_n_max must lie in \[1, 4096\]"),
+    ("[verify]\nfock_n_max = 5000", r"fock_n_max must lie in \[1, 512\]"),
     # the shared Fock table would need about 1.1e10 entries (82 GiB)
     ("[verify]\ndeltas = 1e-7", "table of more than 16777216 entries"),
     ("[verify]\nfock_n_max = 1\ndeltas = 5e-324", "table of more than"),
@@ -233,6 +233,8 @@ def test_detector_policies_and_validation(tmp_path):
     ("[dsp]\nlowpass_cutoff = 0", "lowpass_cutoff"),
     ("[dsp]\nnotch_cutoff = -1e6", "notch_cutoff"),
     ("[dsp]\nmodulation_freq = 0", "modulation_freq"),
+    ("[dsp]\nmodulation_freq = 20e6\nnotch_cutoff = 24e6",
+     "notch_cutoff.*modulation_freq"),
     # simulate computes the autocorrelation with the chain off too
     ("[dsp]\nenabled = false\nautocorr_max_lag = 0", "autocorr"),
     ("[dsp]\nenabled = false\nautocorr_samples = -5", "autocorr"),

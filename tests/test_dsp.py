@@ -5,8 +5,8 @@ DFT of the designed taps (and cross-checked against scipy.signal.freqz), so
 the time-domain measurements have an independent oracle.  scipy.signal is a
 test-only oracle: the numpy design must equal ``firwin`` bit for bit, and
 ``scipy.fft`` is the oracle for ``next_fast_len``.  The drift notch must
-equal, to within rounding, the carrier times ``np.convolve`` of the
-modulated input in valid mode.  The pulse-rate filters are checked against
+equal, to within rounding, (-1)**k times ``np.convolve`` of the input
+modulated by (-1)**k in valid mode.  The pulse-rate filters are checked against
 the oversampled chain they replace: a flat-top wave filtered at the full
 rate by ``fftconvolve`` and strided by hand, and white noise through the
 same taps for the noise factor's autocovariance.  The blocked
@@ -398,6 +398,24 @@ def test_notch_rejects_modulation_above_nyquist():
         remove_low_frequency(x, 50e6, 0.0, 20e6, 801)
     with pytest.raises(ValueError):
         remove_low_frequency(x, 50e6, math.nan, 20e6, 801)
+
+
+def test_notch_rejects_cutoff_at_or_above_modulation():
+    # the stop edge is modulation_freq - cutoff, so it must be positive
+    x = np.zeros(4096)
+    for modulation_freq, cutoff in ((24.5e6, 24.5e6), (20e6, 24e6), (25e6, 0.0)):
+        with pytest.raises(ValueError, match="cutoff < modulation_freq"):
+            remove_low_frequency(x, 50e6, modulation_freq, cutoff, 801)
+
+
+@pytest.mark.parametrize("modulation_freq,cutoff", [(24.5e6, 24.495e6), (20e6, 19.9e6)])
+def test_sub_nyquist_notch_adds_no_variance(modulation_freq, cutoff):
+    # below Nyquist the notch is still a high-pass: it removes a band from
+    # white noise and folds no image of the band back in
+    x = np.random.default_rng(19).normal(size=1 << 18)
+    y = remove_low_frequency(x, 50e6, modulation_freq, cutoff, 801)
+    ratio = np.mean(y * y) / np.mean(x[400:-400] ** 2)
+    assert 0.99 <= ratio <= 1.0
 
 
 def test_full_chain_variance_bookkeeping():
