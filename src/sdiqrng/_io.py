@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
@@ -16,7 +17,9 @@ def iso_utc(ts: float) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
+def write_bytes_atomic(path, data) -> None:
+    """Write ``data``, any bytes-like object (a contiguous numpy array
+    too, without a copy), to ``path`` atomically."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -90,13 +93,36 @@ def ordered_map(fn, items, threads: int) -> list:
 
     Results come back in input order, and an exception propagates from the
     first failing item in input order, so a caller sees the same results and
-    the same error at any thread count.  One thread runs every task in the
-    calling thread, without a pool.
+    the same error at any thread count.  ``items`` is consumed lazily: at
+    most ``2 * threads`` tasks are submitted ahead of the oldest unfinished
+    one, so a generator of large items holds only those in memory.  An
+    exception raised by ``items`` itself fails at its own position, after
+    every earlier task.  One thread runs every task in the calling thread,
+    without a pool.
     """
     if threads == 1:
         return [fn(item) for item in items]
+    items = iter(items)
+    ahead = deque()
+    results = []
+    failure = None
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        return list(pool.map(fn, items))
+        while True:
+            while failure is None and len(ahead) < 2 * threads:
+                try:
+                    item = next(items)
+                except StopIteration:
+                    break
+                except Exception as exc:   # raised once every earlier task is done
+                    failure = exc
+                    break
+                ahead.append(pool.submit(fn, item))
+            if not ahead:
+                break
+            results.append(ahead.popleft().result())
     finally:   # after a failure, tasks not yet started never start
         pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
+    return results

@@ -189,6 +189,18 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
+def _block_file(read, path: Path, det: detector.MeasurementConfig):
+    """``read(path, det)``, a missing or malformed block file raised as a
+    ConfigError naming it."""
+    try:
+        return read(path, det)
+    except OSError as exc:
+        raise ConfigError(f"sample block {exc.filename}: {exc.strerror}; "
+                          "run simulate first") from None
+    except ValueError as exc:
+        raise ConfigError(f"sample block {exc}") from None
+
+
 def cmd_extract(cfg: RunConfig) -> int:
     """Toeplitz-hash simulated blocks into output bits."""
     out = _out_dir(cfg)
@@ -198,13 +210,10 @@ def cmd_extract(cfg: RunConfig) -> int:
     # run with more blocks or the other chain setting must not be hashed
     kind = "filtered" if cfg.dsp.enabled else "raw"
     paths = [out / "blocks" / f"{kind}_{b:04d}.bin" for b in range(cfg.simulate.blocks)]
-    try:
-        blocks = [detector.read_block(p, det) for p in paths]
-    except OSError as exc:
-        raise ConfigError(f"sample block {exc.filename}: {exc.strerror}; "
-                          "run simulate first") from None
-    except ValueError as exc:
-        raise ConfigError(f"sample block {exc}") from None
+    # every header and file size first, so that a bad block exits 2 before
+    # the calibration is read; the payloads are read one at a time below
+    for path in paths:
+        _block_file(detector.check_block, path, det)
 
     if es.h_min_override is not None:
         h_min, certified_by = es.h_min_override, "h_min_override"
@@ -235,15 +244,18 @@ def cmd_extract(cfg: RunConfig) -> int:
                                         int(seed_rng.integers(0, 2 ** 63)))
 
     start = time.perf_counter()
+    blocks = (_block_file(detector.read_block, p, det) for p in paths)
     try:
         packed, report = extractor.extract_stream(blocks, plan, seed,
                                                   threads=cfg.run.threads)
+    except ConfigError:
+        raise
     except ValueError as exc:   # such as too few samples for one hash block
         raise ConfigError(f"extractor: {exc}") from None
     hash_s = time.perf_counter() - start
     if not es.seed_file:   # written only beside the bits it hashed
         extractor.write_seed_file(out / "toeplitz.seed", seed)
-    write_bytes_atomic(out / "output.bits", packed.tobytes())
+    write_bytes_atomic(out / "output.bits", packed)
     write_report(out / "accounting.txt", [
         ("certified_by", certified_by),
         ("samples_per_block", plan.samples_per_block),

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,7 @@ __all__ = [
     "quantize",
     "vacuum_unit_resolution",
     "write_block",
+    "check_block",
     "read_block",
 ]
 
@@ -334,24 +337,52 @@ def write_block(path, block: RawSampleBlock) -> None:
     write_bytes_atomic(path, block_to_bytes(block))
 
 
+def check_block(path, config: MeasurementConfig) -> None:
+    """Check a block file's header against ``config`` and its payload length
+    against the file size, without reading the payload.
+
+    Raises ValueError naming ``path`` on every fault ``read_block`` finds
+    before it reads the codes.
+    """
+    with open(path, "rb") as fh, _naming(path):
+        _read_header(fh, config)
+
+
 def read_block(path, config: MeasurementConfig) -> RawSampleBlock:
     """Read a binary block; the header is validated against ``config``.
 
     Every malformed or mismatched file raises ValueError naming ``path``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb") as fh, _naming(path):
+        dtype, count, clipped, run_id, created = _read_header(fh, config)
+        payload = fh.read()
+        _check_payload_size(len(payload), dtype, count)   # the file may have changed
+        codes = np.frombuffer(payload, dtype=dtype).astype(np.int16)
+        return RawSampleBlock(codes=codes, config=config, run_id=run_id,
+                              timestamp=created, clipped=clipped)
+
+
+@contextmanager
+def _naming(path):
     try:
-        return _parse_block(data, config)
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_block(data: bytes, config: MeasurementConfig) -> RawSampleBlock:
-    parts = data.split(b"\n", 9)
-    if len(parts) < 10:
-        raise ValueError("truncated block header")
-    lines = [p.decode("ascii", "replace") for p in parts[:9]]
+def _read_header(fh, config: MeasurementConfig) -> tuple[np.dtype, int, int, str, str]:
+    """Read the 9-line header at the start of ``fh``, check it against
+    ``config`` and the payload length against the file size, and leave
+    ``fh`` at the first payload byte.
+
+    Returns (payload dtype, count, clipped, run id, creation time).
+    """
+    lines = []
+    for _ in range(9):
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("truncated block header")
+        lines.append(line[:-1].decode("ascii", "replace"))
     if lines[0] != _MAGIC:
         raise ValueError(f"bad magic {lines[0]!r}")
     if lines[1] != _VERSION:
@@ -366,11 +397,15 @@ def _parse_block(data: bytes, config: MeasurementConfig) -> RawSampleBlock:
         raise ValueError("config hash mismatch")
     if lines[8] != "---":
         raise ValueError("malformed header terminator")
-    codes = np.frombuffer(parts[9], dtype=_payload_dtype(bits))
-    if codes.size != count:
-        raise ValueError(f"payload has {codes.size} codes, header says {count}")
+    dtype = _payload_dtype(bits)
+    _check_payload_size(os.fstat(fh.fileno()).st_size - fh.tell(), dtype, count)
     if not 0 <= clipped <= count:
         raise ValueError(f"clipped count {clipped} outside 0..{count}")
-    return RawSampleBlock(codes=codes.astype(np.int16), config=config,
-                          run_id=lines[6].removeprefix("run="),
-                          timestamp=lines[7].removeprefix("created="), clipped=clipped)
+    return (dtype, count, clipped, lines[6].removeprefix("run="),
+            lines[7].removeprefix("created="))
+
+
+def _check_payload_size(size: int, dtype: np.dtype, count: int) -> None:
+    if size != count * dtype.itemsize:
+        raise ValueError(f"payload holds {size} bytes, header says {count} codes "
+                         f"of {dtype.itemsize} byte(s)")

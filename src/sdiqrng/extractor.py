@@ -376,73 +376,108 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
                    threads: int = 1) -> tuple[np.ndarray, AccountingReport]:
     """Hash a sequence of raw sample blocks into near-uniform output bits.
 
-    ``blocks`` is an iterable of detector.RawSampleBlock.  Samples are
-    concatenated, cut into plan-sized blocks (a trailing partial block is
-    discarded and accounted), serialized, hashed with the shared seed and
-    concatenated in input order.  Returns (packed bytes as uint8 array,
-    report).
+    ``blocks`` is an iterable of detector.RawSampleBlock, consumed lazily,
+    one block at a time.  Their samples are taken as one stream, cut into
+    plan-sized blocks (a trailing partial block is discarded and
+    accounted), serialized, hashed with the shared seed and concatenated in
+    input order.  Returns (packed bytes as uint8 array, report).
 
-    Blocks are hashed eight per ``toeplitz_hash`` call, spread over
-    ``threads`` workers; a batch whose FFT rounding residual exceeds 0.25
-    raises SecurityModelViolation naming the batch.
+    Blocks are hashed eight per ``toeplitz_hash`` call, in batches of 8 * N
+    samples numbered from the start of the stream, spread over ``threads``
+    workers; a batch whose FFT rounding residual exceeds 0.25 raises
+    SecurityModelViolation naming the batch.  A batch may span input
+    blocks: fewer than 8 * N samples are carried from one into the next.
+    So at any moment the call holds one input block's codes, the carry, the
+    batches in flight (``_io.ordered_map`` runs at most ``2 * threads``
+    ahead), one transform workspace per worker and the output, which grows
+    batch by batch; its memory does not grow with the number of blocks
+    beyond the output they hash to.
     """
     if len(seed) != plan.seed_bits:
         raise ValueError(f"seed has {len(seed)} bits, plan needs {plan.seed_bits}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("no input blocks")
-    pulse_rate = blocks[0].config.pulse_rate
-    clipped = 0
-    for b in blocks:
-        if b.config.adc_bits != plan.bits_per_sample:
-            raise ValueError(
-                f"block carries {b.config.adc_bits}-bit codes, plan expects "
-                f"{plan.bits_per_sample}")
-        clipped += b.clipped
-    codes = np.concatenate([np.asarray(b.codes) for b in blocks])
-    n_samples = codes.size
-    n_blocks = n_samples // plan.samples_per_block
-    if n_blocks == 0:
-        raise ValueError(
-            f"{n_samples} samples cannot fill one block of {plan.samples_per_block}")
-    used = n_blocks * plan.samples_per_block
-    chunks = codes[:used].reshape(n_blocks, plan.samples_per_block)
+    n, m = plan.samples_per_block, plan.output_bits
+    batch_samples = _BATCH_BLOCKS * n
+    samples_in = clipped = 0
+    pulse_rate = None
 
-    m = plan.output_bits
-    n_batches = -(-n_blocks // _BATCH_BLOCKS)
+    def batches():
+        """The stream's codes in batches of ``batch_samples``, then its last
+        whole plan-sized blocks; each a copy, so no input block outlives
+        its turn."""
+        nonlocal samples_in, clipped, pulse_rate
+        carry = np.empty(0, dtype=np.int16)
+        for block in blocks:
+            if block.config.adc_bits != plan.bits_per_sample:
+                raise ValueError(
+                    f"block carries {block.config.adc_bits}-bit codes, plan expects "
+                    f"{plan.bits_per_sample}")
+            if pulse_rate is None:
+                pulse_rate = block.config.pulse_rate
+            clipped += block.clipped
+            codes = np.asarray(block.codes)
+            del block
+            samples_in += codes.size
+            first = 0
+            if carry.size:
+                first = batch_samples - carry.size
+                carry = np.concatenate([carry, codes[:first]])
+                if carry.size < batch_samples:
+                    continue
+                yield carry
+            stop = first + (codes.size - first) // batch_samples * batch_samples
+            for lo in range(first, stop, batch_samples):
+                yield codes[lo:lo + batch_samples].copy()
+            carry = codes[stop:].copy()
+            del codes   # freed before the next block is read
+        tail = carry.size // n * n
+        if tail:
+            yield carry[:tail]
+
     seed.spectrum  # computed here, once, so worker threads only read it
-    out = np.empty((n_blocks * m + 7) // 8, dtype=np.uint8)
-    residuals = np.zeros(n_batches)
+    out = bytearray()
+    out_lock = threading.Lock()
     workers = threading.local()  # one workspace per worker thread, freed with the call
 
-    def hash_batch(batch: int) -> None:
-        first = batch * _BATCH_BLOCKS
-        stop = min(first + _BATCH_BLOCKS, n_blocks)
-        bits = serialize_samples(chunks[first:stop].ravel(), plan.bits_per_sample)
+    def hash_batch(item) -> float:
+        batch, codes = item
+        k = codes.size // n
+        bits = serialize_samples(codes, plan.bits_per_sample)
         ws = getattr(workers, "workspace", None)
-        if ws is None:
-            ws = workers.workspace = _Workspace(plan.input_bits, m,
-                                                min(n_blocks, _BATCH_BLOCKS))
+        if ws is None or ws.blocks < k:
+            ws = workers.workspace = _Workspace(plan.input_bits, m, k)
+        residual = np.zeros(1)
         try:
-            hashed = toeplitz_hash(bits, seed, m, residual=residuals[batch:batch + 1],
-                                   workspace=ws)
+            hashed = toeplitz_hash(bits, seed, m, residual=residual, workspace=ws)
         except SecurityModelViolation as exc:
+            first = batch * _BATCH_BLOCKS
             raise SecurityModelViolation(
-                f"batch {batch} (blocks {first}..{stop - 1}): {exc}") from None
-        # a batch starts at bit first * m, a multiple of 8 * m: byte batch * m
-        out[batch * m:batch * m + (hashed.size + 7) // 8] = np.packbits(hashed)
+                f"batch {batch} (blocks {first}..{first + k - 1}): {exc}") from None
+        # a batch starts at bit batch * 8 * m: byte batch * m
+        packed = np.packbits(hashed)
+        start, stop = batch * m, batch * m + packed.size
+        with out_lock:   # batches finish out of order on a pool
+            if len(out) < stop:
+                out.extend(bytes(stop - len(out)))
+            out[start:stop] = memoryview(packed)
+        return float(residual[0])
 
-    ordered_map(hash_batch, range(n_batches), threads)
+    residuals = ordered_map(hash_batch, enumerate(batches()), threads)
+    if pulse_rate is None:
+        raise ValueError("no input blocks")
+    n_blocks = samples_in // n
+    if n_blocks == 0:
+        raise ValueError(f"{samples_in} samples cannot fill one block of {n}")
+    used = n_blocks * n
 
     report = AccountingReport(
-        samples_in=n_samples, samples_used=used, blocks=n_blocks,
+        samples_in=samples_in, samples_used=used, blocks=n_blocks,
         raw_bits=used * plan.bits_per_sample, output_bits=n_blocks * m,
         bits_per_sample_effective=plan.bits_per_sample_effective,
         h_min_per_sample=plan.h_min_per_sample, epsilon=plan.epsilon,
         seed_provenance=seed.provenance, pulse_rate=pulse_rate,
         clipped_samples=clipped,
-        fft_rounding_residual_max=float(residuals.max()))
-    return out, report
+        fft_rounding_residual_max=max(residuals))
+    return np.frombuffer(out, dtype=np.uint8), report

@@ -393,6 +393,46 @@ h_min_override = 5.55
     assert "raw_0000.bin" in err
 
 
+EXTRACT_ARTIFACTS = ("output.bits", "accounting.txt", "toeplitz.seed")
+
+
+def _truncate(path):
+    """Cut the last five payload bytes off a block file."""
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def test_truncated_block_exits_2_before_the_calibration_is_read(tmp_path, capsys):
+    # no calibration.csv would exit 3; every block file is checked first
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    run_pipeline(cfg_path, out, ("simulate",))
+    _truncate(out / "blocks" / "filtered_0001.bin")
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "filtered_0001.bin" in err and "payload" in err
+    assert not any((out / name).exists() for name in EXTRACT_ARTIFACTS)
+
+
+def test_block_truncated_between_check_and_read_exits_2(tmp_path, capsys, monkeypatch):
+    cfg_path = write_cfg(tmp_path, extra="\n[extractor]\nh_min_override = 5.55\n")
+    out = tmp_path / "o"
+    run_pipeline(cfg_path, out, ("simulate",))
+    check_block = detector.check_block
+
+    def check_then_truncate(path, config):
+        check_block(path, config)
+        if path.name == "filtered_0001.bin":
+            _truncate(path)
+
+    monkeypatch.setattr(detector, "check_block", check_then_truncate)
+    capsys.readouterr()
+    assert main(["extract", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error (config): sample block" in err and "filtered_0001.bin" in err
+    assert not any((out / name).exists() for name in EXTRACT_ARTIFACTS)
+
+
 def stale_cfg(dirpath, name, *, enabled, blocks, pulses=20000):
     path = dirpath / name
     path.write_text(f"""\

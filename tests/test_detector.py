@@ -20,6 +20,7 @@ from sdiqrng.detector import (
     MeasurementConfig,
     RawSampleBlock,
     block_to_bytes,
+    check_block,
     draw_phases,
     measure_pulses,
     quantize,
@@ -459,6 +460,29 @@ def test_block_header_carries_clip_count(tmp_path):
         bad.write_bytes(data.replace(old, new, 1))
         with pytest.raises(ValueError, match=match):
             read_block(bad, cfg)
+
+
+def test_check_block_finds_the_faults_read_block_finds(tmp_path):
+    for bits in (8, 12):
+        cfg = MeasurementConfig(adc_bits=bits)
+        data = block_to_bytes(RawSampleBlock(
+            codes=np.array([-5, 0, 3, 7], dtype=np.int16), config=cfg, clipped=1))
+        path = tmp_path / "block.bin"
+        path.write_bytes(data)
+        check_block(path, cfg)
+        for bad in (data[:-1], data + b"\0", data[:-2], data[:30],
+                    data.replace(b"clipped=1", b"clipped=9", 1),
+                    data.replace(b"---", b"--x", 1)):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError) as checked:
+                check_block(path, cfg)
+            with pytest.raises(ValueError) as read:
+                read_block(path, cfg)
+            assert str(checked.value) == str(read.value)
+            assert str(checked.value).startswith(f"{path}: ")
+        path.write_bytes(data[:-2])
+        with pytest.raises(ValueError, match="payload holds"):
+            check_block(path, cfg)
 
 
 def test_wide_codes_use_two_byte_payload(tmp_path):

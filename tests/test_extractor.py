@@ -9,6 +9,7 @@ search over block sizes.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,3 +524,62 @@ def test_extract_stream_refusals():
                           config=MeasurementConfig(adc_bits=12))
     with pytest.raises(ValueError, match="12-bit"):
         extract_stream([wide], plan, seed)
+
+
+def test_extract_stream_cuts_batches_across_block_edges():
+    # hash blocks and 8-block batches straddle the edges of input blocks
+    # of awkward sizes; a one-shot generator of them hashes as one block
+    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    n, m = plan.samples_per_block, plan.output_bits
+    sizes = [3 * n + 5, 7, 9 * n - 1, 5 * n + 3, 8 * n, 1, 6 * n - 2]
+    rng = np.random.default_rng(79)
+    blocks = _code_blocks(rng, sizes, clipped=list(range(len(sizes))))
+    seed = prng_seed(plan.seed_bits, 83)
+    whole = RawSampleBlock(codes=np.concatenate([b.codes for b in blocks]),
+                           config=blocks[0].config, clipped=sum(range(len(sizes))))
+    want, want_report = extract_stream([whole], plan, seed)
+    assert want_report.blocks == sum(sizes) // n == 31
+    for threads in (1, 3):
+        packed, report = extract_stream((b for b in blocks), plan, seed,
+                                        threads=threads)
+        assert packed.tobytes() == want.tobytes()
+        assert report == want_report
+    hashed = np.unpackbits(want)[:31 * m].reshape(31, m)
+    for i, chunk in enumerate(whole.codes[:31 * n].reshape(31, n)):
+        np.testing.assert_array_equal(
+            hashed[i], toeplitz_naive(serialize_samples(chunk, 8), seed.bits, m))
+
+
+def test_extract_stream_without_blocks_is_refused():
+    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    seed = prng_seed(plan.seed_bits, 89)
+    for empty in ([], (b for b in ())):
+        with pytest.raises(ValueError, match="no input blocks"):
+            extract_stream(empty, plan, seed)
+
+
+def test_extract_stream_memory_does_not_grow_with_the_block_count():
+    # blocks made one at a time as they are consumed: a call that holds them
+    # all, or their concatenation, peaks higher with every block
+    plan = plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    seed = prng_seed(plan.seed_bits, 97)
+    seed.spectrum
+    size = 50 * plan.samples_per_block + 77
+    cfg = MeasurementConfig()
+
+    def peak(count):
+        rng = np.random.default_rng(101)
+        blocks = (RawSampleBlock(codes=rng.integers(-128, 128, size, dtype=np.int16),
+                                 config=cfg) for _ in range(count))
+        tracemalloc.start()
+        try:
+            packed, _ = extract_stream(blocks, plan, seed)
+            return tracemalloc.get_traced_memory()[1], packed.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak_2, out_2 = peak(2)
+    peak_8, out_8 = peak(8)
+    # six more blocks of codes are 6 * 2 * size bytes; they may add their
+    # output and nothing else
+    assert peak_8 - peak_2 <= out_8 - out_2 + (128 << 10), (peak_8 - peak_2, out_8 - out_2)

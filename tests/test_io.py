@@ -1,5 +1,5 @@
 """Byte-exact layouts of the two text artifact writers and the log append,
-and the order and errors of the worker pool."""
+and the order, errors and look-ahead of the worker pool."""
 
 import threading
 import time
@@ -69,3 +69,72 @@ def test_ordered_map_raises_the_first_failure_in_input_order(threads):
 
     with pytest.raises(ValueError, match="item 2"):
         ordered_map(fail_from_two, range(5), threads)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_ordered_map_pulls_items_lazily(threads):
+    # no task returns until the event is set: items pulled by then are the
+    # look-ahead, at most 2 * threads (plus one in hand)
+    release = threading.Event()
+    pulled = []
+
+    def items():
+        for i in range(50):
+            pulled.append(i)
+            yield i
+
+    def wait_then_square(i):
+        release.wait()
+        return i * i
+
+    result = []
+    caller = threading.Thread(
+        target=lambda: result.append(ordered_map(wait_then_square, items(), threads)))
+    caller.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        while len(pulled) < 2 * threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)   # room to pull more, were the pool to
+        assert 0 < len(pulled) <= 2 * threads + 1
+    finally:
+        release.set()
+        caller.join(timeout=10.0)
+    assert not caller.is_alive()
+    assert result == [[i * i for i in range(50)]]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ordered_map_of_a_generator_equals_the_comprehension(threads):
+    def jittered_cube(i):
+        time.sleep(0.0005 * (i % 3))
+        return i ** 3
+
+    want = [jittered_cube(i) for i in range(40)]
+    assert ordered_map(jittered_cube, (i for i in range(40)), threads) == want
+    assert ordered_map(jittered_cube, iter(()), threads) == []
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ordered_map_iterator_failure_comes_after_earlier_items(threads):
+    done = []
+
+    def items(stop):
+        yield from range(stop)
+        raise RuntimeError("items ran dry")
+
+    def fail_on_one(i):
+        if i == 1:
+            time.sleep(0.05)   # the iterator raises first in time
+            raise ValueError("item 1")
+        done.append(i)
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        ordered_map(fail_on_one, items(3), threads)
+    # with no earlier failure, the iterator's own error surfaces, after
+    # every item it yielded has run
+    done.clear()
+    with pytest.raises(RuntimeError, match="ran dry"):
+        ordered_map(lambda i: done.append(i), items(4), threads)
+    assert sorted(done) == [0, 1, 2, 3]
