@@ -30,6 +30,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -121,9 +122,6 @@ class AttackSettings:
     displaced: bool = True
 
 
-_FOCK_TABLE_BUDGET = 2 ** 24  # float64 entries (128 MiB) of one bound scan's table
-
-
 @dataclass(frozen=True)
 class VerifySettings:
     fock_n_max: int = 20
@@ -139,13 +137,9 @@ class VerifySettings:
             raise ValueError("equivalence_dim_max must lie in [2, 16]")
         if not self.deltas or any(dl <= 0 for dl in self.deltas):
             raise ValueError("deltas must be non-empty and all positive")
-        try:  # the narrowest bins make the largest table
-            entries = states._fock_table_entries(self.fock_n_max, min(self.deltas))
-        except OverflowError:  # so narrow that the bin count overflows a float
-            entries = math.inf
-        if entries > _FOCK_TABLE_BUDGET:
-            raise ValueError(f"deltas down to {min(self.deltas)!r} need a bound-scan "
-                             f"table of more than {_FOCK_TABLE_BUDGET} entries")
+        if min(self.deltas) < sys.float_info.min:
+            raise ValueError(f"deltas down to {min(self.deltas)!r} are subnormal: "
+                             "erf(delta/2) underflows there")
 
 
 @dataclass(frozen=True)

@@ -204,13 +204,17 @@ def write_seed_file(path, seed: ToeplitzSeed) -> None:
 
 
 def read_seed_file(path, seed_bits: int) -> ToeplitzSeed:
-    """Load a raw binary seed; the byte length must be exactly ceil(bits/8)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Load a raw binary seed; the byte length must be exactly ceil(bits/8).
+
+    At most one byte more than that is read, so a device such as
+    /dev/urandom or an oversized file is rejected at once."""
     expect = (seed_bits + 7) // 8
+    with open(path, "rb") as fh:
+        data = fh.read(expect + 1)
     if len(data) != expect:
+        held = len(data) if len(data) < expect else f"more than {expect}"
         raise ValueError(
-            f"{path}: seed file holds {len(data)} bytes, need exactly {expect} "
+            f"{path}: seed file holds {held} bytes, need exactly {expect} "
             f"for {seed_bits} bits")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:seed_bits]
     return ToeplitzSeed(bits=bits, provenance=f"file:{path}")
@@ -343,7 +347,7 @@ def serialize_samples(codes: np.ndarray, bits_per_sample: int) -> np.ndarray:
     hi = (1 << (bits_per_sample - 1)) - 1
     if codes.size and (codes.min() < lo or codes.max() > hi):
         raise ValueError(f"codes outside the {bits_per_sample}-bit two's complement range")
-    wrapped = (codes.astype(np.int64) & ((1 << bits_per_sample) - 1)).astype(np.uint16)
+    wrapped = codes.astype(np.uint16) & ((1 << bits_per_sample) - 1)
     if bits_per_sample == 8:
         return np.unpackbits(wrapped.astype(np.uint8))
     shifts = np.arange(bits_per_sample - 1, -1, -1, dtype=np.uint16)

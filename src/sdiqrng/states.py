@@ -1,10 +1,10 @@
 """Single-mode optical state models and their homodyne quadrature statistics.
 
 Each model answers how to draw the quadrature outcome ``q`` of a balanced
-homodyne measurement at local-oscillator phase ``theta``.  The
-photon-number-diagonal ones (vacuum, Fock, Fock mixture) also answer how
-much probability can fall into a single ADC bin of width ``delta`` under a
-uniformly random phase: the computation the certificate rests on.
+homodyne measurement at local-oscillator phase ``theta``.  Bin masses are
+not computed here: ``entropy.sdi_bound_check`` bounds every Fock bin at
+once through the wavefunctions below, and the vacuum's bins are erf
+differences (``_erf``).
 
 Units: the quadrature is dimensionless and scaled so that the vacuum state
 has variance 1/2 (density ``exp(-q^2)/sqrt(pi)``).  The photon-number
@@ -46,7 +46,6 @@ __all__ = [
     "QuantumStateModel",
     "validate_state",
     "sample_quadrature",
-    "max_bin_probabilities",
     "bin_index",
     "search_halfwidth",
 ]
@@ -307,80 +306,3 @@ def bin_index(q, delta: float):
 def _erf(x: np.ndarray) -> np.ndarray:
     """``math.erf`` elementwise: the one erf the certificate uses."""
     return np.fromiter(map(math.erf, x.tolist()), dtype=float, count=x.size)
-
-
-def _bin_radius(delta: float, halfwidth: float) -> int:
-    """k_max of the bin table: bins -k_max..k_max cover [-halfwidth, halfwidth]."""
-    return int(math.ceil((halfwidth + delta) / delta))
-
-
-def _window_edges(delta: float, halfwidth: float) -> np.ndarray:
-    """Edges of the bins -k_max..k_max that cover [-halfwidth, halfwidth]."""
-    k_max = _bin_radius(delta, halfwidth)
-    return np.arange(-k_max, k_max + 2) * delta - delta / 2.0
-
-
-def _fock_table_entries(n_max: int, delta: float) -> int:
-    """Entries of the table ``max_bin_probabilities`` builds for Fock 0..n_max."""
-    return (n_max + 1) * (2 * _bin_radius(delta, search_halfwidth(n_max)) + 1)
-
-
-def _fock_bin_probabilities(n_max: int, edges: np.ndarray) -> np.ndarray:
-    """Bin masses of Fock 0..n_max on the bins between consecutive ``edges``.
-
-    Returns P of shape (n_max + 1, bins), P[n, j] the probability that
-    Fock n falls in bin j = [a_j, b_j], in closed form on the shared bin
-    edges.  The vacuum row is P[0, j] = (erf(b_j) - erf(a_j)) / 2 with
-    ``math.erf``.  The ladder identity
-    d/dq (psi_n psi_{n-1}) = sqrt(2n) (psi_{n-1}^2 - psi_n^2) gives
-
-        P[n, j] = P[n-1, j] - [psi_n psi_{n-1}]_{a_j}^{b_j} / sqrt(2n),
-
-    so the wavefunction recurrence runs once over the bins + 1 edges.
-    Each entry depends only on n and its bin, not on n_max or the other
-    edges, so one table serves every state up to n_max.
-    """
-    out = np.empty((n_max + 1, edges.size - 1))
-    out[0] = np.diff(_erf(edges)) / 2.0
-    rows = _fock_psi(n_max, edges)
-    prev = next(rows)
-    for n, psi in enumerate(rows, start=1):
-        out[n] = out[n - 1] - np.diff(psi * prev) / math.sqrt(2.0 * n)
-        prev = psi
-    return out
-
-
-def _fock_components(state: QuantumStateModel) -> tuple[tuple[float, int], ...]:
-    """(weight, n) of each Fock component of a valid photon-number-diagonal state."""
-    validate_state(state)
-    if isinstance(state, Mixture):
-        return state.components
-    if isinstance(state, (Vacuum, Fock)):
-        return ((1.0, state.n if isinstance(state, Fock) else 0),)
-    raise ValueError("bin masses are defined for photon-number-diagonal states "
-                     f"(Vacuum, Fock, Mixture), got {type(state).__name__}")
-
-
-def max_bin_probabilities(state_list, delta: float) -> list[float]:
-    """Largest probability any single width-``delta`` bin can capture, per state.
-
-    Only the photon-number-diagonal states (Vacuum, read as Fock 0, Fock
-    and Mixture) have bin masses; any other state raises ValueError.  The
-    masses are closed forms in erf and the wavefunctions at the bin edges
-    (``_fock_bin_probabilities``), and the maximum over bins of the *mixed*
-    distribution is returned, which is what bounds a guesser who sees the
-    mixture, not its parts.  All states read one table, built for the
-    highest photon number in ``state_list`` over its window, the widest
-    (``search_halfwidth``); the bins a state gains beyond its own window
-    lie where its mass is negligible, so its maximum does not change.
-    """
-    if delta <= 0 or not math.isfinite(delta):
-        raise ValueError("delta must be positive and finite")
-    components = [_fock_components(st) for st in state_list]
-    if not components:
-        return []
-    n_max = max(n for comps in components for _, n in comps)
-    probs = _fock_bin_probabilities(n_max, _window_edges(delta, search_halfwidth(n_max)))
-    return [float(np.max(np.array([w for w, _ in comps]) @ probs[[n for _, n in comps]]))
-            for comps in components]
-

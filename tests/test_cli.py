@@ -16,7 +16,6 @@ from sdiqrng import cli, detector, dsp, entropy
 from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
-from sdiqrng.exceptions import SecurityModelViolation
 
 SEED = 11
 
@@ -229,14 +228,13 @@ def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
 
 @pytest.mark.parametrize("config_text, report_sha256", [
     ("",
-     "165cef1d30d77f19de1448202b011365f734ca3f3569984f757a615ef7649d57"),
+     "c5b259dc0687bdb150596c9e68c265db0d39f11ad2755703388c4bab397ebc3e"),
     ("[run]\nrng_seed = 7\n\n[verify]\nfock_n_max = 80\ndeltas = 0.02 0.3 2.0\n",
-     "70a3bdf4beffd90335266a9c63e472de254e15ce6b0cc44c7ced4909705a13b5"),
+     "52cea183ccada892f38333da6b6bcbd4e29fdb9098654cd1817ebc178a989bd3"),
 ])
 def test_verify_report_keeps_its_bytes(tmp_path, config_text, report_sha256):
-    # the digests were written by commit 5482483, whose bound scan integrated
-    # every Fock bin by 200-node Gauss-Legendre quadrature and whose path II
-    # built a full bin projector per phase
+    # the rows after the photon-number bound's match those of commit 5482483,
+    # whose path II built a full bin projector per phase
     cfg = tmp_path / "verify.cfg"
     cfg.write_text(config_text)
     out = tmp_path / "out"
@@ -251,8 +249,8 @@ def test_verify_artifacts(pipeline):
     assert lines, "verify report empty"
     assert all(line.startswith("ok") for line in lines)
     text = "\n".join(lines)
-    for fragment in ("bound-scan", "projector-order equivalence", "leftover-hash",
-                     "infeasible-plan guard"):
+    for fragment in ("sup-bound", "bound-margin", "projector-order equivalence",
+                     "leftover-hash", "infeasible-plan guard"):
         assert fragment in text
 
 
@@ -686,7 +684,7 @@ def test_calibration_at_other_settings_does_not_certify(tmp_path, capsys, change
 
 def test_verify_beyond_the_supported_fock_index_exits_2(tmp_path, capsys):
     # psi_0 underflows beyond |q| ~ 38.6, which Fock 769 reaches: at 800 the
-    # bound scan used to fail on wavefunctions that had lost their mass
+    # sup bound's grid would miss mass the wavefunctions had lost
     cfg_path = tmp_path / "verify.cfg"
     for n, delta in ((5000, 1.0), (800, 0.1)):
         cfg_path.write_text(f"[verify]\nfock_n_max = {n}\ndeltas = {delta}\n"
@@ -793,12 +791,15 @@ def test_unwritable_artifact_path_exits_2(tmp_path, capsys):
     assert f"{out / 'calibration.csv'}: Is a directory" in capsys.readouterr().err
 
 
-def _margin_below_zero(state_list, delta):
-    return entropy.BoundCheckReport(delta=delta, bound=0.5, margins=(-1e-3,))
+def _margin_below_zero(n_max):
+    # below the vacuum's peak 1/sqrt(pi) = 0.56419, above erf(delta/2) / delta
+    # at both of the config's widths (0.56372 at 0.1, 0.55265 at 0.5)
+    return 0.564
 
 
-def _violation(state_list, delta):
-    raise SecurityModelViolation(f"forced at delta={delta}")
+def _violation(n_max):
+    # a bound that is no number proves nothing
+    return math.nan
 
 
 @pytest.mark.parametrize("check", [_margin_below_zero, _violation])
@@ -809,10 +810,33 @@ def test_failing_verify_check_is_one_fail_row_and_exits_5(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 5
     lines = (out / "verify_report.txt").read_text().splitlines()
-    failed = [line for line in lines if line.startswith("FAIL bound-scan delta=")]
-    assert len(failed) == 2
+    failed = [line for line in lines if line.startswith("FAIL")]
+    margins = [line for line in failed if line.startswith("FAIL bound-margin delta=")]
+    assert len(margins) == 2
+    assert set(failed) - set(margins) == (
+        set() if check is _margin_below_zero
+        else {line for line in lines if line.startswith("FAIL sup-bound")})
     assert all(line.startswith("ok   ") for line in lines if line not in failed)
     assert capsys.readouterr().err == f"error (verification): {'; '.join(failed)}\n"
+
+
+@pytest.mark.parametrize("delta, code", [("2.1", 5), ("2.0", 0)])
+def test_verify_fails_above_the_widest_certified_delta(tmp_path, capsys, delta, code):
+    # delta * S meets erf(delta/2) at delta* ~ 2.049
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text(f"[verify]\ndeltas = {delta}\nequivalence_states = 1\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == code
+    row = [line for line in (out / "verify_report.txt").read_text().splitlines()
+           if "bound-margin" in line]
+    assert len(row) == 1 and row[0].startswith("FAIL" if code else "ok  ")
+
+
+def test_verify_with_a_subnormal_delta_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text("[verify]\ndeltas = 0.1 5e-324\n")
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 2
+    assert "deltas down to 5e-324 are subnormal" in capsys.readouterr().err
 
 
 def test_infeasible_plan_exits_4(pipeline, tmp_path):

@@ -224,9 +224,9 @@ def test_detector_policies_and_validation(tmp_path):
     ("[verify]\ndeltas = 0.1 0.0", "deltas"),
     ("[verify]\ndeltas =", "deltas"),
     ("[verify]\nfock_n_max = 5000", r"fock_n_max must lie in \[1, 512\]"),
-    # the shared Fock table would need about 1.1e10 entries (82 GiB)
-    ("[verify]\ndeltas = 1e-7", "table of more than 16777216 entries"),
-    ("[verify]\nfock_n_max = 1\ndeltas = 5e-324", "table of more than"),
+    # erf(delta/2) underflows at subnormal widths
+    ("[verify]\nfock_n_max = 1\ndeltas = 5e-324", "subnormal"),
+    ("[verify]\ndeltas = 0.1 2.2e-308", "deltas down to 2.2e-308 are subnormal"),
     ("[calibration]\npowers = 0.25 0.5 nan 2", "calibration.powers: expected"),
     ("[run]\ntimestamp = 1e20", "run.timestamp"),
     ("[run]\ntimestamp = -1e20", "run.timestamp"),
@@ -242,6 +242,14 @@ def test_detector_policies_and_validation(tmp_path):
 def test_cross_validation_rejections(tmp_path, body, match):
     with pytest.raises(ConfigError, match=match):
         load_config(write_cfg(tmp_path, body + "\n"))
+
+
+def test_narrow_but_normal_deltas_are_accepted(tmp_path):
+    # no table is built any more, so widths down to the smallest normal
+    # float load at the highest photon number
+    cfg = load_config(write_cfg(tmp_path, "[verify]\nfock_n_max = 512\n"
+                                          "deltas = 1e-7 2.2250738585072014e-308\n"))
+    assert cfg.verify.deltas == (1e-7, 2.2250738585072014e-308)
 
 
 FLOAT_KEYS = [f"{section}.{field.name}"

@@ -1,8 +1,9 @@
 """Tests for the min-entropy certification bounds.
 
 Golden values were computed at 50-digit precision with mpmath and frozen
-here; the bound-check sweep is verified against direct quadrature of
-Hermite-function densities built independently of the package.
+here; the proven sup bound is held to a dense grid of Hermite-function
+densities built independently of the package, and to the exact bin masses
+of the lattice oracle at shifted bin offsets.
 """
 
 import math
@@ -11,21 +12,28 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from sdiqrng import states
+from lattice_oracle import max_bin_probabilities
+from sdiqrng import entropy, states
+from sdiqrng.config import VerifySettings
 from sdiqrng.entropy import (
-    BoundCheckReport,
     EntropyBound,
     equivalent_bit_rate,
     sdi_bound_check,
     vacuum_min_entropy,
 )
-from sdiqrng.exceptions import SecurityModelViolation
 
 # frozen 50-digit references
 H_AT_003846 = 5.5264233158594345        # -log2(erf(0.03846 / 2))
 DELTA_ONE_BIT = 0.95387255240893974676  # 2 * erfinv(1/2)
 DELTA_553 = 0.038364745880304880525     # bin width where the bound is 5.53
 ERF_005 = 0.05637197779701663           # erf(0.05)
+SUP_FOCK_ONE = 0.41510749742059470334   # 2 / (e sqrt(pi)), sup psi_1^2 at q = 1
+
+
+def grid_margin(n):
+    """The Lipschitz margin ``sdi_bound_check`` adds to Fock n's grid maximum."""
+    return entropy._SUP_GRID_STEP / math.sqrt(math.pi) * (
+        math.sqrt(n / 2.0) + math.sqrt((n + 1) / 2.0))
 
 
 def oracle_fock_pdf(n, q):
@@ -66,19 +74,26 @@ def test_bound_consistency_and_monotonicity():
 
 
 def test_bound_check_fock_ladder():
-    report = sdi_bound_check([states.Fock(n) for n in range(1, 21)], 0.1)
-    assert report.bound == pytest.approx(ERF_005, rel=1e-14)
-    assert len(report.margins) == 20
-    assert all(m > 0.0 for m in report.margins)
-    assert report.worst_margin == min(report.margins)
+    # S bounds every sup psi_n^2 of Fock 1..20 from above, by at most the
+    # margin at n = 20, and leaves a positive margin at delta = 0.1
+    sup = sdi_bound_check(20)
+    q = np.linspace(0.0, math.sqrt(41.0) + 1.0, 200001)
+    true_sup = max(float(np.max(oracle_fock_pdf(n, q))) for n in range(1, 21))
+    assert true_sup == pytest.approx(SUP_FOCK_ONE, rel=1e-9)
+    assert 0.0 <= sup - true_sup <= grid_margin(20)
+    assert ERF_005 - 0.1 * sup > 0.0
 
 
 def test_bound_is_tight_at_the_vacuum():
-    # the vacuum is read as Fock 0, whose central bin mass is
-    # (erf(delta/2) - erf(-delta/2)) / 2: exactly the bound
+    # the vacuum's central bin (erf(delta/2) - erf(-delta/2)) / 2, as the
+    # attack histogram computes it, is exactly the bound; S stays below the
+    # vacuum's peak 1/sqrt(pi), so delta * S undercuts it as delta -> 0
     for delta in (1e-4, 0.05, 0.3, 1.0, 2.0):
-        report = sdi_bound_check([states.Vacuum(), states.Fock(3)], delta)
-        assert report.margins[0] == 0.0
+        central = np.diff(states._erf(np.array([-0.5, 0.5]) * delta)) / 2.0
+        assert central[0] == math.erf(delta / 2.0)
+        assert max_bin_probabilities([states.Vacuum()], delta)[0] == pytest.approx(
+            math.erf(delta / 2.0), rel=1e-13)
+    assert sdi_bound_check(512) < 1.0 / math.sqrt(math.pi)
 
 
 def test_even_mixture_margin_against_quadrature_oracle():
@@ -90,9 +105,10 @@ def test_even_mixture_margin_against_quadrature_oracle():
     mixture margin above BOTH pure margins rather than between them.
     """
     delta = 0.1
+    bound = math.erf(delta / 2.0)
     mix = states.Mixture(((0.5, 0), (0.5, 1)))
-    report = sdi_bound_check([states.Vacuum(), states.Fock(1), mix], delta)
-    m_vac, m_one, m_mix = report.margins
+    p0_max, p1_max, p_mix_max = max_bin_probabilities(
+        [states.Vacuum(), states.Fock(1), mix], delta)
 
     def mix_pdf(q):
         return 0.5 * float(oracle_fock_pdf(0, q)) \
@@ -103,14 +119,11 @@ def test_even_mixture_margin_against_quadrature_oracle():
         val, _ = integrate.quad(mix_pdf, k * delta - delta / 2.0,
                                 k * delta + delta / 2.0, epsabs=1e-13)
         masses.append(val)
-    oracle_margin = report.bound - max(masses)
-    assert m_mix == pytest.approx(oracle_margin, abs=1e-11)
-    assert m_mix > 0.0
-    bound = report.bound
-    p_mix_max = bound - m_mix
-    p0_max, p1_max = bound - m_vac, bound - m_one
+    assert p_mix_max == pytest.approx(max(masses), abs=1e-11)
     assert p_mix_max <= 0.5 * p0_max + 0.5 * p1_max + 1e-14
-    assert m_mix > max(m_vac, m_one)
+    assert bound - p_mix_max > max(bound - p0_max, bound - p1_max)
+    # the one-photon part is within delta * S, the vacuum part within the bound
+    assert p_mix_max <= 0.5 * bound + 0.5 * delta * sdi_bound_check(1)
 
 
 def test_bound_property_over_state_grid():
@@ -121,36 +134,41 @@ def test_bound_property_over_state_grid():
     for delta in (0.05, 0.3, 1.0):
         h_vac = vacuum_min_entropy(delta).h_min_bits
         for st in grid:
-            p_max = states.max_bin_probabilities([st], delta)[0]
+            p_max = max_bin_probabilities([st], delta)[0]
             assert -math.log2(p_max) >= h_vac - 1e-12
 
 
-def test_bound_check_rejects_non_diagonal_states():
-    with pytest.raises(ValueError, match="diagonal"):
-        sdi_bound_check([states.Thermal(1.0)], 0.1)
-    with pytest.raises(ValueError, match="diagonal"):
-        sdi_bound_check([states.DisplacedSqueezed(0.5, 0.0, 1.0)], 0.1)
+@pytest.mark.parametrize("delta", VerifySettings().deltas + (2.0,))
+def test_sup_bound_dominates_every_lattice_offset(delta):
+    # delta * S against the exact best-bin mass of Fock 1..64 on the lattice
+    # centred at 0 and at 8 random offsets
+    sup = sdi_bound_check(64)
+    assert delta * sup < math.erf(delta / 2.0)
+    fock = [states.Fock(n) for n in range(1, 65)]
+    rng = np.random.default_rng(int(delta * 1000))
+    for offset in np.concatenate(([0.0], rng.uniform(0.0, delta, 8))):
+        best = max(max_bin_probabilities(fock, delta, float(offset)))
+        assert best <= delta * sup
 
 
-def test_bound_check_rejects_an_empty_state_list():
-    with pytest.raises(ValueError, match="at least one state"):
-        sdi_bound_check([], 0.1)
-    with pytest.raises(ValueError, match="at least one state"):
-        sdi_bound_check(iter(()), 0.1)
+def test_bound_check_rejects_an_empty_fock_range():
+    for n_max in (0, -3, states._MAX_FOCK + 1):
+        with pytest.raises(ValueError, match="n_max must lie in"):
+            sdi_bound_check(n_max)
 
 
 def test_violation_guard_wiring(monkeypatch):
-    monkeypatch.setattr(states, "max_bin_probabilities",
-                        lambda state_list, delta:
-                        [math.erf(delta / 2.0) + 1e-6 for _ in state_list])
-    with pytest.raises(SecurityModelViolation):
-        sdi_bound_check([states.Fock(1)], 0.1)
+    # a recurrence that overshoots psi_n shows in S: doubled wavefunctions
+    # quadruple the grid maxima, and the margin at delta = 0.1 goes negative
+    true_rows = states._fock_psi
+    monkeypatch.setattr(states, "_fock_psi",
+                        lambda n_max, q: (2.0 * psi for psi in true_rows(n_max, q)))
+    sup = sdi_bound_check(3)
+    assert sup >= 4.0 * SUP_FOCK_ONE
+    assert ERF_005 - 0.1 * sup < 0.0
 
 
 def test_report_and_bound_dataclass_validation():
-    rep = BoundCheckReport(delta=0.1, bound=0.056,
-                           margins=(0.01, 0.002, 0.03))
-    assert rep.worst_margin == 0.002
     with pytest.raises(ValueError):
         EntropyBound(delta=0.1, guessing_probability=0.0, h_min_bits=1.0)
     with pytest.raises(ValueError):

@@ -342,9 +342,9 @@ def test_serialize_samples_twos_complement_msb_first():
                                   [1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
 
     rng = np.random.default_rng(13)
-    for bits in (4, 8, 12):
+    for bits in range(2, 17):
         lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        codes = rng.integers(lo, hi + 1, 50)
+        codes = np.concatenate(([lo, hi, -1, 0], rng.integers(lo, hi + 1, 50)))
         flat = serialize_samples(codes, bits)
         text = "".join(format((int(c) + (1 << bits)) % (1 << bits),
                               f"0{bits}b") for c in codes)
@@ -383,10 +383,27 @@ def test_seed_file_roundtrip(tmp_path):
     assert back.provenance.startswith("file:")
     with pytest.raises(ValueError, match="bytes"):
         read_seed_file(path, 20636 + 8)
+    with pytest.raises(ValueError, match="holds more than 2579 bytes, need exactly 2579"):
+        read_seed_file(path, 20635 - 8)  # one byte too long
     with pytest.raises(ValueError):
         ToeplitzSeed(np.array([0, 1, 2]), "t")
     with pytest.raises(ValueError):
         prng_seed(0, 1)
+
+
+def test_oversized_seed_file_is_rejected_without_reading_it(tmp_path):
+    # a device such as /dev/urandom never ends: the reader must stop one byte
+    # past the seed.  A file 1 MiB too long shows it in the allocations.
+    path = tmp_path / "toeplitz.seed"
+    path.write_bytes(b"\x00" * (10 + (1 << 20)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="need exactly 10"):
+            read_seed_file(path, 77)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_seed_keeps_a_checked_read_only_copy():
