@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import vacuum_min_entropy
+from .entropy import vacuum_guessing_probability
 from .states import _fock_psi, bin_index, search_halfwidth
 
 __all__ = [
@@ -277,7 +277,7 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
         measured_variance=float(np.var(q)),
         eve_guess_rate=guess_rate,
         mimicry_pvalue=_kstwo_sf(_ks_distance(cdf), n),
-        vacuum_guess_bound=vacuum_min_entropy(scenario.delta).guessing_probability,
+        vacuum_guess_bound=vacuum_guessing_probability(scenario.delta),
         samples=q,
         outcomes=outcomes)
 

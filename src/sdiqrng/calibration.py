@@ -33,7 +33,7 @@ import numpy as np
 from . import detector as _detector
 from ._io import append_line, iso_utc
 from .detector import ChainSettings, MeasurementConfig, vacuum_unit_resolution
-from .entropy import vacuum_min_entropy
+from .entropy import vacuum_guessing_probability
 from .exceptions import CalibrationError, StaleCalibrationError
 from .states import Vacuum
 
@@ -192,7 +192,7 @@ def fit_calibration(points, adc_step: float, *, operating_power: float | None = 
     power_op = float(operating_power if operating_power is not None else powers.max())
     delta = vacuum_unit_resolution(adc_step, gradient, power_op)
     delta_conservative = vacuum_unit_resolution(adc_step, conservative_gradient, power_op)
-    h_min = vacuum_min_entropy(delta_conservative).h_min_bits
+    h_min = -math.log2(vacuum_guessing_probability(delta_conservative))
     return CalibrationResult(
         gradient=gradient, intercept=intercept,
         gradient_stderr=gradient_stderr, intercept_stderr=intercept_stderr,

@@ -158,7 +158,6 @@ def cmd_calibrate(cfg: RunConfig) -> int:
                                            cfg.run.timestamp)
     calibration.append_log(out / "calibration.csv", result)
 
-    bound = entropy.vacuum_min_entropy(result.delta_conservative)
     write_report(out / "entropy_bound.txt", [
         ("timestamp", iso_utc(result.timestamp)),
         ("gradient", f"{result.gradient!r} +- {result.gradient_stderr!r}"),
@@ -168,7 +167,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         ("adc_step", result.adc_step),
         ("delta_vacuum_units", result.delta),
         ("delta_conservative", result.delta_conservative),
-        ("guessing_probability", bound.guessing_probability),
+        ("guessing_probability",
+         entropy.vacuum_guessing_probability(result.delta_conservative)),
         ("h_min_bits", result.h_min_bits),
         ("intercept_suspicious", result.intercept_suspicious),
     ])
@@ -212,22 +212,24 @@ def cmd_extract(cfg: RunConfig) -> int:
     paths = [out / "blocks" / f"{kind}_{b:04d}.bin" for b in range(cfg.simulate.blocks)]
     # every header and file size first, so that a bad block exits 2 before
     # the calibration is read; the payloads are read one at a time below
-    for path in paths:
-        _block_file(detector.check_block, path, det)
-
-    if es.h_min_override is not None:
-        h_min, certified_by = es.h_min_override, "h_min_override"
-    else:
-        fit = calibration.current_calibration(
-            calibration.read_log(out / "calibration.csv"), cfg.run.timestamp,
-            det, cfg.dsp, cfg.calibration)
-        h_min = fit.h_min_bits
-        certified_by = f"calibration {iso_utc(fit.timestamp)} {fit.fingerprint}"
+    samples = sum(_block_file(detector.check_block, path, det) for path in paths)
 
     epsilon = 2.0 ** es.epsilon_log2
-    try:
-        plan = extractor.plan_extraction(det.adc_bits, h_min, epsilon,
+    try:   # a calibration fault is a CalibrationError, exit 3
+        if es.h_min_override is not None:
+            certificate = entropy.Certificate(es.h_min_override, epsilon, "h_min_override")
+        else:
+            fit = calibration.current_calibration(
+                calibration.read_log(out / "calibration.csv"), cfg.run.timestamp,
+                det, cfg.dsp, cfg.calibration)
+            certificate = entropy.Certificate(
+                fit.h_min_bits, epsilon,
+                f"calibration {iso_utc(fit.timestamp)} {fit.fingerprint}")
+        plan = extractor.plan_extraction(det.adc_bits, certificate,
                                          es.target_bits_per_sample)
+        if samples < plan.samples_per_block:   # refused before the seed is made
+            raise ValueError(f"{samples} samples cannot fill one block of "
+                             f"{plan.samples_per_block}")
     except InfeasiblePlanError:
         raise
     except ValueError as exc:
@@ -250,14 +252,16 @@ def cmd_extract(cfg: RunConfig) -> int:
                                                   threads=cfg.run.threads)
     except ConfigError:
         raise
-    except ValueError as exc:   # such as too few samples for one hash block
+    except ValueError as exc:   # such as blocks rewritten shorter since their check
         raise ConfigError(f"extractor: {exc}") from None
     hash_s = time.perf_counter() - start
     if not es.seed_file:   # written only beside the bits it hashed
         extractor.write_seed_file(out / "toeplitz.seed", seed)
     write_bytes_atomic(out / "output.bits", packed)
+    effective = plan.bits_per_sample_effective
+    rate = entropy.equivalent_bit_rate(report.pulse_rate, effective)
     write_report(out / "accounting.txt", [
-        ("certified_by", certified_by),
+        ("certified_by", certificate.provenance),
         ("samples_per_block", plan.samples_per_block),
         ("input_bits_per_block", plan.input_bits),
         ("output_bits_per_block", plan.output_bits),
@@ -268,19 +272,18 @@ def cmd_extract(cfg: RunConfig) -> int:
         ("blocks", report.blocks),
         ("raw_bits", report.raw_bits),
         ("output_bits", report.output_bits),
-        ("bits_per_sample_effective", report.bits_per_sample_effective),
-        ("h_min_per_sample", report.h_min_per_sample),
-        ("epsilon", report.epsilon),
-        ("seed_provenance", report.seed_provenance),
+        ("bits_per_sample_effective", effective),
+        ("h_min_per_sample", certificate.h_min_bits),
+        ("epsilon", certificate.epsilon),
+        ("seed_provenance", seed.provenance),
         ("pulse_rate_hz", report.pulse_rate),
-        ("equivalent_rate_bits_per_s", report.equivalent_rate_bits_per_s),
+        ("equivalent_rate_bits_per_s", rate),
         ("clipped_samples", report.clipped_samples),
         ("fft_rounding_residual_max", report.fft_rounding_residual_max),
     ])
     print(f"extract: {report.output_bits} bits from {report.samples_used} samples "
-          f"({report.bits_per_sample_effective:.4f} bits/sample)")
-    print(f"extract: equivalent rate "
-          f"{report.equivalent_rate_bits_per_s / 1e6:.2f} Mbit/s at "
+          f"({effective:.4f} bits/sample)")
+    print(f"extract: equivalent rate {rate / 1e6:.2f} Mbit/s at "
           f"{report.pulse_rate / 1e6:.0f} MHz pulse rate")
     # wall-clock, so printed only: accounting.txt stays reproducible
     print(f"extract: measured hashing throughput "
@@ -396,7 +399,7 @@ def cmd_verify(cfg: RunConfig) -> int:
            f"sup-bound photon numbers 1..{v.fock_n_max}: "
            f"sup psi_n^2 <= S = {sup:.6e} < 1/sqrt(pi)")
     for delta in v.deltas:
-        margin = entropy.vacuum_min_entropy(delta).guessing_probability - delta * sup
+        margin = entropy.vacuum_guessing_probability(delta) - delta * sup
         report(margin > 0.0, f"bound-margin delta={delta:<6g} every bin offset: "
                              f"erf(delta/2) - delta*S = {margin:.6e}")
 
@@ -421,7 +424,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     # leftover-hash bookkeeping on representative operating points
     combos = [(8, 5.53, -100.0, 5.4), (8, 8.0, -100.0, 7.9), (8, 6.0, -64.0, 5.0)]
     for bits, h, eps_log2, target in combos:
-        plan = extractor.plan_extraction(bits, h, 2.0 ** eps_log2, target)
+        plan = extractor.plan_extraction(
+            bits, entropy.Certificate(h, 2.0 ** eps_log2, "verify"), target)
         n = plan.samples_per_block
         expect_m = math.floor(n * h - 2.0 * (-eps_log2))
         report(plan.output_bits == expect_m
@@ -432,7 +436,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                f"({plan.bits_per_sample_effective:.4f} bits/sample, "
                f"slack {plan.slack_bits:.4f} bits)")
     try:
-        extractor.plan_extraction(8, 5.0, 2.0 ** -100, 5.0)
+        extractor.plan_extraction(8, entropy.Certificate(5.0, 2.0 ** -100, "verify"), 5.0)
         guarded = False
     except InfeasiblePlanError:
         guarded = True

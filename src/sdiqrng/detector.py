@@ -337,15 +337,16 @@ def write_block(path, block: RawSampleBlock) -> None:
     write_bytes_atomic(path, block_to_bytes(block))
 
 
-def check_block(path, config: MeasurementConfig) -> None:
+def check_block(path, config: MeasurementConfig) -> int:
     """Check a block file's header against ``config`` and its payload length
-    against the file size, without reading the payload.
+    against the file size, without reading the payload; return the header's
+    sample count.
 
     Raises ValueError naming ``path`` on every fault ``read_block`` finds
     before it reads the codes.
     """
     with open(path, "rb") as fh, _naming(path):
-        _read_header(fh, config)
+        return _read_header(fh, config)[1]
 
 
 def read_block(path, config: MeasurementConfig) -> RawSampleBlock:

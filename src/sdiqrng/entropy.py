@@ -17,7 +17,10 @@ S >= sup_x psi_n(x)^2 for Fock 1..``fock_n_max``, so a bin of width delta
 holds at most delta * S of any of them and of any mixture of them, at
 every bin offset, and delta * S <= erf(delta / 2) for every delta up to
 delta* ~ 2.049.  Photon numbers above ``fock_n_max`` are covered by no
-executed check."""
+executed check.
+
+What a run claims is one ``Certificate``, the only object that carries its
+h_min, epsilon and provenance: the plan holds it, ``accounting.txt`` prints it."""
 
 from __future__ import annotations
 
@@ -29,38 +32,40 @@ import numpy as np
 from . import states
 
 __all__ = [
-    "EntropyBound",
-    "vacuum_min_entropy",
+    "Certificate",
+    "vacuum_guessing_probability",
     "sdi_bound_check",
     "equivalent_bit_rate",
 ]
 
 
 @dataclass(frozen=True)
-class EntropyBound:
-    """Certified per-sample bound at bin width ``delta`` (vacuum units)."""
+class Certificate:
+    """Every extracted block is within ``epsilon`` of uniform given
+    ``h_min_bits`` per sample, on the authority of ``provenance``; an
+    extraction's is ``"h_min_override"`` or ``"calibration <ISO time> <fingerprint>"``."""
 
-    delta: float
-    guessing_probability: float
     h_min_bits: float
+    epsilon: float
+    provenance: str
 
     def __post_init__(self):
-        if not 0.0 < self.guessing_probability <= 1.0:
-            raise ValueError("guessing probability must be in (0, 1]")
-        if self.h_min_bits < 0.0:
-            raise ValueError("min-entropy cannot be negative")
+        if not 0.0 < self.h_min_bits < math.inf:   # NaN fails too
+            raise ValueError(f"h_min_bits must be positive and finite, got {self.h_min_bits}")
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
 
-def vacuum_min_entropy(delta: float) -> EntropyBound:
-    """Certified bound H_min = -log2(erf(delta / 2)) at bin width ``delta``.
+def vacuum_guessing_probability(delta: float) -> float:
+    """The vacuum's best-bin mass erf(delta / 2) at bin width ``delta``; the
+    certified min-entropy per sample is -log2 of it.
 
     Raises ValueError for non-finite or non-positive ``delta``.  Large
-    ``delta`` saturates: the bound tends to 0 bits as erf -> 1.
+    ``delta`` saturates: p tends to 1 and the certified bits to 0.
     """
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    p = math.erf(delta / 2.0)
-    return EntropyBound(delta=delta, guessing_probability=p, h_min_bits=-math.log2(p))
+    return math.erf(delta / 2.0)
 
 
 # grid step of the sup bound; at 1e-2 delta* falls to 1.968, below the

@@ -5,10 +5,11 @@ n + m - 1 bits: ``T[i][j] = seed[i + (n - 1) - j]``.  Hashing is the
 matrix-vector product over GF(2).  Output length follows the leftover-hash
 budget
 
-    m = floor(N * h_min_per_sample - 2 * log2(1 / epsilon))
+    m = floor(N * h_min_bits - 2 * log2(1 / epsilon))
 
 for a block of N samples, which keeps the extracted block within trace
-distance ``epsilon`` of uniform given the certified min-entropy.
+distance ``epsilon`` of uniform given the certified min-entropy; both come
+from the plan's ``entropy.Certificate``.
 ``plan_extraction`` searches for the smallest N whose budget meets the
 requested output bits per sample.
 
@@ -43,9 +44,6 @@ each packed count within 0.25 of one; every call checks that residual and
 raises SecurityModelViolation past it.  The residual scales with the
 packing weight 2**s: about 1e-8 at the default block sizes.
 
-The extractor only hashes: the plan's ``h_min_per_sample`` arrives already
-certified (``calibration.current_calibration`` picks the fit behind it).
-
 Sample serialization: each ADC code contributes ``bits_per_sample`` bits of
 its two's complement representation, most significant bit first; output
 bits pack MSB-first into bytes.
@@ -63,7 +61,7 @@ from numpy.fft import irfft, rfft
 
 from ._io import ordered_map
 from .dsp import next_fast_len
-from .entropy import equivalent_bit_rate
+from .entropy import Certificate
 from .exceptions import InfeasiblePlanError, SecurityModelViolation
 
 # blocks hashed per batch: eight m-bit outputs always fill whole bytes
@@ -92,8 +90,7 @@ class ExtractionPlan:
     """Frozen extraction geometry for one run."""
 
     bits_per_sample: int
-    h_min_per_sample: float
-    epsilon: float
+    certificate: Certificate
     target_bits_per_sample: float
     samples_per_block: int      # N
     input_bits: int             # n = N * bits_per_sample
@@ -106,16 +103,16 @@ class ExtractionPlan:
 
     @property
     def security_bits(self) -> float:
-        return -2.0 * math.log2(self.epsilon)
+        return -2.0 * math.log2(self.certificate.epsilon)
 
     @property
     def slack_bits(self) -> float:
         """Leftover-hash slack per block: N*h - 2*log2(1/eps) - m >= 0."""
-        return (self.samples_per_block * self.h_min_per_sample
+        return (self.samples_per_block * self.certificate.h_min_bits
                 - self.security_bits - self.output_bits)
 
 
-def plan_extraction(bits_per_sample: int, h_min_per_sample: float, epsilon: float,
+def plan_extraction(bits_per_sample: int, certificate: Certificate,
                     target_bits_per_sample: float) -> ExtractionPlan:
     """Smallest block size N whose leftover-hash budget meets the target.
 
@@ -125,30 +122,27 @@ def plan_extraction(bits_per_sample: int, h_min_per_sample: float, epsilon: floa
     """
     if not isinstance(bits_per_sample, (int, np.integer)) or not 2 <= bits_per_sample <= 16:
         raise ValueError("bits_per_sample must be an integer in [2, 16]")
-    if not 0.0 < h_min_per_sample <= bits_per_sample:
-        raise ValueError(
-            f"h_min_per_sample must lie in (0, bits_per_sample], got {h_min_per_sample}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+    h = certificate.h_min_bits
+    if h > bits_per_sample:
+        raise ValueError(f"h_min_bits must not exceed bits_per_sample, got {h}")
     if target_bits_per_sample <= 0.0:
         raise ValueError("target_bits_per_sample must be positive")
-    if target_bits_per_sample >= h_min_per_sample:
+    if target_bits_per_sample >= h:
         raise InfeasiblePlanError(
             f"target {target_bits_per_sample} bits/sample >= certified "
-            f"{h_min_per_sample} bits/sample")
+            f"{h} bits/sample")
 
-    security = -2.0 * math.log2(epsilon)
+    security = -2.0 * math.log2(certificate.epsilon)
     # analytic start: N * (h - target) >= security; the floor() then forces
     # at most a few extra increments
-    n_start = max(1, int(security / (h_min_per_sample - target_bits_per_sample)) - 2)
+    n_start = max(1, int(security / (h - target_bits_per_sample)) - 2)
     tol = 1e-9
     for n_samples in range(n_start, n_start + 10_000_000):
-        m = math.floor(n_samples * h_min_per_sample - security)
+        m = math.floor(n_samples * h - security)
         if m >= 1 and m >= target_bits_per_sample * n_samples - tol:
             n_bits = n_samples * bits_per_sample
             return ExtractionPlan(
-                bits_per_sample=int(bits_per_sample),
-                h_min_per_sample=h_min_per_sample, epsilon=epsilon,
+                bits_per_sample=int(bits_per_sample), certificate=certificate,
                 target_bits_per_sample=target_bits_per_sample,
                 samples_per_block=n_samples, input_bits=n_bits,
                 output_bits=m, seed_bits=n_bits + m - 1)
@@ -356,24 +350,17 @@ def serialize_samples(codes: np.ndarray, bits_per_sample: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AccountingReport:
-    """Entropy bookkeeping for one extraction run."""
+    """What one extraction run measured of its stream; the certificate and
+    the geometry are the plan's."""
 
     samples_in: int
     samples_used: int
     blocks: int
     raw_bits: int
     output_bits: int
-    bits_per_sample_effective: float
-    h_min_per_sample: float
-    epsilon: float
-    seed_provenance: str
     pulse_rate: float
     clipped_samples: int
     fft_rounding_residual_max: float   # worst max|c - rint(c)| over batches
-
-    @property
-    def equivalent_rate_bits_per_s(self) -> float:
-        return equivalent_bit_rate(self.pulse_rate, self.bits_per_sample_effective)
 
 
 def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
@@ -479,9 +466,6 @@ def extract_stream(blocks, plan: ExtractionPlan, seed: ToeplitzSeed, *,
     report = AccountingReport(
         samples_in=samples_in, samples_used=used, blocks=n_blocks,
         raw_bits=used * plan.bits_per_sample, output_bits=n_blocks * m,
-        bits_per_sample_effective=plan.bits_per_sample_effective,
-        h_min_per_sample=plan.h_min_per_sample, epsilon=plan.epsilon,
-        seed_provenance=seed.provenance, pulse_rate=pulse_rate,
-        clipped_samples=clipped,
+        pulse_rate=pulse_rate, clipped_samples=clipped,
         fft_rounding_residual_max=max(residuals))
     return np.frombuffer(out, dtype=np.uint8), report

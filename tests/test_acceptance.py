@@ -20,6 +20,10 @@ from sdiqrng.config import load_config, substream
 from naive_toeplitz import toeplitz_naive
 
 
+# the certificate of the golden operating point: 5.53 bits per sample, 2^-100
+GOLDEN_CERTIFICATE = entropy.Certificate(5.53, 2.0 ** -100, "h_min_override")
+
+
 def announce(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -31,8 +35,8 @@ def test_acceptance_1_entropy_golden_point(capsys):
     delta = optimize.brentq(
         lambda d: -math.log2(special.erf(d / 2.0)) - 5.53, 1e-6, 1.0,
         xtol=1e-15, rtol=8.9e-16)
-    h = entropy.vacuum_min_entropy(delta).h_min_bits
-    plan = extractor.plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    h = -math.log2(entropy.vacuum_guessing_probability(delta))
+    plan = extractor.plan_extraction(8, GOLDEN_CERTIFICATE, 5.4)
     elapsed = time.perf_counter() - t0
     ok = (abs(h - 5.53) <= 0.005
           and plan.bits_per_sample_effective >= 5.4
@@ -48,7 +52,7 @@ def test_acceptance_1_entropy_golden_point(capsys):
 
 def test_acceptance_2_rate_identity(capsys):
     t0 = time.perf_counter()
-    plan = extractor.plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    plan = extractor.plan_extraction(8, GOLDEN_CERTIFICATE, 5.4)
     rate = entropy.equivalent_bit_rate(50e6, plan.bits_per_sample_effective)
     elapsed = time.perf_counter() - t0
     ok = rate >= 270e6 and elapsed < 1.0
@@ -246,7 +250,7 @@ def test_acceptance_7_extractor_oracle_equivalence(capsys):
 def test_acceptance_8_end_to_end_statistics(capsys):
     t0 = time.perf_counter()
     cfg = load_config(None)
-    plan = extractor.plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    plan = extractor.plan_extraction(8, GOLDEN_CERTIFICATE, 5.4)
     blocks_needed = -(-10_000_000 // plan.output_bits)
     pulses = blocks_needed * plan.samples_per_block
 

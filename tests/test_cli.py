@@ -226,6 +226,35 @@ def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
                       "attack_histogram.csv": histogram_sha256}
 
 
+@pytest.mark.parametrize("extra, commands, digests", [
+    ("", ("simulate", "calibrate", "extract"), {
+        "entropy_bound.txt":
+            "48594edff68270283a4a75a3a9bc9f98f4dfa2c2291befe93489678f47293ff0",
+        "calibration.csv":
+            "40de4b2f8cf9023000ea5e091def21048f1e15c245a23c6e9f4f6ebfae5dffcb",
+        "accounting.txt":
+            "ecf053bc6d1cfd18d2334a8d2c7657cdd7470fe05a5a55e5866e6c6456a440d4",
+        "output.bits":
+            "897fd063f9306c4269917a4f2802dbf13c1931be415fd026422a5b061275b956",
+        "toeplitz.seed":
+            "6051cca7dba2120a87f95f87e097bf23fb1867945d91c0f83954c0bd2e632d05"}),
+    ("\n[extractor]\nh_min_override = 5.55\n", ("simulate", "extract"), {
+        "accounting.txt":
+            "61c71755f056bd2098d58cd0062552907a10f9c149d16d61161d823b4924101f",
+        "output.bits":
+            "a07fd5e23971f0e9a9cc7876cb3648e653ef01589b7911675268b63ffef651c2",
+        "toeplitz.seed":
+            "b25eb3c0f373f9eba9e187c282c15f22643dd8c340ac06ec298007a0af5227e2"}),
+], ids=["calibrated", "h_min_override"])
+def test_certificate_artifacts_keep_their_bytes(tmp_path, extra, commands, digests):
+    # the digests were written by commit 3be15f4, whose h_min, epsilon and
+    # provenance travelled as loose numbers through the plan and the report
+    out = tmp_path / "out"
+    run_pipeline(write_cfg(tmp_path, extra=extra), out, commands)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 @pytest.mark.parametrize("config_text, report_sha256", [
     ("",
      "c5b259dc0687bdb150596c9e68c265db0d39f11ad2755703388c4bab397ebc3e"),
@@ -419,9 +448,10 @@ def test_block_truncated_between_check_and_read_exits_2(tmp_path, capsys, monkey
     check_block = detector.check_block
 
     def check_then_truncate(path, config):
-        check_block(path, config)
+        count = check_block(path, config)
         if path.name == "filtered_0001.bin":
             _truncate(path)
+        return count
 
     monkeypatch.setattr(detector, "check_block", check_then_truncate)
     capsys.readouterr()
@@ -755,6 +785,51 @@ def test_extract_too_short_for_one_hash_block_exits_2(tmp_path, capsys):
     assert "1000 samples cannot fill one block of 1335" in capsys.readouterr().err
     assert not (out / "output.bits").exists()
     assert not (out / "accounting.txt").exists()
+
+
+def test_oversize_plan_exits_2_before_the_seed_is_made(tmp_path, capsys):
+    # 2000 samples against blocks of N = 20000: the 267999-bit seed and its
+    # float64 spectrum, over 4 MB, must not be made before the refusal
+    cfg_path = tmp_path / "oversize.cfg"
+    cfg_path.write_text("[dsp]\nenabled = false\n\n[simulate]\npulses = 2000\n\n"
+                        "[extractor]\nh_min_override = 5.41\n")
+    out = tmp_path / "out"
+    run_pipeline(str(cfg_path), out, ("simulate",))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["extract", "--config", str(cfg_path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert ("error (config): extractor: 2000 samples cannot fill one block of 20000"
+            in capsys.readouterr().err)
+    assert peak < 1 << 20
+    assert not any((out / name).exists() for name in EXTRACT_ARTIFACTS)
+
+
+@pytest.mark.parametrize("extractor_keys, code", [
+    ("h_min_override = 0", 2),
+    ("h_min_override = -1", 2),
+    ("h_min_override = 9", 2),                       # above the 8-bit samples
+    ("h_min_override = 5.55\nepsilon_log2 = -0.5", 2),  # epsilon 0.707
+    ("h_min_override = 5.55\nepsilon_log2 = -2000", 2),  # epsilon underflows to 0.0
+    ("h_min_override = 5.55\ntarget_bits_per_sample = 5.55", 4),
+    ("h_min_override = 5.55\ntarget_bits_per_sample = 6", 4),
+], ids=["h_zero", "h_negative", "h_above_bits", "epsilon_above_half",
+        "epsilon_underflow", "target_at_h", "target_above_h"])
+def test_certificate_inputs_exit_codes(tmp_path, capsys, extractor_keys, code):
+    cfg_path = tmp_path / "cert.cfg"
+    cfg_path.write_text("[dsp]\nenabled = false\n\n[simulate]\npulses = 2000\n\n"
+                        f"[extractor]\n{extractor_keys}\n")
+    out = tmp_path / "out"
+    run_pipeline(str(cfg_path), out, ("simulate",))
+    capsys.readouterr()
+    assert main(["extract", "--config", str(cfg_path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("error (config): extractor: " if code == 2 else "error (infeasible plan)") in err
+    assert not any((out / name).exists() for name in EXTRACT_ARTIFACTS)
 
 
 def test_failed_extract_writes_no_seed_file(tmp_path, capsys):

@@ -16,10 +16,10 @@ from lattice_oracle import max_bin_probabilities
 from sdiqrng import entropy, states
 from sdiqrng.config import VerifySettings
 from sdiqrng.entropy import (
-    EntropyBound,
+    Certificate,
     equivalent_bit_rate,
     sdi_bound_check,
-    vacuum_min_entropy,
+    vacuum_guessing_probability,
 )
 
 # frozen 50-digit references
@@ -36,6 +36,12 @@ def grid_margin(n):
         math.sqrt(n / 2.0) + math.sqrt((n + 1) / 2.0))
 
 
+def vacuum_h_min(delta):
+    """The certified bits per sample at bin width ``delta``, as calibrate
+    derives them."""
+    return -math.log2(vacuum_guessing_probability(delta))
+
+
 def oracle_fock_pdf(n, q):
     q = np.asarray(q, dtype=float)
     log_norm = -0.5 * (n * math.log(2.0) + math.lgamma(n + 1)) \
@@ -44,33 +50,30 @@ def oracle_fock_pdf(n, q):
 
 
 def test_vacuum_bound_golden_values():
-    b = vacuum_min_entropy(0.03846)
-    assert b.h_min_bits == pytest.approx(H_AT_003846, rel=1e-13)
-    assert abs(b.h_min_bits - 5.53) < 0.005
-    assert b.guessing_probability == pytest.approx(math.erf(0.01923),
-                                                   rel=1e-15)
-    assert vacuum_min_entropy(DELTA_553).h_min_bits == pytest.approx(
-        5.53, abs=1e-12)
-    assert vacuum_min_entropy(DELTA_ONE_BIT).h_min_bits == pytest.approx(
-        1.0, abs=1e-12)
-    assert 0.0 <= vacuum_min_entropy(20.0).h_min_bits < 1e-12
+    assert vacuum_h_min(0.03846) == pytest.approx(H_AT_003846, rel=1e-13)
+    assert abs(vacuum_h_min(0.03846) - 5.53) < 0.005
+    assert vacuum_guessing_probability(0.03846) == pytest.approx(
+        math.erf(0.01923), rel=1e-15)
+    assert vacuum_h_min(DELTA_553) == pytest.approx(5.53, abs=1e-12)
+    assert vacuum_h_min(DELTA_ONE_BIT) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= vacuum_h_min(20.0) < 1e-12
 
 
 def test_vacuum_bound_rejections():
     for bad in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            vacuum_min_entropy(bad)
+            vacuum_guessing_probability(bad)
 
 
 def test_bound_consistency_and_monotonicity():
     deltas = np.geomspace(1e-4, 10.0, 60)
     h_prev = math.inf
     for d in deltas:
-        b = vacuum_min_entropy(float(d))
-        assert 2.0 ** (-b.h_min_bits) == pytest.approx(
-            b.guessing_probability, rel=1e-12)
-        assert b.h_min_bits < h_prev
-        h_prev = b.h_min_bits
+        p, h = vacuum_guessing_probability(float(d)), vacuum_h_min(float(d))
+        assert 0.0 < p <= 1.0
+        assert 2.0 ** -h == pytest.approx(p, rel=1e-12)
+        assert h < h_prev
+        h_prev = h
 
 
 def test_bound_check_fock_ladder():
@@ -132,7 +135,7 @@ def test_bound_property_over_state_grid():
         states.Mixture(((0.2, 1), (0.3, 2), (0.5, 9))),
     ]
     for delta in (0.05, 0.3, 1.0):
-        h_vac = vacuum_min_entropy(delta).h_min_bits
+        h_vac = vacuum_h_min(delta)
         for st in grid:
             p_max = max_bin_probabilities([st], delta)[0]
             assert -math.log2(p_max) >= h_vac - 1e-12
@@ -168,13 +171,20 @@ def test_violation_guard_wiring(monkeypatch):
     assert ERF_005 - 0.1 * sup < 0.0
 
 
-def test_report_and_bound_dataclass_validation():
-    with pytest.raises(ValueError):
-        EntropyBound(delta=0.1, guessing_probability=0.0, h_min_bits=1.0)
-    with pytest.raises(ValueError):
-        EntropyBound(delta=0.1, guessing_probability=1.5, h_min_bits=1.0)
-    with pytest.raises(ValueError):
-        EntropyBound(delta=0.1, guessing_probability=0.5, h_min_bits=-0.1)
+def test_certificate_validation():
+    cert = Certificate(5.53, 2.0 ** -100, "h_min_override")
+    assert (cert.h_min_bits, cert.epsilon, cert.provenance) == (
+        5.53, 2.0 ** -100, "h_min_override")
+    with pytest.raises(AttributeError):
+        cert.h_min_bits = 8.0   # frozen
+    # the smallest positive h and a subnormal epsilon still certify
+    Certificate(5e-324, 5e-324, "h_min_override")
+    for h in (0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="h_min_bits must be positive and finite"):
+            Certificate(h, 2.0 ** -100, "h_min_override")
+    for eps in (0.0, -0.1, 0.5, 0.7, 2.0 ** -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 0.5\)"):
+            Certificate(5.53, eps, "h_min_override")
 
 
 def test_equivalent_bit_rate_identity():

@@ -16,6 +16,7 @@ import pytest
 
 from sdiqrng.detector import MeasurementConfig, RawSampleBlock
 from sdiqrng import extractor
+from sdiqrng.entropy import Certificate, equivalent_bit_rate
 from sdiqrng.exceptions import InfeasiblePlanError, SecurityModelViolation
 from sdiqrng.extractor import (
     AccountingReport,
@@ -56,6 +57,10 @@ def oracle_plan_block_size(h_min, security, target):
         n += 1
 
 
+def cert(h_min, eps_log2):
+    return Certificate(h_min, 2.0 ** eps_log2, "test")
+
+
 def _code_blocks(rng, sizes, clipped=None, adc_bits=8):
     cfg = MeasurementConfig(adc_bits=adc_bits)
     half = 1 << (adc_bits - 1)
@@ -66,7 +71,7 @@ def _code_blocks(rng, sizes, clipped=None, adc_bits=8):
 
 
 def test_plan_operating_point():
-    plan = plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    plan = plan_extraction(8, cert(5.53, -100), 5.4)
     assert plan.samples_per_block == 1540
     assert plan.output_bits == 8316
     assert plan.input_bits == 12320
@@ -81,7 +86,7 @@ def test_plan_operating_point():
 
 
 def test_plan_integer_entropy_example():
-    plan = plan_extraction(8, 8.0, 2.0 ** -100, 7.9)
+    plan = plan_extraction(8, cert(8.0, -100), 7.9)
     assert plan.samples_per_block == 2000
     assert plan.output_bits == 15800
     assert plan.bits_per_sample_effective == pytest.approx(7.9, abs=1e-12)
@@ -91,7 +96,7 @@ def test_plan_search_property_grid():
     for h_min, gap in ((1.7, 0.1), (3.3, 0.37), (5.53, 0.13), (7.2, 0.25)):
         for eps_log2 in (-64, -100):
             target = h_min - gap
-            plan = plan_extraction(8, h_min, 2.0 ** eps_log2, target)
+            plan = plan_extraction(8, cert(h_min, eps_log2), target)
             security = -2.0 * eps_log2
             n, m = plan.samples_per_block, plan.output_bits
             assert m == math.floor(n * h_min - security)
@@ -105,19 +110,16 @@ def test_plan_search_property_grid():
 
 def test_plan_rejections():
     with pytest.raises(InfeasiblePlanError):
-        plan_extraction(8, 5.53, 2.0 ** -100, 5.53)
+        plan_extraction(8, cert(5.53, -100), 5.53)
     with pytest.raises(InfeasiblePlanError):
-        plan_extraction(8, 5.53, 2.0 ** -100, 6.0)
-    for eps in (0.0, 0.5, 0.7, -0.1):
-        with pytest.raises(ValueError):
-            plan_extraction(8, 5.53, eps, 5.4)
+        plan_extraction(8, cert(5.53, -100), 6.0)
     for bits in (1, 17, 8.0):
         with pytest.raises(ValueError):
-            plan_extraction(bits, 5.53, 2.0 ** -100, 5.4)
+            plan_extraction(bits, cert(5.53, -100), 5.4)
     with pytest.raises(ValueError):
-        plan_extraction(8, 9.0, 2.0 ** -100, 5.4)  # h_min above bit depth
+        plan_extraction(8, cert(9.0, -100), 5.4)  # h_min above bit depth
     with pytest.raises(ValueError):
-        plan_extraction(8, 5.53, 2.0 ** -100, 0.0)
+        plan_extraction(8, cert(5.53, -100), 0.0)
 
 
 def test_hash_hand_example():
@@ -210,7 +212,7 @@ def test_hash_of_concatenated_blocks_is_concatenated_hashes():
 
 
 def test_fft_rounding_residual_is_reported_and_guarded(monkeypatch):
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     rng = np.random.default_rng(59)
     blocks = _code_blocks(rng, [20 * plan.samples_per_block])
     seed = prng_seed(plan.seed_bits, 61)
@@ -427,7 +429,7 @@ def test_seed_keeps_a_checked_read_only_copy():
 
 
 def test_extract_stream_against_full_oracle():
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     assert (plan.samples_per_block, plan.output_bits) == (76, 380)
     rng = np.random.default_rng(19)
     blocks = _code_blocks(rng, [100, 100, 100], clipped=[2, 3, 0])
@@ -440,8 +442,7 @@ def test_extract_stream_against_full_oracle():
     assert report.raw_bits == 228 * 8
     assert report.output_bits == 3 * 380
     assert report.clipped_samples == 5
-    assert report.bits_per_sample_effective == pytest.approx(5.0, abs=1e-12)
-    assert report.seed_provenance == "test-prng-insecure"
+    assert plan.bits_per_sample_effective == pytest.approx(5.0, abs=1e-12)
     assert packed.size == (3 * 380 + 7) // 8
 
     codes = np.concatenate([b.codes for b in blocks])[:228]
@@ -453,7 +454,7 @@ def test_extract_stream_against_full_oracle():
 
 
 def test_extract_stream_determinism_threads_and_oracle():
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     rng = np.random.default_rng(29)
     blocks = _code_blocks(rng, [500, 90 * 76])  # 96 blocks, 12 batches
     seed = prng_seed(plan.seed_bits, 31)
@@ -481,7 +482,7 @@ def test_extract_stream_determinism_threads_and_oracle():
 
 @pytest.mark.parametrize("bits_per_sample", [8, 12])
 def test_extract_stream_batch_edges_match_oracle(bits_per_sample):
-    plan = plan_extraction(bits_per_sample, 5.53, 2.0 ** -10, 5.0)
+    plan = plan_extraction(bits_per_sample, cert(5.53, -10), 5.0)
     m = plan.output_bits
     assert m % 8
     rng = np.random.default_rng(67 + bits_per_sample)
@@ -506,7 +507,7 @@ def test_extract_stream_batch_edges_match_oracle(bits_per_sample):
 
 
 def test_extract_stream_operating_point_accounting():
-    plan = plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    plan = plan_extraction(8, cert(5.53, -100), 5.4)
     rng = np.random.default_rng(37)
     blocks = _code_blocks(rng, [30 * 1540 + 50])
     seed = prng_seed(plan.seed_bits, 41)
@@ -514,18 +515,16 @@ def test_extract_stream_operating_point_accounting():
     threaded, _ = extract_stream(blocks, plan, seed, threads=2)
     assert threaded.tobytes() == packed.tobytes()
     assert report.blocks == 30
-    assert report.bits_per_sample_effective == pytest.approx(5.4, abs=1e-12)
-    assert report.equivalent_rate_bits_per_s == pytest.approx(270e6,
-                                                              rel=1e-12)
+    assert plan.bits_per_sample_effective == pytest.approx(5.4, abs=1e-12)
+    rate = equivalent_bit_rate(report.pulse_rate, plan.bits_per_sample_effective)
     assert plan.slack_bits >= 0.0
     assert plan.slack_bits == pytest.approx(0.2, abs=1e-6)
     assert report.output_bits == 249480
-    assert report.seed_provenance == "test-prng-insecure"
-    assert report.equivalent_rate_bits_per_s == 270000000.0
+    assert rate == 270000000.0
 
 
 def test_extract_stream_refusals():
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     rng = np.random.default_rng(43)
     blocks = _code_blocks(rng, [200])
     seed = prng_seed(plan.seed_bits, 47)
@@ -546,7 +545,7 @@ def test_extract_stream_refusals():
 def test_extract_stream_cuts_batches_across_block_edges():
     # hash blocks and 8-block batches straddle the edges of input blocks
     # of awkward sizes; a one-shot generator of them hashes as one block
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     n, m = plan.samples_per_block, plan.output_bits
     sizes = [3 * n + 5, 7, 9 * n - 1, 5 * n + 3, 8 * n, 1, 6 * n - 2]
     rng = np.random.default_rng(79)
@@ -568,7 +567,7 @@ def test_extract_stream_cuts_batches_across_block_edges():
 
 
 def test_extract_stream_without_blocks_is_refused():
-    plan = plan_extraction(8, 5.53, 2.0 ** -20, 5.0)
+    plan = plan_extraction(8, cert(5.53, -20), 5.0)
     seed = prng_seed(plan.seed_bits, 89)
     for empty in ([], (b for b in ())):
         with pytest.raises(ValueError, match="no input blocks"):
@@ -578,7 +577,7 @@ def test_extract_stream_without_blocks_is_refused():
 def test_extract_stream_memory_does_not_grow_with_the_block_count():
     # blocks made one at a time as they are consumed: a call that holds them
     # all, or their concatenation, peaks higher with every block
-    plan = plan_extraction(8, 5.53, 2.0 ** -100, 5.4)
+    plan = plan_extraction(8, cert(5.53, -100), 5.4)
     seed = prng_seed(plan.seed_bits, 97)
     seed.spectrum
     size = 50 * plan.samples_per_block + 77
