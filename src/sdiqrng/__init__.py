@@ -10,10 +10,10 @@ test battery (``stats``) and the command-line interface (``cli``).
 
 Importing the package loads none of them: import the submodule you use, so
 that each stage loads only what it runs.  numpy is the one FFT engine and
-``math.erf`` the one erf on the path of simulate, calibrate, extract and
-verify; of scipy only ``scipy.special`` loads, in ``stats`` (for ``test``)
-and inside ``attacklab.run_attack`` (for ``attack``, whose Kolmogorov-Smirnov
-p-value ``attacklab`` computes without ``scipy.stats``).
+``math.erf`` the one erf on the path of simulate, calibrate, extract, attack
+and verify, none of which loads a scipy module: ``attacklab`` computes the
+attack's Kolmogorov-Smirnov p-value itself.  Only ``stats`` (for ``test``)
+loads ``scipy.special``.
 """
 
 __version__ = "0.1.0"

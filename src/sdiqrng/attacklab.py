@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .entropy import vacuum_guessing_probability
-from .states import _fock_psi, bin_index, search_halfwidth
+from .states import _erf, _fock_psi, bin_index, search_halfwidth
 
 __all__ = [
     "BipartiteState",
@@ -225,8 +225,10 @@ class AttackScenario:
 class AttackReport:
     """Monte-Carlo outcome of one scenario.
 
-    ``samples`` holds the measured quadratures and ``outcomes`` the bin
-    index of each, the digitizer reading Eve tries to guess.
+    ``samples`` holds the measured quadratures.  The outcome of a round is
+    the bin index of its quadrature, the digitizer reading Eve tries to
+    guess; ``bin_counts[i]`` counts the rounds whose outcome is
+    ``lowest_bin + i``, from the lowest outcome to the highest.
     """
 
     measured_variance: float
@@ -234,7 +236,13 @@ class AttackReport:
     mimicry_pvalue: float
     vacuum_guess_bound: float
     samples: np.ndarray
-    outcomes: np.ndarray
+    lowest_bin: int
+    bin_counts: np.ndarray
+
+
+# rounds per step of the reductions over the whole sample; a few temporaries
+# of this length stay small beside the sample itself
+_CHUNK = 2 ** 16
 
 
 def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackReport:
@@ -243,51 +251,76 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     Eve's guess each round is the bin holding her displacement; the guess
     succeeds when the measured outcome lands in that bin.  The mimicry
     p-value is the two-sided Kolmogorov-Smirnov test of the outcomes
-    against the exact vacuum CDF (1 + erf(q)) / 2, bitwise equal to
-    ``scipy.stats.kstest``.  Of scipy only ``scipy.special`` loads, here and
-    not at module scope, for ``erf`` and, in the KS tail, ``smirnov``.  The
-    KS distribution itself is computed in this module: importing
-    ``scipy.stats`` for it would cost the stage more than all its other work.
-    """
-    from scipy.special import erf
+    against the exact vacuum CDF (1 + erf(q)) / 2, with ``math.erf``
+    (``states._erf``) and the KS distribution computed in this module, so
+    that no scipy module loads.
 
+    Memory: the draws are whole arrays of n rounds (the displacements, in
+    ``uniform`` mode the LO phases, and the normals, in that order), and
+    the quadratures are formed in place in the normals' array.  Everything
+    else -- the guess count, the outcome histogram and the KS distance -- is
+    a reduction over ``_CHUNK`` rounds at a time, so the peak is three
+    arrays of n rounds in ``uniform`` mode and two in ``fixed`` mode.
+    """
     n = scenario.n_rounds
     r = scenario.r
+    delta = scenario.delta
     sq_var = math.exp(-2.0 * r) / 2.0
     disp_var = (1.0 - math.exp(-2.0 * r)) / 2.0
     d = (rng.normal(0.0, math.sqrt(disp_var), n)
          if (scenario.displaced and disp_var > 0) else np.zeros(n))
+    chunks = [slice(a, a + _CHUNK) for a in range(0, n, _CHUNK)]
 
+    # q = d + z * sd in place in the normals z: the same bits, added in
+    # either order; in uniform mode d cos(theta) is added a chunk at a time
     if scenario.lo_mode == "fixed":
-        q = d + rng.normal(0.0, 1.0, n) * math.sqrt(sq_var)
+        q = rng.normal(0.0, 1.0, n)
+        q *= math.sqrt(sq_var)
+        q += d
     else:
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        mean = d * np.cos(theta)
-        var = (np.exp(-2.0 * r) * np.cos(theta) ** 2
-               + np.exp(2.0 * r) * np.sin(theta) ** 2) / 2.0
-        q = mean + rng.normal(0.0, 1.0, n) * np.sqrt(var)
+        q = rng.normal(0.0, 1.0, n)
+        for s in chunks:
+            cos = np.cos(theta[s])
+            var = (np.exp(-2.0 * r) * cos ** 2 + np.exp(2.0 * r) * np.sin(theta[s]) ** 2) / 2.0
+            q[s] *= np.sqrt(var)
+            cos *= d[s]
+            q[s] += cos
+        del theta
 
-    outcomes = bin_index(q, scenario.delta)
-    guess_rate = float(np.mean(bin_index(d, scenario.delta) == outcomes))
-    cdf = np.sort(q)  # becomes the vacuum CDF at the sorted outcomes
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    # ceil is monotone, so the extreme quadratures give the extreme outcomes
+    lowest = bin_index(q.min(), delta)
+    counts = np.zeros(bin_index(q.max(), delta) - lowest + 1, dtype=np.int64)
+    hits = 0
+    for s in chunks:
+        outcomes = bin_index(q[s], delta)
+        hits += np.count_nonzero(bin_index(d[s], delta) == outcomes)
+        outcomes -= lowest
+        counts += np.bincount(outcomes, minlength=counts.size)
+    del d
     return AttackReport(
         measured_variance=float(np.var(q)),
-        eve_guess_rate=guess_rate,
-        mimicry_pvalue=_kstwo_sf(_ks_distance(cdf), n),
-        vacuum_guess_bound=vacuum_guessing_probability(scenario.delta),
+        eve_guess_rate=hits / n,
+        mimicry_pvalue=_kstwo_sf(_ks_distance(np.sort(q)), n),
+        vacuum_guess_bound=vacuum_guessing_probability(delta),
         samples=q,
-        outcomes=outcomes)
+        lowest_bin=lowest,
+        bin_counts=counts)
 
 
-def _ks_distance(cdf: np.ndarray) -> np.float64:
-    """Two-sided KS statistic max(D+, D-) from the CDF at the sorted sample."""
-    n = cdf.size
-    steps = np.arange(0.0, n + 1) / n
-    d_plus = (steps[1:] - cdf).max()
-    d_minus = (cdf - steps[:-1]).max()
+def _ks_distance(ordered: np.ndarray) -> np.float64:
+    """Two-sided KS statistic max(D+, D-) of the sorted sample ``ordered``
+    against the vacuum CDF (1 + erf(q)) / 2."""
+    n = ordered.size
+    d_plus = d_minus = np.float64(-np.inf)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        cdf = _erf(ordered[a:b])
+        cdf += 1.0
+        cdf *= 0.5
+        # the slices [a, b] and [a + 1, b + 1] of the steps arange(0.0, n + 1) / n
+        d_plus = max(d_plus, (np.arange(a + 1.0, b + 1.0) / n - cdf).max())
+        d_minus = max(d_minus, (cdf - np.arange(float(a), float(b)) / n).max())
     return d_plus if d_plus > d_minus else d_minus
 
 
@@ -297,11 +330,14 @@ def _ks_distance(cdf: np.ndarray) -> np.float64:
 # _kolmogn(n, x, cdf=False) that n > 140 reaches and repeat its arithmetic in
 # the same order and types -- the long-double scale constants, np.sum and the
 # closing Python sum included -- so the result is bitwise equal to
-# scipy.stats.kstwo.sf(x, n).  Branch choice: Simard & L'Ecuyer, "Computing
-# the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11),
-# 2011.  Durbin matrix: Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's
-# distribution", J. Stat. Softw. 8(18), 2003.  Large n: Pelz & Good, JRSS B
-# 38(2), 1976.  Pomeranz's recursion serves only n <= 140 and is left out.
+# scipy.stats.kstwo.sf(x, n) on every branch but one: where scipy calls
+# scipy.special.smirnov, _smirnov sums the same series in numpy, within
+# 1e-12 relative of it (see _smirnov).  Branch choice: Simard & L'Ecuyer,
+# "Computing the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw.
+# 39(11), 2011.  Durbin matrix: Marsaglia, Tsang & Wang, "Evaluating
+# Kolmogorov's distribution", J. Stat. Softw. 8(18), 2003.  Large n: Pelz &
+# Good, JRSS B 38(2), 1976.  Pomeranz's recursion serves only n <= 140 and is
+# left out.
 
 _EP128 = np.ldexp(np.longdouble(1), 128)
 _EM128 = np.ldexp(np.longdouble(1), -128)
@@ -340,13 +376,75 @@ def _kstwo_sf(x, n: int) -> float:
     if x < 0.5 and nxsquared >= 370.0:
         return 0.0
     if x >= 0.5 or nxsquared >= 2.2:
-        from scipy.special import smirnov
-        return float(np.clip(2 * smirnov(n, x), 0.0, 1.0))
+        return float(np.clip(2 * _smirnov(n, float(x)), 0.0, 1.0))
     if n <= 100000 and n * x ** 1.5 <= 1.4:
         cdf = _kolmogorov_cdf_dmtw(n, x)
     else:
         cdf = _kolmogorov_cdf_pelz_good(n, x)
     return float(np.clip(1.0 - cdf, 0.0, 1.0))
+
+
+# log(m!) - (m log m - m + log(2 pi m) / 2) for m = 1..15, where the Stirling
+# series of _stirlerr is not yet accurate to double precision; m = 0 is unused
+_STIRLERR_SMALL = np.array([0.0] + [
+    math.lgamma(m + 1.0) - (m * math.log(m) - m + 0.5 * math.log(2.0 * math.pi * m))
+    for m in range(1, 16)])
+
+
+def _stirlerr(m: np.ndarray) -> np.ndarray:
+    """log(m!) - (m log m - m + log(2 pi m) / 2) at the whole numbers m >= 1."""
+    inv2 = 1.0 / (m * m)
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2)
+           * inv2) / m
+    small = m < 16
+    out[small] = _STIRLERR_SMALL[m[small].astype(np.intp)]
+    return out
+
+
+def _smirnov(n: int, x: float) -> float:
+    """P(D_n+ >= x) for the one-sided KS statistic of n > 140 samples and
+    1/n < x < 1 - 1/n: what scipy.special.smirnov(n, x) computes.
+
+    Up to n = 10**6 it is the Birnbaum-Tingey sum over 0 <= j < n (1 - x),
+
+        x * sum_j C(n, j) p_j**(j - 1) (1 - p_j)**(n - j),   p_j = x + j / n,
+
+    whose term j is (x / p_j) times the Binomial(n, p_j) mass at j.  Each
+    mass is taken in log space in Loader's saddle-point form, Stirling
+    remainders plus the deviance terms bd0(j, n p_j) and bd0(n - j, n (1 - p_j)),
+    each computed with log1p: no log-binomial of size n log 2 is formed, so
+    the logs carry absolute errors of a few ulps of n x and the terms agree
+    with 30-digit mpmath to about 1e-13 relative.  The terms are summed
+    against the largest so far, ``_CHUNK`` at a time.  Above n = 10**6 it is
+    scipy's own large-n approximation exp(-(6 n x + 1)**2 / (18 n)), in
+    scipy's arithmetic.
+
+    References: Birnbaum & Tingey, "One-sided confidence contours for
+    probability distribution functions", Ann. Math. Stat. 22(4), 1951;
+    Loader, "Fast and accurate computation of binomial probabilities", 2000.
+    """
+    if n > 1_000_000:
+        return math.exp(-(6.0 * n * x + 1) ** 2 / 18.0 / n)
+    t = n * x
+    top = n * math.log1p(-x)   # j = 0: (1 - x)**n
+    total = 1.0
+    stirlerr_n = _stirlerr(np.array([float(n)]))[0]
+    half_log = 0.5 * math.log(n / (2.0 * math.pi))
+    last = math.ceil(n - t) - 1   # the largest j with 1 - p_j > 0
+    for first in range(1, last + 1, _CHUNK):
+        j = np.arange(first, min(first + _CHUNK, last + 1), dtype=np.float64)
+        k = n - j
+        logs = (stirlerr_n - _stirlerr(j) - _stirlerr(k)
+                + half_log - 0.5 * (np.log(j) + np.log(k))
+                - (t - j * np.log1p(t / j))      # bd0(j, n p_j)
+                - (-k * np.log1p(-t / k) - t)    # bd0(n - j, n (1 - p_j))
+                + np.log(t / (j + t)))           # x / p_j
+        peak = logs.max()
+        if peak > top:
+            total *= math.exp(top - peak)
+            top = peak
+        total += float(np.exp(logs - top).sum())
+    return math.exp(top + math.log(total))
 
 
 def _kolmogorov_cdf_dmtw(n: int, d):

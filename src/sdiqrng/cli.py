@@ -345,12 +345,7 @@ def cmd_test(cfg: RunConfig) -> int:
 def cmd_attack(cfg: RunConfig) -> int:
     """Monte-Carlo eavesdropper scenarios."""
     out = _out_dir(cfg)
-    a = cfg.attack
-    try:
-        scenario = attacklab.AttackScenario(r=a.r, delta=a.delta, lo_mode=a.lo_mode,
-                                            n_rounds=a.rounds, displaced=a.displaced)
-    except ValueError as exc:
-        raise ConfigError(f"attack: {exc}") from None
+    scenario = cfg.attack
     rng = substream(cfg.run.rng_seed, "attack")
     report = attacklab.run_attack(scenario, rng)
     write_report(out / "attack_report.txt", [
@@ -365,18 +360,18 @@ def cmd_attack(cfg: RunConfig) -> int:
         ("vacuum_guess_bound", report.vacuum_guess_bound),
     ])
 
-    bins = report.outcomes
-    lo, hi = int(bins.min()), int(bins.max())
-    counts = _integer_counts(bins, lo, hi)
-    k = np.arange(lo, hi + 1)
-    vacuum = np.diff(states._erf((np.arange(lo, hi + 2) - 0.5) * a.delta)) / 2.0
+    lo = report.lowest_bin
+    edges = np.arange(lo, lo + report.bin_counts.size + 1)
+    vacuum = np.diff(states._erf((edges - 0.5) * scenario.delta)) / 2.0
     write_csv(out / "attack_histogram.csv",
               ["attack outcome histogram against the exact vacuum bin masses",
-               f"lo_mode={a.lo_mode} r={a.r!r} delta={a.delta!r} rounds={a.rounds}"],
+               f"lo_mode={scenario.lo_mode} r={scenario.r!r} delta={scenario.delta!r} "
+               f"rounds={scenario.n_rounds}"],
               ["bin", "count", "vacuum_expected"],
-              zip(k.tolist(), counts.tolist(), (scenario.n_rounds * vacuum).tolist()))
+              zip(edges[:-1].tolist(), report.bin_counts.tolist(),
+                  (scenario.n_rounds * vacuum).tolist()))
 
-    print(f"attack: lo_mode={a.lo_mode} variance {report.measured_variance:.4f}, "
+    print(f"attack: lo_mode={scenario.lo_mode} variance {report.measured_variance:.4f}, "
           f"KS p {report.mimicry_pvalue:.4g}")
     print(f"attack: eve guess rate {report.eve_guess_rate:.4f} vs vacuum bound "
           f"{report.vacuum_guess_bound:.4f}")

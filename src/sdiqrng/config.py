@@ -17,7 +17,10 @@ in ``__post_init__``.  ``[detector]``, ``[dsp]`` and ``[calibration]`` are the
 library's own ``MeasurementConfig``, ``ChainSettings`` and
 ``CalibrationSettings``.  ``load_config`` parses each value by its field's
 annotation and builds every section (a ``ValueError`` becomes a
-``ConfigError`` naming it); ``[source]`` is then built into the state model.
+``ConfigError`` naming it); ``[source]`` is then built into the state model
+and ``[attack]`` into the library's ``AttackScenario``, whose rules check it.
+The certificate rules of ``[extractor]`` are checked at load too, so that a
+bad key fails the first stage, not ``extract`` after ``simulate``.
 
 All randomness used by commands descends from ``run.rng_seed`` through
 named substreams, and ``run.timestamp`` is the fixed reference time stamped
@@ -35,8 +38,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import states
+from . import entropy, states
 from ._io import iso_utc
+from .attacklab import AttackScenario
 from .calibration import CalibrationSettings
 from .detector import ChainSettings, MeasurementConfig
 from .exceptions import ConfigError
@@ -152,12 +156,12 @@ class RunConfig:
     calibration: CalibrationSettings
     extractor: ExtractorSettings
     stats: StatsSettings
-    attack: AttackSettings
+    attack: AttackScenario
     verify: VerifySettings
 
 
-# every section and its schema; [source] holds raw keys that _build_source
-# turns into the state model
+# every section and its schema; [source] and [attack] hold raw keys that
+# load_config turns into the state model and the attack scenario
 _SECTIONS = {
     "run": RunSettings,
     "source": SourceSettings,
@@ -246,8 +250,19 @@ def _build_source(s: SourceSettings) -> states.QuantumStateModel:
 
 
 def _cross_validate(cfg: RunConfig) -> None:
-    """The checks that span sections: the [dsp] frequencies against the
-    [detector] pulse rate."""
+    """The checks that span sections: the certificate ``extract`` would
+    issue against the [detector] sample width, and the [dsp] frequencies
+    against the [detector] pulse rate."""
+    es = cfg.extractor
+    try:
+        # a calibrated h_min is known only when extract reads the log and is
+        # checked there; one bit stands in for it so that epsilon is checked
+        certificate = entropy.Certificate(
+            1.0 if es.h_min_override is None else es.h_min_override,
+            2.0 ** es.epsilon_log2, "h_min_override")
+        certificate.check_sample_width(cfg.detector.adc_bits)
+    except ValueError as exc:
+        raise ConfigError(f"extractor: {exc}") from None
     d = cfg.dsp
     pulse_rate = cfg.detector.pulse_rate
     if not d.enabled:
@@ -302,7 +317,13 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
-    cfg = RunConfig(source=_build_source(settings.pop("source")), **settings)
+    a = settings.pop("attack")
+    try:
+        attack = AttackScenario(r=a.r, delta=a.delta, lo_mode=a.lo_mode,
+                                n_rounds=a.rounds, displaced=a.displaced)
+    except ValueError as exc:
+        raise ConfigError(f"attack: {exc}") from None
+    cfg = RunConfig(source=_build_source(settings.pop("source")), attack=attack, **settings)
     try:
         states.validate_state(cfg.source)
     except ValueError as exc:

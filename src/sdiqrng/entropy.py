@@ -55,6 +55,12 @@ class Certificate:
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
+    def check_sample_width(self, bits_per_sample: int) -> None:
+        """Raise ValueError if samples of ``bits_per_sample`` bits cannot hold
+        ``h_min_bits``."""
+        if self.h_min_bits > bits_per_sample:
+            raise ValueError(f"h_min_bits must not exceed bits_per_sample, got {self.h_min_bits}")
+
 
 def vacuum_guessing_probability(delta: float) -> float:
     """The vacuum's best-bin mass erf(delta / 2) at bin width ``delta``; the

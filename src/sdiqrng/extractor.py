@@ -122,9 +122,8 @@ def plan_extraction(bits_per_sample: int, certificate: Certificate,
     """
     if not isinstance(bits_per_sample, (int, np.integer)) or not 2 <= bits_per_sample <= 16:
         raise ValueError("bits_per_sample must be an integer in [2, 16]")
+    certificate.check_sample_width(bits_per_sample)
     h = certificate.h_min_bits
-    if h > bits_per_sample:
-        raise ValueError(f"h_min_bits must not exceed bits_per_sample, got {h}")
     if target_bits_per_sample <= 0.0:
         raise ValueError("target_bits_per_sample must be positive")
     if target_bits_per_sample >= h:

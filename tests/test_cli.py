@@ -206,15 +206,18 @@ def test_attack_artifacts(pipeline):
     ("fixed", 1.5,
      "3c5db28e76ca7413279a5b35f206b82ccffa7b71bbce32ba4b94e6d933644dd0",
      "f8388670e91f4ef652bd85b231eee495f4be474fe23f311dae96f67685bbfcbf"),
-    # ... and from 2 * smirnov(n, D)
+    # ... and from 2 * smirnov(n, D), summed in numpy: mimicry_pvalue reads
+    # 4.050819505442271e-19, where scipy.special.smirnov gave
+    # 4.050819505442274e-19 (30-digit mpmath: 4.050819505442273349e-19)
     ("uniform", 0.3,
-     "1077dd97a6ebfb7ee8741f5c542b314671c1134701e6c40e522efdbc35909915",
+     "67383e043e8b7d0030da503be22507678a2348cccb77259d98845381fc29d865",
      "65c13ea1d1a6092fe1b6e51e1cad3d8f292dba3f9d64b818fc18bdd7257a0397"),
 ])
 def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
                                            histogram_sha256):
     # the digests were written by commit b316176, whose p-value came from
-    # scipy.stats.kstest and whose histogram re-binned the samples in the CLI
+    # scipy.stats.kstest and whose histogram re-binned the samples in the
+    # CLI; the Smirnov row's report digest since moved with its p-value
     cfg = tmp_path / "attack.cfg"
     cfg.write_text(f"[run]\nrng_seed = 5\n\n[attack]\nrounds = 10000\n"
                    f"lo_mode = {lo_mode}\nr = {r}\n")
@@ -820,15 +823,21 @@ def test_oversize_plan_exits_2_before_the_seed_is_made(tmp_path, capsys):
 ], ids=["h_zero", "h_negative", "h_above_bits", "epsilon_above_half",
         "epsilon_underflow", "target_at_h", "target_above_h"])
 def test_certificate_inputs_exit_codes(tmp_path, capsys, extractor_keys, code):
+    # a certificate extract could never issue is refused at load, so the
+    # first stage fails before it writes a block; only the plan's
+    # feasibility waits for extract
     cfg_path = tmp_path / "cert.cfg"
     cfg_path.write_text("[dsp]\nenabled = false\n\n[simulate]\npulses = 2000\n\n"
                         f"[extractor]\n{extractor_keys}\n")
     out = tmp_path / "out"
-    run_pipeline(str(cfg_path), out, ("simulate",))
-    capsys.readouterr()
-    assert main(["extract", "--config", str(cfg_path), "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert ("error (config): extractor: " if code == 2 else "error (infeasible plan)") in err
+    for command in ("simulate", "extract"):
+        expected = 2 if code == 2 else {"simulate": 0, "extract": code}[command]
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == expected
+        err = capsys.readouterr().err
+        if expected:
+            assert ("error (config): extractor: " if code == 2
+                    else "error (infeasible plan)") in err
+    assert (out / "blocks").exists() == (code != 2)
     assert not any((out / name).exists() for name in EXTRACT_ARTIFACTS)
 
 

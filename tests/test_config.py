@@ -207,6 +207,18 @@ def test_detector_policies_and_validation(tmp_path):
     ("[run]\nrng_seed = -1", "rng_seed"),
     ("[extractor]\nepsilon_log2 = 0", "epsilon_log2"),
     ("[extractor]\ntarget_bits_per_sample = 0", "target_bits_per_sample"),
+    # the rules extract's certificate applies, checked before simulate runs
+    ("[extractor]\nh_min_override = 0", "extractor: h_min_bits must be positive"),
+    ("[extractor]\nh_min_override = 9", "h_min_bits must not exceed bits_per_sample"),
+    ("[detector]\nadc_bits = 4\n[extractor]\nh_min_override = 4.5",
+     "h_min_bits must not exceed bits_per_sample, got 4.5"),
+    ("[extractor]\nepsilon_log2 = -0.5", r"extractor: epsilon must lie in \(0, 0.5\)"),
+    ("[extractor]\nepsilon_log2 = -2000", r"epsilon must lie in \(0, 0.5\), got 0.0"),
+    # the attack scenario's own rules
+    ("[attack]\nlo_mode = banana", "attack: lo_mode must be 'fixed' or 'uniform'"),
+    ("[attack]\nr = 9", "attack: r must lie in"),
+    ("[attack]\ndelta = 0", "attack: delta must be positive"),
+    ("[attack]\nrounds = 9999", "attack: n_rounds must be >= 10000"),
     ("[stats]\nstring_bits = 99", "string_bits"),
     ("[stats]\nalpha = 0.5", "alpha"),
     ("[calibration]\nsamples_per_point = 1", "samples_per_point"),

@@ -1,8 +1,8 @@
 """Package-level checks: every exported name exists and is used by the
 package itself, every top-level name, dataclass field and property of the
 package is read somewhere, and a stage's import path stays free of scipy:
-none for simulate, extract and verify, only ``scipy.special`` for test and
-attack."""
+none for simulate, extract, attack and verify, only ``scipy.special`` for
+test."""
 
 import ast
 import importlib
@@ -142,15 +142,20 @@ if sys.argv[1:] == ["scipy.special"]:
     print(json.dumps(scipy_modules()))
     sys.exit()
 
+from sdiqrng.attacklab import _kstwo_sf
 from sdiqrng.cli import main
 
 loaded = {"import": scipy_modules()}
 cfg, out = sys.argv[1:]
-for stage in ("simulate", "extract", "verify", "test", "attack"):
+for stage in ("simulate", "extract", "verify", "attack", "test"):
     code = main([stage, "--config", cfg, "--out", out])
     # the battery verdict on a few dozen strings is not what is checked here
     assert code == 0 or (stage, code) == ("test", 5), f"{stage} exited {code}"
     loaded[stage] = scipy_modules()
+    if stage == "attack":
+        # the KS tail's one-sided Smirnov branch, n x^2 in [2.2, 370)
+        assert 0.0 < _kstwo_sf(0.03, 10_000) < 1e-6
+        loaded["smirnov"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
@@ -185,7 +190,8 @@ equivalence_dim_max = 5
 
 def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
     # fresh interpreters: pytest's own test modules import scipy throughout;
-    # test and attack load scipy.special and nothing of scipy beyond it
+    # test loads scipy.special and nothing of scipy beyond it, and no other
+    # stage, nor the attack's KS tail on any branch, loads scipy at all
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CHAIN_CONFIG)
     env = dict(os.environ, PYTHONPATH=str(Path(sdiqrng.__file__).resolve().parents[1]))
@@ -198,11 +204,10 @@ def test_stages_do_not_import_scipy_signal_or_stats(tmp_path):
 
     special = set(run("scipy.special"))
     loaded = run(str(cfg), str(tmp_path / "out"))
-    for step in ("import", "simulate", "extract", "verify"):
+    for step in ("import", "simulate", "extract", "verify", "attack", "smirnov"):
         assert loaded[step] == [], f"after {step}: {loaded[step]}"
-    for step in ("test", "attack"):
-        assert "scipy.special" in loaded[step]
-        assert set(loaded[step]) <= special, f"after {step}: {loaded[step]}"
-        assert not [m for m in loaded[step]
-                    if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"],
-                                            ["scipy", "fft"])]
+    assert "scipy.special" in loaded["test"]
+    assert set(loaded["test"]) <= special, f"after test: {loaded['test']}"
+    assert not [m for m in loaded["test"]
+                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"],
+                                        ["scipy", "fft"])]
