@@ -24,7 +24,9 @@ The Monte-Carlo scenarios mirror the two operating modes of the generator:
 an eavesdropper who knows a fixed LO phase can mimic vacuum statistics with
 randomly displaced squeezed states while predicting outcomes far better
 than the vacuum guessing bound; randomizing the LO phase destroys the
-advantage and inflates the measured variance to cosh(2r)/2.
+advantage and inflates the measured variance to cosh(2r)/2.  The KS
+p-value ports scipy's ``kstwo.sf`` only for the sample sizes a scenario
+accepts (see the comment above ``_kstwo_sf``).
 """
 
 from __future__ import annotations
@@ -54,39 +56,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density matrix on E (x) A with dims recorded; validated on creation."""
+    """Density matrix on E (x) A with dims recorded; unchecked, since the
+    constructions below yield valid density matrices."""
 
     dim_e: int
     dim_a: int
     rho: np.ndarray
 
-    def __post_init__(self):
-        d = self.dim_e * self.dim_a
-        rho = np.asarray(self.rho)
-        if self.dim_e < 1 or self.dim_a < 1:
-            raise ValueError("dimensions must be positive")
-        if rho.shape != (d, d):
-            raise ValueError(f"rho must be {d}x{d}, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("rho is not Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("trace of rho must be 1 within 1e-10")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"rho has negative eigenvalue {eigs.min()}")
-
     def tensor(self) -> np.ndarray:
         """View as rho[k, n, l, m] for E indices k,l and A indices n,m."""
         return self.rho.reshape(self.dim_e, self.dim_a, self.dim_e, self.dim_a)
-
-
-def _valid_state(dim_e: int, dim_a: int, rho: np.ndarray) -> BipartiteState:
-    """A ``BipartiteState`` whose ``rho`` is valid by construction, built
-    without the checks and their eigendecomposition."""
-    state = object.__new__(BipartiteState)
-    for name, value in (("dim_e", dim_e), ("dim_a", dim_a), ("rho", rho)):
-        object.__setattr__(state, name, value)
-    return state
 
 
 def random_pure_bipartite(dim_e: int, dim_a: int,
@@ -96,19 +75,19 @@ def random_pure_bipartite(dim_e: int, dim_a: int,
     d = dim_e * dim_a
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    return _valid_state(dim_e, dim_a, np.outer(psi, psi.conj()))
+    return BipartiteState(dim_e, dim_a, np.outer(psi, psi.conj()))
 
 
 def phase_average_A(state: BipartiteState) -> BipartiteState:
     """Average over a uniformly random LO-referenced phase rotation of A.
 
     Every A coherence ``n != m`` is zeroed.  The average of a valid state is
-    valid by construction (Hermitian, trace kept, and PSD, each A block a
-    principal submatrix of ``rho``).
+    valid (Hermitian, trace kept, and PSD, each A block a principal
+    submatrix of ``rho``).
     """
     t = state.tensor() * np.eye(state.dim_a)[None, :, None, :]
     d = state.dim_e * state.dim_a
-    return _valid_state(state.dim_e, state.dim_a, t.reshape(d, d))
+    return BipartiteState(state.dim_e, state.dim_a, t.reshape(d, d))
 
 
 _GL_NODES = 200  # Gauss-Legendre points per bin in the overlap integrals
@@ -192,6 +171,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.linalg.svd(a - b, compute_uv=False)))
 
 
+# the fewest rounds a scenario may have; _kstwo_sf serves no fewer samples
+_MIN_ROUNDS = 10_000
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """Displaced-squeezed-state source controlled by the eavesdropper.
@@ -201,13 +184,14 @@ class AttackScenario:
     fixed, known LO phase the outcomes are marginally exactly vacuum.
     ``lo_mode`` is "fixed" (Alice's phase known to Eve) or "uniform"
     (fresh random phase per round).  ``displaced=False`` removes the
-    displacement (pure squeezed vacuum).
+    displacement (pure squeezed vacuum).  This class is also the
+    ``[attack]`` config section, one field per key.
     """
 
     r: float = 1.5
     delta: float = 0.1
     lo_mode: str = "fixed"
-    n_rounds: int = 1_000_000
+    rounds: int = 1_000_000
     displaced: bool = True
 
     def __post_init__(self):
@@ -217,8 +201,8 @@ class AttackScenario:
             raise ValueError("delta must be positive")
         if self.lo_mode not in ("fixed", "uniform"):
             raise ValueError(f"lo_mode must be 'fixed' or 'uniform', got {self.lo_mode!r}")
-        if self.n_rounds < 10_000:
-            raise ValueError("n_rounds must be >= 10000 for statistical claims")
+        if self.rounds < _MIN_ROUNDS:
+            raise ValueError(f"rounds must be >= {_MIN_ROUNDS} for statistical claims")
 
 
 @dataclass(frozen=True)
@@ -243,6 +227,9 @@ class AttackReport:
 # rounds per step of the reductions over the whole sample; a few temporaries
 # of this length stay small beside the sample itself
 _CHUNK = 2 ** 16
+# the most outcome bins run_attack counts: the defaults span about 60 (fixed)
+# and 28 000 (r = 6, uniform), and a far narrower delta would ask for GBs
+_MAX_BINS = 2 ** 24
 
 
 def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackReport:
@@ -260,9 +247,12 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
     the quadratures are formed in place in the normals' array.  Everything
     else -- the guess count, the outcome histogram and the KS distance -- is
     a reduction over ``_CHUNK`` rounds at a time, so the peak is three
-    arrays of n rounds in ``uniform`` mode and two in ``fixed`` mode.
+    arrays of n rounds in ``uniform`` mode and two in ``fixed`` mode.  A
+    ``delta`` so narrow that an outcome index q / delta leaves int64, or the
+    outcomes span more than ``_MAX_BINS`` bins, raises ValueError before
+    the histogram is allocated.
     """
-    n = scenario.n_rounds
+    n = scenario.rounds
     r = scenario.r
     delta = scenario.delta
     sq_var = math.exp(-2.0 * r) / 2.0
@@ -288,9 +278,18 @@ def run_attack(scenario: AttackScenario, rng: np.random.Generator) -> AttackRepo
             q[s] += cos
         del theta
 
-    # ceil is monotone, so the extreme quadratures give the extreme outcomes
-    lowest = bin_index(q.min(), delta)
-    counts = np.zeros(bin_index(q.max(), delta) - lowest + 1, dtype=np.int64)
+    # ceil is monotone, so the extreme quadratures give the extreme outcomes;
+    # in Python floats q / delta overflows to inf without a warning
+    low, high = float(q.min()), float(q.max())
+    if not -2.0 ** 63 <= low / delta <= high / delta < 2.0 ** 63:
+        raise ValueError(f"delta = {delta!r} puts the outcome index q / delta of "
+                         f"quadratures {low!r} .. {high!r} beyond int64")
+    lowest = bin_index(low, delta)
+    n_bins = bin_index(high, delta) - lowest + 1
+    if n_bins > _MAX_BINS:
+        raise ValueError(f"delta = {delta!r} spreads the outcomes over {n_bins} bins, "
+                         f"more than {_MAX_BINS}")
+    counts = np.zeros(n_bins, dtype=np.int64)
     hits = 0
     for s in chunks:
         outcomes = bin_index(q[s], delta)
@@ -327,51 +326,53 @@ def _ks_distance(ordered: np.ndarray) -> np.float64:
 # _kstwo_sf and its helpers are ported from scipy.stats._ksstats (SciPy 1.17,
 # BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
 # Developers; all rights reserved).  They keep only the branches of scipy's
-# _kolmogn(n, x, cdf=False) that n > 140 reaches and repeat its arithmetic in
-# the same order and types -- the long-double scale constants, np.sum and the
-# closing Python sum included -- so the result is bitwise equal to
-# scipy.stats.kstwo.sf(x, n) on every branch but one: where scipy calls
-# scipy.special.smirnov, _smirnov sums the same series in numpy, within
-# 1e-12 relative of it (see _smirnov).  Branch choice: Simard & L'Ecuyer,
-# "Computing the two-sided Kolmogorov-Smirnov distribution", J. Stat. Softw.
-# 39(11), 2011.  Durbin matrix: Marsaglia, Tsang & Wang, "Evaluating
-# Kolmogorov's distribution", J. Stat. Softw. 8(18), 2003.  Large n: Pelz &
-# Good, JRSS B 38(2), 1976.  Pomeranz's recursion serves only n <= 140 and is
-# left out.
+# _kolmogn(n, x, cdf=False) whose answer n >= _MIN_ROUNDS can tell apart and
+# repeat its arithmetic in the same order and types -- the long-double scale
+# constants, np.sum and the closing Python sum included -- so the result is
+# bitwise equal to scipy.stats.kstwo.sf(x, n) on every branch but one: where
+# scipy calls scipy.special.smirnov, _smirnov sums the same series in numpy,
+# within 1e-12 relative of it (see _smirnov).  Branch choice: Simard &
+# L'Ecuyer, "Computing the two-sided Kolmogorov-Smirnov distribution",
+# J. Stat. Softw. 39(11), 2011.  The branches kept, in order:
+#
+# * x >= 1: 0.
+# * x <= 0.5/n or n x <= 0.5: 1.  This exit also keeps k = ceil(n x) = 0
+#   away from the Durbin matrix.
+# * x < 0.5 and n x^2 >= 370: 0, scipy's answer where _smirnov would give a
+#   subnormal.
+# * x >= 0.5 or n x^2 >= 2.2: 2 smirnov(n, x).
+# * n <= 10**5 and n x^1.5 <= 1.4: 1 minus the Durbin matrix (Marsaglia,
+#   Tsang & Wang, "Evaluating Kolmogorov's distribution", J. Stat. Softw.
+#   8(18), 2003).  No other branch is bitwise scipy there: Pelz-Good
+#   differs from it by up to 5.5e-13 (n = 10**4 to 10**5).
+# * otherwise 1 minus Pelz & Good's large-n series (JRSS B 38(2), 1976).
+#
+# Left out: Pomeranz's recursion, which serves only n <= 140, and Ruben &
+# Gambino's two closed forms.  At n >= 10**4 the one for n x <= 1,
+# 1 - n!/n^n (2 n x - 1)^n, is 1.0 in double, and so is 1 minus the Durbin
+# matrix or Pelz-Good there; the one for n x >= n - 1, 2 (1 - x)^n, is 0.0,
+# and so is 2 smirnov(n, x), whose sum is then its first term (1 - x)^n.
 
 _EP128 = np.ldexp(np.longdouble(1), 128)
 _EM128 = np.ldexp(np.longdouble(1), -128)
 _SQRT2PI = np.sqrt(2 * np.pi)
-_LOG_2PI = np.log(2 * np.pi)
 _SQRT3 = np.sqrt(3)
 _PI_SQUARED = np.pi ** 2
 _PI_FOUR = np.pi ** 4
 _PI_SIX = np.pi ** 6
-# Stirling series coefficients B_2j / (2j (2j - 1)), j = 8..1
-_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
-                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
-                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
-                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
 
 
 def _kstwo_sf(x, n: int) -> float:
-    """P(D_n >= x) for the two-sided KS statistic D_n of n > 140 samples."""
-    if n <= 140:
-        raise ValueError(f"n must exceed 140, got {n}")
+    """P(D_n >= x) for the two-sided KS statistic D_n of n >= _MIN_ROUNDS
+    samples."""
+    if n < _MIN_ROUNDS:
+        raise ValueError(f"n must be >= {_MIN_ROUNDS}, got {n}")
     x = np.asarray(x, dtype=np.float64)  # the 0-d operand scipy's kolmogn passes
     if x >= 1.0:
         return 0.0
     t = n * x
     if x <= 0.5 / n or t <= 0.5:
         return 1.0
-    if t <= 1.0:  # Ruben-Gambino: P(D_n <= x) = n!/n^n (2t - 1)^n
-        rn = 1.0 / n
-        log_nfac = (np.log(n) / 2 - n + _LOG_2PI / 2
-                    + rn * np.polyval(_STIRLING_COEFFS, rn / n))
-        prob = np.exp(log_nfac + n * np.log(2 * t - 1))
-        return float(np.clip(1.0 - prob, 0.0, 1.0))
-    if t >= n - 1:  # Ruben-Gambino: P(D_n >= x) = 2 (1 - x)^n
-        return float(np.clip(2 * (1.0 - x) ** n, 0.0, 1.0))
     nxsquared = t * x
     if x < 0.5 and nxsquared >= 370.0:
         return 0.0
@@ -402,8 +403,8 @@ def _stirlerr(m: np.ndarray) -> np.ndarray:
 
 
 def _smirnov(n: int, x: float) -> float:
-    """P(D_n+ >= x) for the one-sided KS statistic of n > 140 samples and
-    1/n < x < 1 - 1/n: what scipy.special.smirnov(n, x) computes.
+    """P(D_n+ >= x) for the one-sided KS statistic of n samples and
+    1/n < x < 1: what scipy.special.smirnov(n, x) computes.
 
     Up to n = 10**6 it is the Birnbaum-Tingey sum over 0 <= j < n (1 - x),
 

@@ -347,13 +347,16 @@ def cmd_attack(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     scenario = cfg.attack
     rng = substream(cfg.run.rng_seed, "attack")
-    report = attacklab.run_attack(scenario, rng)
+    try:
+        report = attacklab.run_attack(scenario, rng)
+    except ValueError as exc:   # a delta too narrow to histogram the outcomes
+        raise ConfigError(f"attack.delta: {exc}") from None
     write_report(out / "attack_report.txt", [
         ("lo_mode", scenario.lo_mode),
         ("r", scenario.r),
         ("delta", scenario.delta),
         ("displaced", scenario.displaced),
-        ("n_rounds", scenario.n_rounds),
+        ("n_rounds", scenario.rounds),
         ("measured_variance", report.measured_variance),
         ("eve_guess_rate", report.eve_guess_rate),
         ("mimicry_pvalue", report.mimicry_pvalue),
@@ -366,10 +369,10 @@ def cmd_attack(cfg: RunConfig) -> int:
     write_csv(out / "attack_histogram.csv",
               ["attack outcome histogram against the exact vacuum bin masses",
                f"lo_mode={scenario.lo_mode} r={scenario.r!r} delta={scenario.delta!r} "
-               f"rounds={scenario.n_rounds}"],
+               f"rounds={scenario.rounds}"],
               ["bin", "count", "vacuum_expected"],
               zip(edges[:-1].tolist(), report.bin_counts.tolist(),
-                  (scenario.n_rounds * vacuum).tolist()))
+                  (scenario.rounds * vacuum).tolist()))
 
     print(f"attack: lo_mode={scenario.lo_mode} variance {report.measured_variance:.4f}, "
           f"KS p {report.mimicry_pvalue:.4g}")

@@ -13,14 +13,14 @@ Grammar (INI subset, parsed with :mod:`configparser`):
 
 The settings dataclasses are the schema: one frozen class per section, one
 field per key carrying its type and default, each checking its own section
-in ``__post_init__``.  ``[detector]``, ``[dsp]`` and ``[calibration]`` are the
-library's own ``MeasurementConfig``, ``ChainSettings`` and
-``CalibrationSettings``.  ``load_config`` parses each value by its field's
-annotation and builds every section (a ``ValueError`` becomes a
-``ConfigError`` naming it); ``[source]`` is then built into the state model
-and ``[attack]`` into the library's ``AttackScenario``, whose rules check it.
-The certificate rules of ``[extractor]`` are checked at load too, so that a
-bad key fails the first stage, not ``extract`` after ``simulate``.
+in ``__post_init__``.  ``[detector]``, ``[dsp]``, ``[calibration]`` and
+``[attack]`` are the library's own ``MeasurementConfig``, ``ChainSettings``,
+``CalibrationSettings`` and ``AttackScenario``.  ``load_config`` parses each
+value by its field's annotation and builds every section (a ``ValueError``
+becomes a ``ConfigError`` naming it); ``[source]`` is then built into the
+state model, whose class checks it.  The certificate rules of
+``[extractor]`` are checked at load too, so that a bad key fails the first
+stage, not ``extract`` after ``simulate``.
 
 All randomness used by commands descends from ``run.rng_seed`` through
 named substreams, and ``run.timestamp`` is the fixed reference time stamped
@@ -118,15 +118,6 @@ class StatsSettings:
 
 
 @dataclass(frozen=True)
-class AttackSettings:
-    r: float = 1.5
-    delta: float = 0.1
-    lo_mode: str = "fixed"
-    rounds: int = 1000000
-    displaced: bool = True
-
-
-@dataclass(frozen=True)
 class VerifySettings:
     fock_n_max: int = 20
     deltas: tuple[float, ...] = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -160,8 +151,8 @@ class RunConfig:
     verify: VerifySettings
 
 
-# every section and its schema; [source] and [attack] hold raw keys that
-# load_config turns into the state model and the attack scenario
+# every section and its schema; [source] holds raw keys that load_config
+# turns into the state model
 _SECTIONS = {
     "run": RunSettings,
     "source": SourceSettings,
@@ -171,7 +162,7 @@ _SECTIONS = {
     "calibration": CalibrationSettings,
     "extractor": ExtractorSettings,
     "stats": StatsSettings,
-    "attack": AttackSettings,
+    "attack": AttackScenario,
     "verify": VerifySettings,
 }
 
@@ -317,17 +308,13 @@ def load_config(path: str | None = None, *, overrides: dict | None = None) -> Ru
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from None
 
-    a = settings.pop("attack")
     try:
-        attack = AttackScenario(r=a.r, delta=a.delta, lo_mode=a.lo_mode,
-                                n_rounds=a.rounds, displaced=a.displaced)
-    except ValueError as exc:
-        raise ConfigError(f"attack: {exc}") from None
-    cfg = RunConfig(source=_build_source(settings.pop("source")), attack=attack, **settings)
-    try:
-        states.validate_state(cfg.source)
-    except ValueError as exc:
+        source = _build_source(settings.pop("source"))
+    except ConfigError:
+        raise
+    except ValueError as exc:   # the state model's own rules
         raise ConfigError(f"source: {exc}") from None
+    cfg = RunConfig(source=source, **settings)
     _cross_validate(cfg)
     return cfg
 

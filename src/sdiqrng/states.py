@@ -1,10 +1,10 @@
 """Single-mode optical state models and their homodyne quadrature statistics.
 
-Each model answers how to draw the quadrature outcome ``q`` of a balanced
-homodyne measurement at local-oscillator phase ``theta``.  Bin masses are
-not computed here: ``entropy.sdi_bound_check`` bounds every Fock bin at
-once through the wavefunctions below, and the vacuum's bins are erf
-differences (``_erf``).
+Each model checks its parameters when it is built and answers how to draw
+the quadrature outcome ``q`` of a balanced homodyne measurement at
+local-oscillator phase ``theta``.  Bin masses are not computed here:
+``entropy.sdi_bound_check`` bounds every Fock bin at once through the
+wavefunctions below, and the vacuum's bins are erf differences (``_erf``).
 
 Units: the quadrature is dimensionless and scaled so that the vacuum state
 has variance 1/2 (density ``exp(-q^2)/sqrt(pi)``).  The photon-number
@@ -44,7 +44,6 @@ __all__ = [
     "DisplacedSqueezed",
     "Mixture",
     "QuantumStateModel",
-    "validate_state",
     "sample_quadrature",
     "bin_index",
     "search_halfwidth",
@@ -61,6 +60,12 @@ class Fock:
 
     n: int
 
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"Fock index must be a non-negative integer, got {self.n!r}")
+        if self.n > _MAX_FOCK:
+            raise ValueError(f"Fock index {self.n} beyond supported maximum {_MAX_FOCK}")
+
 
 @dataclass(frozen=True)
 class Thermal:
@@ -71,6 +76,10 @@ class Thermal:
     """
 
     mean_photons: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.mean_photons) or self.mean_photons < 0:
+            raise ValueError(f"mean_photons must be finite and >= 0, got {self.mean_photons!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,16 @@ class DisplacedSqueezed:
     squeeze_angle: float = 0.0
     displacement: complex = 0j
 
+    def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ValueError("squeezing parameter r must be finite")
+        if abs(self.r) > 12.0:
+            raise ValueError(f"|r| = {abs(self.r)} too large for double-precision variances")
+        if not math.isfinite(self.squeeze_angle):
+            raise ValueError("squeeze_angle must be finite")
+        if not (math.isfinite(self.displacement.real) and math.isfinite(self.displacement.imag)):
+            raise ValueError("displacement must be finite")
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -98,47 +117,22 @@ class Mixture:
 
     components: tuple[tuple[float, int], ...]
 
+    def __post_init__(self):
+        if len(self.components) == 0:
+            raise ValueError("mixture needs at least one component")
+        total = 0.0
+        for w, n in self.components:
+            if w <= 0 or not math.isfinite(w):
+                raise ValueError(f"mixture weight {w!r} must be positive and finite")
+            Fock(n)
+            total += w
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-12")
+
 
 QuantumStateModel = Vacuum | Fock | Thermal | DisplacedSqueezed | Mixture
 
 _MAX_FOCK = 512
-
-
-def validate_state(state: QuantumStateModel) -> None:
-    """Raise ValueError if ``state`` violates a model precondition."""
-    match state:
-        case Vacuum():
-            return
-        case Fock(n=n):
-            if not isinstance(n, (int, np.integer)) or n < 0:
-                raise ValueError(f"Fock index must be a non-negative integer, got {n!r}")
-            if n > _MAX_FOCK:
-                raise ValueError(f"Fock index {n} beyond supported maximum {_MAX_FOCK}")
-        case Thermal(mean_photons=nbar):
-            if not math.isfinite(nbar) or nbar < 0:
-                raise ValueError(f"mean_photons must be finite and >= 0, got {nbar!r}")
-        case DisplacedSqueezed(r=r, squeeze_angle=ang, displacement=disp):
-            if not math.isfinite(r):
-                raise ValueError("squeezing parameter r must be finite")
-            if abs(r) > 12.0:
-                raise ValueError(f"|r| = {abs(r)} too large for double-precision variances")
-            if not math.isfinite(ang):
-                raise ValueError("squeeze_angle must be finite")
-            if not (math.isfinite(disp.real) and math.isfinite(disp.imag)):
-                raise ValueError("displacement must be finite")
-        case Mixture(components=comps):
-            if len(comps) == 0:
-                raise ValueError("mixture needs at least one component")
-            total = 0.0
-            for w, n in comps:
-                if w <= 0 or not math.isfinite(w):
-                    raise ValueError(f"mixture weight {w!r} must be positive and finite")
-                validate_state(Fock(n))
-                total += w
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-12")
-        case _:
-            raise ValueError(f"unknown state model {state!r}")
 
 
 def _fock_psi(n_max: int, q: np.ndarray):
@@ -254,17 +248,16 @@ def _fock_quantile(n: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_quadrature(state, theta, rng: np.random.Generator, size=None):
-    """Draw quadrature outcomes for ``state`` at LO phase ``theta``.
+def sample_quadrature(state, theta, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` quadrature outcomes for ``state`` at LO phase ``theta``.
 
     ``theta`` may be an array (one phase per draw) for the Gaussian-family
-    states; phase-invariant states ignore it.  Returns a scalar when
-    ``size`` is None, else an ndarray of the requested size.
+    states; phase-invariant states ignore it.  Each model checked itself
+    when it was built; anything else raises ValueError.
     """
-    validate_state(state)
     if not isinstance(rng, np.random.Generator):
         raise ValueError("rng must be a numpy.random.Generator")
-    n_draw = 1 if size is None else int(size)
+    n_draw = int(size)
     if n_draw < 0:
         raise ValueError("size must be non-negative")
 
@@ -291,7 +284,9 @@ def sample_quadrature(state, theta, rng: np.random.Generator, size=None):
                 cnt = int(mask.sum())
                 if cnt:
                     out[mask] = _fock_quantile(n, rng.random(cnt))
-    return float(out[0]) if size is None else out
+        case _:
+            raise ValueError(f"unknown state model {state!r}")
+    return out
 
 
 def bin_index(q, delta: float):

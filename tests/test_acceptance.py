@@ -143,10 +143,10 @@ def test_acceptance_4_projection_order_equivalence(capsys):
 def test_acceptance_5_attack_discrimination(capsys):
     t0 = time.perf_counter()
     fixed = attacklab.AttackScenario(r=1.5, delta=0.1, lo_mode="fixed",
-                                     n_rounds=10 ** 6, displaced=True)
+                                     rounds=10 ** 6, displaced=True)
     rep_fixed = attacklab.run_attack(fixed, substream(20260815, "acceptance-5f"))
     uniform = attacklab.AttackScenario(r=1.5, delta=0.1, lo_mode="uniform",
-                                       n_rounds=10 ** 6, displaced=False)
+                                       rounds=10 ** 6, displaced=False)
     rep_uni = attacklab.run_attack(uniform, substream(20260815, "acceptance-5u"))
     elapsed = time.perf_counter() - t0
 

@@ -49,6 +49,21 @@ def oracle_fock_bin_mass(n, lo, hi):
     return val
 
 
+def assert_valid_bipartite(state):
+    """The density-matrix checks that ``BipartiteState`` leaves to the
+    constructions that build it: shape, Hermitian, unit trace, PSD."""
+    d = state.dim_e * state.dim_a
+    rho = np.asarray(state.rho)
+    assert state.dim_e >= 1 and state.dim_a >= 1, "dimensions must be positive"
+    assert rho.shape == (d, d), f"rho must be {d}x{d}, got {rho.shape}"
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12, "rho is not Hermitian within 1e-12"
+    trace = np.trace(rho)
+    assert abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-12, \
+        "trace of rho must be 1 within 1e-10"
+    low = np.linalg.eigvalsh(rho).min()
+    assert low >= -1e-10, f"rho has negative eigenvalue {low}"
+
+
 def correlated_tmsv(gamma, dim):
     """Truncated two-mode squeezed vacuum sqrt(1 - gamma^2) sum_n gamma^n
     |n>_E |n>_A, renormalized: its phase average over A is the Schmidt
@@ -57,7 +72,9 @@ def correlated_tmsv(gamma, dim):
     psi = np.zeros(dim * dim, dtype=complex)
     psi[n * dim + n] = gamma ** n
     psi /= np.linalg.norm(psi)
-    return BipartiteState(dim, dim, np.outer(psi, psi.conj()))
+    state = BipartiteState(dim, dim, np.outer(psi, psi.conj()))
+    assert_valid_bipartite(state)
+    return state
 
 
 def oracle_eve_guess_rate(r, delta):
@@ -83,6 +100,7 @@ def test_tmsv_correlated_phase_average_is_schmidt_diagonal():
     gamma = 0.5
     dim = 16
     avg = phase_average_A(correlated_tmsv(gamma, dim))
+    assert_valid_bipartite(avg)
     t = avg.tensor()
     weights = gamma ** (2 * np.arange(dim))
     weights /= weights.sum()
@@ -98,30 +116,29 @@ def test_phase_average_idempotent_and_trace_preserving():
     st = random_pure_bipartite(4, 5, np.random.default_rng(3))
     once = phase_average_A(st)
     twice = phase_average_A(once)
+    for state in (st, once, twice):
+        assert_valid_bipartite(state)
     assert np.max(np.abs(twice.rho - once.rho)) < 1e-15
     assert np.trace(once.rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim_e", range(2, 17))
 def test_phase_average_is_a_valid_state_at_every_equivalence_size(dim_e):
-    # random_pure_bipartite and phase_average_A skip BipartiteState's
-    # checks: their output must pass them anyway, at every size verify can
-    # draw (equivalence_dim_max is 8 by default and at most 16)
+    # BipartiteState checks nothing: what random_pure_bipartite and
+    # phase_average_A build must be valid at every size verify can draw
+    # (equivalence_dim_max is 8 by default and at most 16)
     rng = np.random.default_rng(dim_e)
     for dim_a in range(2, 17):
         pure = [random_pure_bipartite(dim_e, dim_a, rng) for _ in range(2)]
         for st in pure:
             assert (st.dim_e, st.dim_a) == (dim_e, dim_a)
-            BipartiteState(dim_e, dim_a, st.rho)
+            assert_valid_bipartite(st)
         weights = rng.dirichlet(np.ones(2))
         mixed = BipartiteState(dim_e, dim_a,
                                sum(w * st.rho for w, st in zip(weights, pure)))
+        assert_valid_bipartite(mixed)
         for st in (*pure, mixed):
-            rho = phase_average_A(st).rho
-            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-            assert abs(np.trace(rho) - 1.0) <= 1e-10
-            assert np.linalg.eigvalsh(rho).min() >= -1e-10
-            BipartiteState(dim_e, dim_a, rho)   # and the checks themselves pass
+            assert_valid_bipartite(phase_average_A(st))
 
 
 def test_separability_witness_for_averaged_tmsv():
@@ -138,6 +155,7 @@ def test_product_state_gives_phase_independent_eve_matrix():
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     rho[0, 0] = 1.0
     st = BipartiteState(dim, dim, rho)
+    assert_valid_bipartite(st)
     a = eve_reduced_path_I(st, 0.0, 0.5, 0)
     b = eve_reduced_path_I(st, 1.3, 0.5, 0)
     np.testing.assert_allclose(a, b, atol=1e-14)
@@ -150,11 +168,13 @@ def test_product_state_gives_phase_independent_eve_matrix():
 def test_path_equivalence_on_random_states():
     rng = np.random.default_rng(7)
     st = random_pure_bipartite(6, 6, rng)
+    assert_valid_bipartite(st)
     d = trace_distance(eve_reduced_path_I(st, 0.0, 0.5, 0),
                        eve_reduced_path_II(st, 0.0, 0.5, 0))
     assert d < 1e-10
     for dims in ((2, 8), (8, 2), (5, 7)):
         st = random_pure_bipartite(*dims, rng)
+        assert_valid_bipartite(st)
         for delta in (0.3, 0.5, 1.0):
             for k in (0, 1, -2):
                 one = eve_reduced_path_I(st, 0.4, delta, k)
@@ -171,6 +191,7 @@ def test_path_II_is_bitwise_the_per_phase_projector_average():
         dim_e = int(rng.integers(1, 6))
         dim_a = int(rng.integers(1, 9))
         st = random_pure_bipartite(dim_e, dim_a, rng)
+        assert_valid_bipartite(st)
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         delta = float(rng.uniform(0.05, 1.0))
         kmax = max(1, int(2.0 / delta))
@@ -188,6 +209,7 @@ def test_path_II_is_bitwise_the_per_phase_projector_average():
 
 def test_schmidt_diagonal_state_gives_diagonal_eve_matrix():
     avg = phase_average_A(correlated_tmsv(0.5, 12))
+    assert_valid_bipartite(avg)
     for theta in (0.0, 0.9):
         eve = eve_reduced_path_I(avg, theta, 0.5, 1)
         off = eve - np.diag(np.diag(eve))
@@ -198,6 +220,7 @@ def test_eve_weights_match_quadrature_bin_masses():
     gamma = 0.5
     dim = 10
     avg = phase_average_A(correlated_tmsv(gamma, dim))
+    assert_valid_bipartite(avg)
     weights = gamma ** (2 * np.arange(dim))
     weights /= weights.sum()
     for k in (0, 2):
@@ -232,23 +255,22 @@ def test_trace_distance_basics():
 
 
 def test_bipartite_state_validation():
+    # BipartiteState is a plain record; the helper every test state passes
+    # through must still catch each fault
     good = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    BipartiteState(2, 2, good)
-    with pytest.raises(ValueError, match="Hermitian"):
-        bad = good.copy()
-        bad[0, 1] = 0.1
-        BipartiteState(2, 2, bad)
-    with pytest.raises(ValueError, match="trace"):
-        BipartiteState(2, 2, 0.9 * good)
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        BipartiteState(2, 2, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError, match="4x4"):
-        BipartiteState(2, 2, np.eye(3, dtype=complex) / 3.0)
+    assert_valid_bipartite(BipartiteState(2, 2, good))
+    skew = good.copy()
+    skew[0, 1] = 0.1
+    for rho, match in ((skew, "Hermitian"), (0.9 * good, "trace"),
+                       (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
+                       (np.eye(3, dtype=complex) / 3.0, "4x4")):
+        with pytest.raises(AssertionError, match=match):
+            assert_valid_bipartite(BipartiteState(2, 2, rho))
 
 
 def test_attack_fixed_lo_vacuum_mimicry():
     scenario = AttackScenario(r=1.5, delta=0.1, lo_mode="fixed",
-                              n_rounds=1_000_000)
+                              rounds=1_000_000)
     report = run_attack(scenario, np.random.default_rng(11))
     assert report.measured_variance == pytest.approx(0.5, rel=0.01)
     assert report.mimicry_pvalue > 0.001
@@ -263,7 +285,7 @@ def test_attack_fixed_lo_vacuum_mimicry():
 
 def test_attack_randomized_lo_defeats_eve():
     plain = AttackScenario(r=1.5, delta=0.1, lo_mode="uniform",
-                           displaced=False, n_rounds=1_000_000)
+                           displaced=False, rounds=1_000_000)
     report = run_attack(plain, np.random.default_rng(13))
     assert report.measured_variance == pytest.approx(math.cosh(3.0) / 2.0,
                                                      rel=0.02)
@@ -273,7 +295,7 @@ def test_attack_randomized_lo_defeats_eve():
     assert report.eve_guess_rate < 2.0 * report.vacuum_guess_bound
 
     displaced = AttackScenario(r=1.5, delta=0.1, lo_mode="uniform",
-                               displaced=True, n_rounds=1_000_000)
+                               displaced=True, rounds=1_000_000)
     rep2 = run_attack(displaced, np.random.default_rng(17))
     want = math.cosh(3.0) / 2.0 + (1.0 - math.exp(-3.0)) / 4.0
     assert rep2.measured_variance == pytest.approx(want, rel=0.02)
@@ -282,7 +304,7 @@ def test_attack_randomized_lo_defeats_eve():
 def test_attack_without_squeezing_is_exactly_vacuum():
     for mode in ("fixed", "uniform"):
         scenario = AttackScenario(r=0.0, delta=0.1, lo_mode=mode,
-                                  n_rounds=200_000)
+                                  rounds=200_000)
         report = run_attack(scenario, np.random.default_rng(19))
         assert report.measured_variance == pytest.approx(0.5, rel=0.01)
         assert report.mimicry_pvalue > 0.001
@@ -294,7 +316,7 @@ def test_randomized_variance_grows_with_squeezing():
     prev = 0.5
     for r in (0.3, 1.0):
         scenario = AttackScenario(r=r, delta=0.1, lo_mode="uniform",
-                                  displaced=False, n_rounds=100_000)
+                                  displaced=False, rounds=100_000)
         report = run_attack(scenario, np.random.default_rng(23))
         assert report.measured_variance == pytest.approx(
             math.cosh(2.0 * r) / 2.0, rel=0.03)
@@ -303,7 +325,7 @@ def test_randomized_variance_grows_with_squeezing():
 
 
 def test_attack_determinism():
-    scenario = AttackScenario(n_rounds=20_000)
+    scenario = AttackScenario(rounds=20_000)
     a = run_attack(scenario, np.random.default_rng(29))
     b = run_attack(scenario, np.random.default_rng(29))
     assert a.measured_variance == b.measured_variance
@@ -313,22 +335,41 @@ def test_attack_determinism():
 
 def test_attack_scenario_validation():
     for kwargs in (dict(r=-0.1), dict(r=6.5), dict(delta=0.0),
-                   dict(lo_mode="banana"), dict(n_rounds=9_999)):
+                   dict(lo_mode="banana"), dict(rounds=9_999)):
         with pytest.raises(ValueError):
             AttackScenario(**kwargs)
 
 
+@pytest.mark.parametrize("delta, match", [
+    (1e-300, "beyond int64"),
+    (5e-324, "beyond int64"),   # q / delta overflows to inf
+    (1e-9, "more than 16777216"),
+])
+def test_run_attack_refuses_a_delta_too_narrow_to_count(delta, match):
+    # refused before the histogram is allocated: at 1e-300 no outcome index
+    # fits int64, and 1e-9 would ask for about 5e9 counters
+    scenario = AttackScenario(delta=delta, rounds=10_000)
+    with pytest.raises(ValueError, match=match):
+        run_attack(scenario, np.random.default_rng(37))
+
+
+def test_outcome_span_cap_is_exact(monkeypatch):
+    scenario = AttackScenario(rounds=10_000)
+    bins = run_attack(scenario, np.random.default_rng(41)).bin_counts.size
+    monkeypatch.setattr(attacklab, "_MAX_BINS", bins)
+    assert run_attack(scenario, np.random.default_rng(41)).bin_counts.size == bins
+    monkeypatch.setattr(attacklab, "_MAX_BINS", bins - 1)
+    with pytest.raises(ValueError, match=f"over {bins} bins"):
+        run_attack(scenario, np.random.default_rng(41))
+
+
 def ks_branch(n, x):
-    """The branch of kstwo.sf(x, n) that Simard & L'Ecuyer pick for n > 140."""
+    """The branch of attacklab._kstwo_sf(x, n) that x takes at n >= 10**4."""
     t = n * x
     if x >= 1.0:
         return "one"
     if x <= 0.5 / n or t <= 0.5:
         return "below-support"
-    if t <= 1.0:
-        return "ruben-gambino-low"
-    if t >= n - 1:
-        return "ruben-gambino-high"
     if x >= 0.5:
         return "smirnov-half"
     if t * x >= 370.0:
@@ -368,11 +409,20 @@ def test_kstwo_sf_is_bitwise_scipy():
                 assert got == pytest.approx(want, rel=SMIRNOV_REL, abs=1e-300), (n, x)
             else:
                 assert got == want, (n, x, branch, got, want)
-    assert hit == {"one", "below-support", "ruben-gambino-low",
-                   "ruben-gambino-high", "smirnov-half", "zero", "smirnov",
+    assert hit == {"one", "below-support", "smirnov-half", "zero", "smirnov",
                    "durbin-matrix", "pelz-good-underflow", "pelz-good"}
-    with pytest.raises(ValueError, match="140"):
-        attacklab._kstwo_sf(0.1, 140)
+    # where scipy takes Ruben & Gambino's closed forms, n x <= 1 and
+    # n x >= n - 1, the kept branches give its 1.0 and 0.0 bitwise
+    for n in (10_000, 10 ** 9):
+        edge = 1.0 - 1.0 / n
+        low = np.linspace(0.5 / n, 1.0 / n, 6)[1:].tolist()
+        high = [np.nextafter(edge, 0.0), *np.linspace(edge, 1.0, 6)[:-1].tolist(),
+                np.nextafter(edge, 1.0)]
+        for x, want in [(x, 1.0) for x in low] + [(x, 0.0) for x in high]:
+            got = attacklab._kstwo_sf(x, n)
+            assert got == sps.kstwo.sf(x, n) == want, (n, x, got)
+    with pytest.raises(ValueError, match="10000"):
+        attacklab._kstwo_sf(0.1, 9_999)
 
 
 @pytest.mark.parametrize("rounds, lo_mode, r", [
@@ -382,7 +432,7 @@ def test_kstwo_sf_is_bitwise_scipy():
     (1_000_000, "uniform", 0.0),
 ])
 def test_mimicry_pvalue_is_bitwise_kstest(rounds, lo_mode, r):
-    scenario = AttackScenario(r=r, delta=0.1, lo_mode=lo_mode, n_rounds=rounds)
+    scenario = AttackScenario(r=r, delta=0.1, lo_mode=lo_mode, rounds=rounds)
     report = run_attack(scenario, np.random.default_rng(rounds + int(10 * r)))
     want = sps.kstest(report.samples, lambda v: 0.5 * (1.0 + _erf(v)))
     x = want.statistic
@@ -448,7 +498,7 @@ def test_run_attack_memory_is_a_few_arrays_of_rounds(lo_mode):
     # the draws (displacements, in uniform mode the phases, the normals) are
     # whole arrays; every other step works on 2**16 rounds at a time
     n = 1_000_000
-    scenario = AttackScenario(r=1.5, delta=0.1, lo_mode=lo_mode, n_rounds=n)
+    scenario = AttackScenario(r=1.5, delta=0.1, lo_mode=lo_mode, rounds=n)
     tracemalloc.start()
     try:
         run_attack(scenario, np.random.default_rng(31))

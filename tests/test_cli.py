@@ -229,6 +229,17 @@ def test_attack_artifacts_keep_their_bytes(tmp_path, lo_mode, r, report_sha256,
                       "attack_histogram.csv": histogram_sha256}
 
 
+def test_attack_with_an_unusable_delta_exits_2(tmp_path, capsys):
+    # at delta = 1e-300 every outcome index q / delta lies beyond int64:
+    # cast, all outcomes would share one bin and Eve would guess them all
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text("[attack]\nrounds = 10000\ndelta = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "attack.delta: delta = 1e-300" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
+
+
 @pytest.mark.parametrize("extra, commands, digests", [
     ("", ("simulate", "calibrate", "extract"), {
         "entropy_bound.txt":

@@ -218,7 +218,7 @@ def test_detector_policies_and_validation(tmp_path):
     ("[attack]\nlo_mode = banana", "attack: lo_mode must be 'fixed' or 'uniform'"),
     ("[attack]\nr = 9", "attack: r must lie in"),
     ("[attack]\ndelta = 0", "attack: delta must be positive"),
-    ("[attack]\nrounds = 9999", "attack: n_rounds must be >= 10000"),
+    ("[attack]\nrounds = 9999", "attack: rounds must be >= 10000"),
     ("[stats]\nstring_bits = 99", "string_bits"),
     ("[stats]\nalpha = 0.5", "alpha"),
     ("[calibration]\nsamples_per_point = 1", "samples_per_point"),

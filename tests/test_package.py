@@ -1,8 +1,8 @@
 """Package-level checks: every exported name exists and is used by the
 package itself, every top-level name, dataclass field and property of the
-package is read somewhere, and a stage's import path stays free of scipy:
-none for simulate, extract, attack and verify, only ``scipy.special`` for
-test."""
+package is read somewhere, every package dataclass is built through its
+constructor, and a stage's import path stays free of scipy: none for
+simulate, extract, attack and verify, only ``scipy.special`` for test."""
 
 import ast
 import importlib
@@ -90,6 +90,12 @@ def test_every_top_level_name_is_read():
     assert not unread, f"defined but never read in src/ or tests/: {unread}"
 
 
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
 def test_every_field_and_property_is_read():
     # a dataclass field or property that no code reads as an attribute is
     # dead weight carried by every instance
@@ -101,11 +107,6 @@ def test_every_field_and_property_is_read():
     attributes.update(a for n in nodes if isinstance(n, ast.MatchClass)
                       for a in n.kwd_attrs)
 
-    def is_dataclass(cls):
-        return any(isinstance(d, ast.Name) and d.id == "dataclass"
-                   or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-                   for d in cls.decorator_list)
-
     unread = []
     for path, stmt, _ in statements:
         if path.parent != SRC:
@@ -114,7 +115,7 @@ def test_every_field_and_property_is_read():
             if not isinstance(cls, ast.ClassDef):
                 continue
             for item in cls.body:
-                if (is_dataclass(cls) and isinstance(item, ast.AnnAssign)
+                if (_is_dataclass(cls) and isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)):
                     name = item.target.id
                 elif isinstance(item, ast.FunctionDef) and any(
@@ -126,6 +127,21 @@ def test_every_field_and_property_is_read():
                 if name not in attributes:
                     unread.append(f"{path.stem}.{cls.name}.{name}")
     assert not unread, f"never read as an attribute in src/ or tests/: {unread}"
+
+
+def test_no_package_dataclass_is_built_past_its_constructor():
+    # X.__new__(Cls) skips __init__ and __post_init__: every instance of a
+    # package dataclass must be built through its constructor, so that the
+    # checks it declares hold for every instance
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    classes = {cls.name for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)}
+    bypasses = [f"{path.stem}:{node.lineno}"
+                for path, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in classes]
+    assert not bypasses, f"package dataclasses built with __new__: {bypasses}"
 
 
 STAGE_RUN = """\

@@ -25,7 +25,6 @@ from sdiqrng.states import (
     bin_index,
     sample_quadrature,
     search_halfwidth,
-    validate_state,
 )
 
 # 50-digit references: 1/sqrt(pi) and erf(1/4)
@@ -368,26 +367,35 @@ def test_search_halfwidth_growth():
 
 
 def test_invalid_states_rejected():
-    for bad in (
-        Fock(-1),
-        Fock(2.5),
-        Thermal(-0.1),
-        Thermal(float("nan")),
-        DisplacedSqueezed(r=float("inf")),
-        DisplacedSqueezed(r=13.0),
-        Mixture(()),
-        Mixture(((0.4, 0), (0.5, 1))),
-        Mixture(((-0.1, 0), (1.1, 1))),
-        Mixture(((0.5, 0), (0.5 + 1e-10, 1))),
+    # each model checks itself as it is built: no invalid state exists
+    for model, args, match in (
+        (Fock, (-1,), "non-negative integer"),
+        (Fock, (2.5,), "non-negative integer"),
+        (Fock, (513,), "beyond supported maximum 512"),
+        (Thermal, (-0.1,), "mean_photons"),
+        (Thermal, (float("nan"),), "mean_photons"),
+        (DisplacedSqueezed, (float("inf"),), "r must be finite"),
+        (DisplacedSqueezed, (13.0,), "too large"),
+        (DisplacedSqueezed, (1.0, float("nan")), "squeeze_angle"),
+        (DisplacedSqueezed, (1.0, 0.0, complex(0.0, float("inf"))), "displacement"),
+        (Mixture, ((),), "at least one component"),
+        (Mixture, (((0.4, 0), (0.5, 1)),), "sum to"),
+        (Mixture, (((-0.1, 0), (1.1, 1)),), "positive and finite"),
+        (Mixture, (((0.5, 0), (0.5 + 1e-10, 1)),), "sum to"),
+        (Mixture, (((0.5, 0), (0.5, -1)),), "non-negative integer"),
     ):
-        with pytest.raises(ValueError):
-            validate_state(bad)
+        with pytest.raises(ValueError, match=match):
+            model(*args)
 
 
 def test_bad_query_arguments_rejected():
     with pytest.raises(ValueError):
         bin_index(0.3, 0.0)
     with pytest.raises(ValueError):
-        sample_quadrature(Vacuum(), 0.0, rng=object())
+        sample_quadrature(Vacuum(), 0.0, rng=object(), size=1)
     with pytest.raises(ValueError):
         sample_quadrature(Vacuum(), 0.0, np.random.default_rng(0), size=-1)
+    with pytest.raises(ValueError, match="unknown state model"):
+        sample_quadrature(0.5, 0.0, np.random.default_rng(0), size=1)
+    with pytest.raises(TypeError):   # one draw is an array of size 1
+        sample_quadrature(Vacuum(), 0.0, np.random.default_rng(0))
