@@ -173,6 +173,9 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 # the fewest rounds a scenario may have; _kstwo_sf serves no fewer samples
 _MIN_ROUNDS = 10_000
+# the most: run_attack holds up to three float64 arrays of the rounds, so
+# 2**24 rounds peak near 400 MB, 16x the default's 24 MB
+_MAX_ROUNDS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,9 @@ class AttackScenario:
             raise ValueError(f"lo_mode must be 'fixed' or 'uniform', got {self.lo_mode!r}")
         if self.rounds < _MIN_ROUNDS:
             raise ValueError(f"rounds must be >= {_MIN_ROUNDS} for statistical claims")
+        if self.rounds > _MAX_ROUNDS:
+            raise ValueError(f"rounds must be <= {_MAX_ROUNDS}: run_attack holds "
+                             "three float64 arrays of the rounds")
 
 
 @dataclass(frozen=True)

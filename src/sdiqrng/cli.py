@@ -292,8 +292,9 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_output_bits(out: Path) -> np.ndarray:
-    """The bits of output.bits that accounting.txt accounts for; the zero
+def _read_output_bits(out: Path) -> tuple[np.ndarray, int]:
+    """The packed bytes of output.bits, as a read-only ``uint8`` array, and
+    the count of bits in them that accounting.txt accounts for; the zero
     padding of the last byte is not data."""
     bits_path, path = out / "output.bits", out / "accounting.txt"
     if not bits_path.exists():
@@ -312,7 +313,7 @@ def _read_output_bits(out: Path) -> np.ndarray:
     if len(data) != (n_bits + 7) // 8:
         raise ConfigError(f"{bits_path} holds {len(data)} bytes, but {path} "
                           f"accounts {n_bits} bits")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)
+    return np.frombuffer(data, dtype=np.uint8), n_bits
 
 
 def cmd_test(cfg: RunConfig) -> int:
@@ -321,13 +322,13 @@ def cmd_test(cfg: RunConfig) -> int:
     from . import stats as battery
 
     out = _out_dir(cfg)
-    # the packed bytes must be freed before the battery runs, as they are
-    # when _read_output_bits returns: held through it, they keep glibc's
-    # mmap threshold low, and every spectral-test temporary is mapped
-    # afresh (181k more page faults and 0.35 s more on perfbench's stream)
-    bits = _read_output_bits(out)
+    # the battery reads the packed bytes, and each of its workers expands
+    # its strings one at a time into one row it allocated once: a fresh row
+    # per string lets glibc's heap map the statistics' temporaries afresh
+    # (on perfbench's stream, 32k-52k minor page faults instead of 12k)
+    packed, n_bits = _read_output_bits(out)
     try:
-        report = battery.run_battery(bits, cfg.stats.string_bits,
+        report = battery.run_battery(packed, n_bits, cfg.stats.string_bits,
                                      alpha=cfg.stats.alpha, threads=cfg.run.threads)
     except ValueError as exc:
         raise ConfigError(f"stats: {exc}") from None

@@ -156,19 +156,30 @@ class RawSampleBlock:
 def quantize(analog: np.ndarray, config: MeasurementConfig) -> tuple[np.ndarray, int]:
     """Digitize analog values; returns (codes, clipped_count).
 
-    Round half away from zero, then saturate into the edge codes.
+    Round half away from zero, then saturate into the edge codes.  Works
+    through ``_NOISE_BLOCK`` values at a time in two reused ``float64``
+    buffers, so beside ``analog`` only the ``int16`` codes grow with it.
     """
-    scaled = np.asarray(analog, dtype=float) / config.adc_step
-    # in one buffer: floor(|scaled| + 0.5) given the sign of scaled (where
-    # that is 0 the code is 0 either way)
-    codes = np.abs(scaled)
-    codes += 0.5
-    np.floor(codes, out=codes)
-    np.copysign(codes, scaled, out=codes)
-    del scaled
-    clipped = int(np.count_nonzero((codes < config.code_min) | (codes > config.code_max)))
-    np.clip(codes, config.code_min, config.code_max, out=codes)
-    return codes.astype(np.int16), clipped
+    analog = np.asarray(analog)
+    codes = np.empty(analog.size, dtype=np.int16)
+    scaled = np.empty(min(analog.size, _NOISE_BLOCK))
+    rounded = np.empty_like(scaled)
+    clipped = 0
+    for lo in range(0, analog.size, _NOISE_BLOCK):
+        hi = min(analog.size, lo + _NOISE_BLOCK)
+        s, r = scaled[:hi - lo], rounded[:hi - lo]
+        s[:] = analog[lo:hi]   # to float64 before the division
+        s /= config.adc_step
+        # floor(|s| + 0.5) given the sign of s (where that is 0 the code is
+        # 0 either way)
+        np.abs(s, out=r)
+        r += 0.5
+        np.floor(r, out=r)
+        np.copysign(r, s, out=r)
+        clipped += int(np.count_nonzero((r < config.code_min) | (r > config.code_max)))
+        np.clip(r, config.code_min, config.code_max, out=r)
+        codes[lo:hi] = r
+    return codes, clipped
 
 
 def draw_phases(config: MeasurementConfig, count: int,
@@ -290,7 +301,8 @@ def measure_pulses(state: QuantumStateModel, config: MeasurementConfig, count: i
                                          chain.notch_taps)
 
 
-_NOISE_BLOCK = 2 ** 16   # pulses of filtered noise made at a time
+# pulses of filtered noise made, and values quantized, at a time
+_NOISE_BLOCK = 2 ** 16
 
 
 def vacuum_unit_resolution(adc_step: float, gradient: float, power: float) -> float:

@@ -15,14 +15,15 @@ three-sigma binomial bound (1-alpha) - 3*sqrt(alpha*(1-alpha)/n_strings)
 and (b) the p-values are uniform over ten bins at significance 1e-4 by a
 chi-square test.
 
-Every statistic works on a ``uint8`` 0/1 array: the input is checked once,
-and rejected unless every value is exactly 0 or 1 (``run_battery`` checks
-the whole stream once, so each string is a ``uint8`` view whose per-test
-check is a single ``max() <= 1`` pass).  Each statistic makes one pass of
-its kernel per string, in the narrowest integer type that holds it:
-``uint16`` pattern codes and run lengths, an ``int32`` random walk.  The
-serial and approximate-entropy tests count patterns once, at their largest
-order, and fold the table down to the lower orders.
+Every statistic works on a ``uint8`` 0/1 array and rejects any value other
+than exactly 0 or 1.  ``run_battery`` takes the stream packed eight bits to
+a byte, which cannot hold another value, and expands one string at a time
+into a reused ``uint8`` row, whose per-test check is a single ``max() <= 1``
+pass.  Each statistic makes one pass of its kernel per string, in the
+narrowest integer type that holds it: ``uint16`` pattern codes and run
+lengths, an ``int32`` random walk.  The serial and approximate-entropy tests
+count patterns once, at their largest order, and fold the table down to the
+lower orders.
 """
 
 from __future__ import annotations
@@ -376,27 +377,35 @@ def _uniformity_p(p_values: np.ndarray) -> float:
     return float(gammaincc(4.5, chi2 / 2.0))
 
 
-def run_battery(bits, string_bits: int, *, alpha: float = 0.01,
-                threads: int = 1) -> BatteryReport:
-    """Split ``bits`` into strings and apply every implemented statistic.
+def run_battery(packed: np.ndarray, n_bits: int, string_bits: int, *,
+                alpha: float = 0.01, threads: int = 1) -> BatteryReport:
+    """Split the first ``n_bits`` bits of ``packed`` into strings and apply
+    every implemented statistic.
 
-    ``bits`` is checked once, whole; each string is then a ``uint8`` view.
-    The strings are tested in ``threads`` contiguous spans, one per worker,
-    each with its own spectral-test buffers; the p-values come back in
-    string order.
+    ``packed`` is a one-dimensional ``uint8`` array of the bits eight to a
+    byte, the first bit the most significant (``np.packbits``' order, that
+    of output.bits); the bits past ``n_bits`` are not read.  The strings are
+    tested in ``threads`` contiguous spans, one per worker.  Each worker
+    expands its strings one at a time into its own reused ``uint8`` row and
+    keeps its own spectral-test buffers; the p-values come back in string
+    order.
     """
-    bits = _check_bits(bits, 0, "battery")
+    packed = np.asarray(packed)
+    if packed.ndim != 1 or packed.dtype != np.uint8:
+        raise ValueError("packed must be a one-dimensional uint8 array")
+    if not 0 <= n_bits <= 8 * packed.size:
+        raise ValueError(f"n_bits = {n_bits} outside the {8 * packed.size} packed bits")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
     if string_bits < 100:
         raise ValueError("string_bits must be >= 100")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    n_strings = bits.size // int(string_bits)
+    string_bits = int(string_bits)
+    n_strings = int(n_bits) // string_bits
     if n_strings < 10:
         raise ValueError(
             f"need at least 10 strings for proportion statistics, got {n_strings}")
-    strings = bits[: n_strings * string_bits].reshape(n_strings, string_bits)
 
     def battery(work) -> tuple:
         """(test, shortest string it runs on, function, the statistic of each
@@ -418,15 +427,34 @@ def run_battery(bits, string_bits: int, *, alpha: float = 0.01,
     skipped = [name for name, shortest, _, _ in listed if string_bits < shortest]
     run = [p_names for name, _, _, p_names in listed if name not in skipped]
 
-    def test_rows(rows: np.ndarray) -> list[np.ndarray]:
-        """Each run test's p-values on ``rows``, a (strings, p-values) array."""
-        work = _spectral_work(int(string_bits))   # this span's own: never shared
-        return [np.array([test(row) for row in rows], dtype=float).reshape(len(rows), -1)
-                for name, _, test, _ in battery(work) if name not in skipped]
+    # row b holds the eight bits of byte value b, the first the most significant
+    bits_of_byte = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+
+    def test_span(span: range) -> list[np.ndarray]:
+        """Each run test's p-values on the strings of ``span``, a (strings,
+        p-values) array."""
+        work = _spectral_work(string_bits)   # this span's own: never shared
+        tests = [test for name, _, test, _ in battery(work) if name not in skipped]
+        # the bytes covering a string, which may start at any of a byte's
+        # eight bits, as indices, and their bits; take's "clip" mode writes
+        # into ``expanded`` without a buffer (every byte is a valid index)
+        covering = np.empty((string_bits + 7) // 8 + 1, dtype=np.intp)
+        expanded = np.empty((covering.size, 8), dtype=np.uint8)
+        p_values = []
+        for i in span:
+            start = i * string_bits
+            first, end = start // 8, -(-(start + string_bits) // 8)
+            covering[:end - first] = packed[first:end]
+            np.take(bits_of_byte, covering[:end - first], axis=0,
+                    out=expanded[:end - first], mode="clip")
+            row = expanded.reshape(-1)[start % 8:start % 8 + string_bits]
+            p_values.append([test(row) for test in tests])
+        return [np.array(column, dtype=float).reshape(len(span), -1)
+                for column in zip(*p_values)]
 
     parts = min(threads, n_strings)
     edges = [n_strings * i // parts for i in range(parts + 1)]
-    per_span = ordered_map(test_rows, [strings[a:b] for a, b in zip(edges, edges[1:])],
+    per_span = ordered_map(test_span, [range(a, b) for a, b in zip(edges, edges[1:])],
                            threads)
     collected: dict[str, np.ndarray] = {}
     for p_names, *spans in zip(run, *per_span):

@@ -263,8 +263,7 @@ def test_acceptance_8_end_to_end_statistics(capsys):
                                     clipped=clipped)
     seed = extractor.test_prng_seed(plan.seed_bits, 99)
     packed, report = extractor.extract_stream([block], plan, seed)
-    bits = np.unpackbits(packed)[: report.output_bits]
-    battery_report = battery.run_battery(bits, 100_000)
+    battery_report = battery.run_battery(packed, report.output_bits, 100_000)
 
     ac = dsp.autocorrelation(codes[:1_000_000].astype(float), 400)
     elapsed = time.perf_counter() - t0

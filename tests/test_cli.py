@@ -16,6 +16,8 @@ from sdiqrng import cli, detector, dsp, entropy
 from sdiqrng.calibration import append_log, read_log
 from sdiqrng.cli import build_parser, main
 from sdiqrng.config import load_config
+from sdiqrng.exceptions import SecurityModelViolation
+from test_detector import PEAK_BYTES_PER_PULSE, PEAK_WORKSPACE_BYTES
 
 SEED = 11
 
@@ -370,6 +372,57 @@ def test_simulate_memory_does_not_grow_with_the_blocks(tmp_path):
     peak(1)   # warm the caches
     # holding the raw codes of the six more blocks alone would add 300 kB
     assert peak(8) - peak(2) < 256 << 10
+
+
+@pytest.mark.parametrize("pulses", [200_000, 400_000])
+def test_simulate_peak_memory_is_the_chains_plus_the_codes(tmp_path, pulses):
+    # quantize writes int16 codes through fixed slices, so the chain's two
+    # float64 streams and the codes are all simulate holds of the block.
+    # Two whole float64 copies of a stream beside them, 32 bytes per pulse,
+    # pass this bound at 200k pulses and exceed it by 1.3 MB at 400k
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(f"[simulate]\nblocks = 1\npulses = {pulses}\n")
+    cfg = load_config(str(cfg_path), overrides={"run.out_dir": str(tmp_path / "out")})
+    chain = cfg.dsp
+    n_sim = pulses + 2 * (-(-(chain.lowpass_taps // 2) // chain.oversample)
+                          + chain.notch_taps // 2)
+    tracemalloc.start()
+    try:
+        cli.cmd_simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    codes = 2 * pulses
+    assert peak < PEAK_BYTES_PER_PULSE * n_sim + PEAK_WORKSPACE_BYTES + codes, peak
+
+
+def test_test_memory_grows_by_the_packed_bytes(tmp_path):
+    # the battery reads output.bits packed and expands one string at a time
+    # per worker: 60 more strings add their bytes and their p-values, not a
+    # byte per bit (300 kB at these 5000-bit strings)
+    cfg_path = write_cfg(tmp_path)
+
+    def peak(n_strings):
+        out = tmp_path / f"bits-{n_strings}"
+        out.mkdir(exist_ok=True)
+        n_bits = n_strings * 5000
+        bits = np.random.default_rng(n_strings).integers(0, 2, n_bits, dtype=np.uint8)
+        (out / "output.bits").write_bytes(np.packbits(bits).tobytes())
+        (out / "accounting.txt").write_text(f"output_bits: {n_bits}\n")
+        cfg = load_config(cfg_path, overrides={"run.out_dir": str(out)})
+        tracemalloc.start()
+        try:
+            cli.cmd_test(cfg)
+        except SecurityModelViolation:   # a battery failure costs the same memory
+            pass
+        finally:
+            used = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return used, n_bits // 8
+
+    peak(20)   # warm the caches
+    (small, small_bytes), (large, large_bytes) = peak(20), peak(80)
+    assert large - small < (large_bytes - small_bytes) + (64 << 10), large - small
 
 
 def test_reproducible_runs_and_seed_sensitivity(pipeline, tmp_path):

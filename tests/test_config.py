@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdiqrng import calibration, config, detector, states
+from sdiqrng import attacklab, calibration, cli, config, detector, states
 from sdiqrng.config import load_config, substream
 from sdiqrng.exceptions import ConfigError
 
@@ -254,6 +254,19 @@ def test_detector_policies_and_validation(tmp_path):
 def test_cross_validation_rejections(tmp_path, body, match):
     with pytest.raises(ConfigError, match=match):
         load_config(write_cfg(tmp_path, body + "\n"))
+
+
+def test_attack_rounds_are_capped_at_load(tmp_path, capsys):
+    # run_attack holds three float64 arrays of the rounds: one more round
+    # than the cap is refused when the config loads, before any stage runs
+    cap = attacklab._MAX_ROUNDS
+    cfg = load_config(write_cfg(tmp_path, f"[attack]\nrounds = {cap}\n"))
+    assert cfg.attack.rounds == cap
+    path = write_cfg(tmp_path, f"[attack]\nrounds = {cap + 1}\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert f"attack: rounds must be <= {cap}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_narrow_but_normal_deltas_are_accepted(tmp_path):

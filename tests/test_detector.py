@@ -85,6 +85,46 @@ def test_quantize_saturates_and_counts():
     assert clipped == 3  # 127.5 rounds to 128 before saturating
 
 
+def one_shot_quantize(analog, config):
+    """The quantizer as one formula over whole float64 copies of the input."""
+    scaled = np.asarray(analog, dtype=float) / config.adc_step
+    codes = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    clipped = int(np.count_nonzero((codes < config.code_min) | (codes > config.code_max)))
+    return np.clip(codes, config.code_min, config.code_max).astype(np.int16), clipped
+
+
+@pytest.mark.parametrize("size", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+def test_sliced_quantize_equals_one_shot_formula(size):
+    # ties at +-0.5 of a step, values past both edge codes and on them, at
+    # the ends of every slice and between them
+    cfg = MeasurementConfig()
+    rng = np.random.default_rng(size)
+    special = np.array([0.5, -0.5, 1.5, -1.5, 126.5, -127.5, 127.5, -128.5, 127.4999,
+                        -128.4999, 1e6, -1e6, 0.0, -0.0, 2.5, -2.5])
+    steps = rng.normal(0.0, 60.0, size)
+    steps[::7] = np.round(steps[::7]) + 0.5                  # ties throughout
+    for at in (0, 2 ** 16 - 1, 2 ** 16, size - len(special)):
+        if 0 <= at <= size - len(special):
+            steps[at:at + len(special)] = special
+    analog = steps * cfg.adc_step
+    codes, clipped = quantize(analog, cfg)
+    want, want_clipped = one_shot_quantize(analog, cfg)
+    assert codes.dtype == np.int16
+    assert np.array_equal(codes, want)
+    assert clipped == want_clipped
+    if size > len(special):
+        assert {cfg.code_min, cfg.code_max} <= set(codes.tolist())
+        assert clipped > 0
+    # any real dtype is converted to float64 before the division: float32
+    # values nearest the ties of a step that is no power of two round
+    # differently when divided in float32
+    odd = MeasurementConfig(adc_full_scale=100.1)
+    near_ties = (np.arange(-130, 130) + 0.5) * odd.adc_step
+    for cast in (np.resize(near_ties, size).astype(np.float32), steps.astype(np.int32)):
+        got, want = quantize(cast, odd), one_shot_quantize(cast, odd)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
 def test_quantized_gaussian_variance_golden():
     oracle = oracle_quantized_gaussian_var(20.0, 8)
     assert oracle == pytest.approx(QUANTIZED_GAUSSIAN_VAR_SIGMA20, abs=1e-9)

@@ -18,9 +18,12 @@ from scipy.stats import norm
 from sdiqrng.stats import (
     _LONGEST_RUN_TABLES,
     UNIMPLEMENTED_TESTS,
+    BatteryReport,
+    StatisticSummary,
     _cusum_pvalue,
     _fold,
     _pattern_counts,
+    _uniformity_p,
     _walk_excursions,
     approximate_entropy_test,
     block_frequency_test,
@@ -284,35 +287,39 @@ def test_per_test_input_validation():
         FREQ_P, rel=1e-12)
 
 
+def battery(bits, string_bits, **kwargs):
+    """``run_battery`` on the 0/1 array ``bits``, packed as output.bits is."""
+    return run_battery(np.packbits(bits), bits.size, string_bits, **kwargs)
+
+
 def test_battery_input_validation():
     rng = np.random.default_rng(48)
     bits = rng.integers(0, 2, 2000).astype(np.uint8)
     with pytest.raises(ValueError):
-        run_battery(bits, 200, alpha=0.6)
+        battery(bits, 200, alpha=0.6)
     with pytest.raises(ValueError):
-        run_battery(bits, 200, alpha=0.0)
+        battery(bits, 200, alpha=0.0)
     with pytest.raises(ValueError):
-        run_battery(bits, 99)
+        battery(bits, 99)
     with pytest.raises(ValueError):
-        run_battery(bits, 1000)  # only 2 strings
-    with pytest.raises(ValueError):
-        run_battery(np.zeros((10, 100), dtype=np.uint8), 100)
-    with pytest.raises(ValueError, match="0 or 1"):
-        run_battery(np.full(1000, 0.5), 100)
-    for bad in NOT_BITS:
-        with pytest.raises(ValueError, match="0 or 1"):
-            run_battery(np.resize(bad, 1000), 100)
-    expect = run_battery(bits, 200)
-    for same in (bits.astype(bool), bits.astype(np.int64), bits.astype(float)):
-        got = run_battery(same, 200)
-        assert got.to_text() == expect.to_text()
-        for r, e in zip(got.results, expect.results):
-            assert np.array_equal(r.p_values, e.p_values)
+        battery(bits, 1000)  # only 2 strings
+    packed = np.packbits(bits)
+    for bad in (packed.reshape(10, -1), packed.astype(np.int16), packed.astype(float),
+                packed.tobytes()):
+        with pytest.raises(ValueError, match="one-dimensional uint8"):
+            run_battery(bad, 2000, 200)
+    for n_bits in (-1, 8 * packed.size + 1):
+        with pytest.raises(ValueError, match="packed bits"):
+            run_battery(packed, n_bits, 200)
+    # the bits past n_bits are not read
+    expect = battery(bits, 200)
+    padded = np.concatenate([packed, [0xff, 0x5a]]).astype(np.uint8)
+    assert run_battery(padded, 2000, 200).to_text() == expect.to_text()
 
 
 def test_battery_skip_table():
     rng = np.random.default_rng(49)
-    r = run_battery(rng.integers(0, 2, 10 * 100).astype(np.uint8), 100)
+    r = battery(rng.integers(0, 2, 10 * 100).astype(np.uint8), 100)
     ran = {x.name for x in r.results}
     assert ran == {
         "frequency",
@@ -328,23 +335,23 @@ def test_battery_skip_table():
         "spectral",
         "approximate-entropy",
     }
-    r = run_battery(rng.integers(0, 2, 10 * 500).astype(np.uint8), 500)
+    r = battery(rng.integers(0, 2, 10 * 500).astype(np.uint8), 500)
     assert set(r.skipped) == {"spectral"}
-    r = run_battery(rng.integers(0, 2, 10 * 1000).astype(np.uint8), 1000)
+    r = battery(rng.integers(0, 2, 10 * 1000).astype(np.uint8), 1000)
     assert r.skipped == ()
 
 
 def test_proportion_bound_goldens():
     # bound = (1-alpha) - 3*sqrt(alpha*(1-alpha)/n_strings)
     rng = np.random.default_rng(50)
-    r = run_battery(rng.integers(0, 2, 100 * 100).astype(np.uint8), 100)
+    r = battery(rng.integers(0, 2, 100 * 100).astype(np.uint8), 100)
     assert r.results[0].proportion_bound == pytest.approx(0.9601503768868014, rel=1e-12)
-    r = run_battery(rng.integers(0, 2, 1000 * 100).astype(np.uint8), 100)
+    r = battery(rng.integers(0, 2, 1000 * 100).astype(np.uint8), 100)
     assert r.results[0].proportion_bound == pytest.approx(0.9805607203664686, rel=1e-12)
 
 
 def test_all_zero_stream_fails_frequency_with_proportion_zero():
-    r = run_battery(np.zeros(10 * 1000, dtype=np.uint8), 1000)
+    r = battery(np.zeros(10 * 1000, dtype=np.uint8), 1000)
     by_name = {x.name: x for x in r.results}
     assert by_name["frequency"].proportion == 0.0
     assert not by_name["frequency"].passed
@@ -355,7 +362,7 @@ def test_all_zero_stream_fails_frequency_with_proportion_zero():
 def test_prng_battery_passes():
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, 20 * 100_000).astype(np.uint8)
-    r = run_battery(bits, 100_000)
+    r = battery(bits, 100_000)
     assert len(r.results) == 10
     assert {x.name for x in r.results} == {
         "frequency",
@@ -380,7 +387,7 @@ def test_prng_battery_passes():
 def test_report_rendering():
     rng = np.random.default_rng(51)
     bits = rng.integers(0, 2, 12 * 2000).astype(np.uint8)
-    r = run_battery(bits, 2000)
+    r = battery(bits, 2000)
     txt = r.to_text()
     lines = txt.splitlines()
     assert lines[0] == "strings: 12 x 2000 bits, alpha=0.01"
@@ -535,13 +542,13 @@ def test_battery_p_values_equal_parent_formulations():
         (skewed, 10),
     )
     for strings, n_results in cases:
-        report = run_battery(strings.ravel(), strings.shape[1])
+        report = battery(strings.ravel(), strings.shape[1])
         assert len(report.results) == n_results
         for r in report.results:
             expect = [PARENT[r.name](row) for row in strings]
             assert np.array_equal(r.p_values, expect), (strings.shape, r.name)
     # the skewed strings take the runs prerequisite and the z = n walks
-    by_name = {r.name: r.p_values for r in run_battery(skewed.ravel(), 1000).results}
+    by_name = {r.name: r.p_values for r in battery(skewed.ravel(), 1000).results}
     assert np.all(by_name["runs"][:6] == 0.0)
     assert _walk_excursions(skewed[0]) == (1000, 1000)
     assert _walk_excursions(skewed[3]) == (1000, 1000)
@@ -555,11 +562,66 @@ def test_spectral_buffers_reused_across_strings_equal_parent_formula(string_bits
     strings = rng.integers(0, 2, (12, string_bits)).astype(np.uint8)
     strings[1::4] = 1
     strings[2::4] = rng.random((3, string_bits)) < 0.45
-    report = run_battery(strings.ravel(), string_bits)
+    report = battery(strings.ravel(), string_bits)
     (spectral,) = [r.p_values for r in report.results if r.name == "spectral"]
     expect = [parent_spectral(row) for row in strings]
     assert np.array_equal(spectral, expect)
     assert [spectral_test(row) for row in strings] == expect
+
+
+STATISTIC = {
+    "frequency": frequency_test,
+    "block-frequency": block_frequency_test,
+    "runs": runs_test,
+    "longest-run": longest_run_test,
+    "spectral": spectral_test,
+    "approximate-entropy": approximate_entropy_test,
+    "cumulative-sums-forward": lambda b: cumulative_sums_test(b)[0],
+    "cumulative-sums-backward": lambda b: cumulative_sums_test(b)[1],
+    "serial-1": lambda b: serial_test(b)[0],
+    "serial-2": lambda b: serial_test(b)[1],
+}
+
+
+def unpacked_battery(packed, n_bits, string_bits, names, alpha=0.01):
+    """The battery's report from each statistic run on each string of
+    ``np.unpackbits(packed)``, one fresh array per string."""
+    bits = np.unpackbits(packed, count=n_bits)
+    n_strings = n_bits // string_bits
+    bound = (1 - alpha) - 3.0 * math.sqrt((1 - alpha) * alpha / n_strings)
+    results = []
+    for name in names:
+        pv = np.array([STATISTIC[name](bits[i * string_bits:(i + 1) * string_bits].copy())
+                       for i in range(n_strings)])
+        proportion = float(np.mean(pv >= alpha))
+        uniformity = _uniformity_p(pv)
+        results.append(StatisticSummary(
+            name, pv, proportion, bound, uniformity,
+            proportion >= bound and uniformity >= 1e-4))
+    skipped = tuple(name for name, shortest in (
+        ("block-frequency", 128), ("longest-run", 128), ("spectral", 1000),
+        ("approximate-entropy", 256)) if string_bits < shortest)
+    return BatteryReport(n_strings, string_bits, alpha, tuple(results), skipped)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("string_bits", [100, 1001, 100_000])
+def test_packed_battery_equals_unpacked_strings(string_bits, threads):
+    # each string is expanded from the bytes that cover it, at every bit
+    # offset when string_bits is odd; the bits past n_bits are ones here
+    rng = np.random.default_rng(string_bits)
+    n_bits = 12 * string_bits + 5
+    bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
+    bits[string_bits:2 * string_bits] = 1
+    bits[3 * string_bits:4 * string_bits] = rng.random(string_bits) < 0.45
+    packed = np.packbits(np.concatenate([bits, np.ones(11, dtype=np.uint8)]))
+    report = run_battery(packed, n_bits, string_bits, threads=threads)
+    want = unpacked_battery(packed, n_bits, string_bits, [r.name for r in report.results])
+    assert len(report.results) == (6 if string_bits < 128 else 10)
+    assert report.skipped == want.skipped
+    for r, e in zip(report.results, want.results):
+        assert np.array_equal(r.p_values, e.p_values), r.name
+    assert report.to_text() == want.to_text()
 
 
 @pytest.mark.parametrize("threads", [2, 3])
@@ -571,11 +633,11 @@ def test_battery_on_workers_equals_one_thread(threads):
     strings = rng.integers(0, 2, (13, 4097)).astype(np.uint8)
     strings[1::4] = 1
     strings[2::4] = rng.random((3, 4097)) < 0.45
-    one = run_battery(strings.ravel(), 4097)
+    one = battery(strings.ravel(), 4097)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        many = run_battery(strings.ravel(), 4097, threads=threads)
+        many = battery(strings.ravel(), 4097, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     assert many.to_text() == one.to_text()
@@ -590,4 +652,4 @@ def test_battery_on_workers_equals_one_thread(threads):
 def test_battery_rejects_no_threads():
     bits = np.random.default_rng(57).integers(0, 2, 2000).astype(np.uint8)
     with pytest.raises(ValueError, match="threads"):
-        run_battery(bits, 200, threads=0)
+        battery(bits, 200, threads=0)
